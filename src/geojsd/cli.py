@@ -43,8 +43,9 @@ _DIVERGENCES = ("kl", "kl_plus", "js", "js_m", "js_m_plus", "jeffreys",
                 "kl_mixtures", "gamma", "js_m_gamma", "gjsd", "gjsd_plus")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("GEOJSD_SEED", "0"))
+def _default_seed() -> str:
+    # a string default passes through type=int: a bad value exits 2, not a traceback
+    return os.environ.get("GEOJSD_SEED", "0")
 
 
 def parse_mean(text: str, alpha: float) -> MeanSpec:

@@ -92,7 +92,7 @@ def gaussian_sampled(g: GaussianParams) -> SampledDensity:
     """A multivariate Gaussian as a samplable density (1-D draws stay flat)."""
     mu = g.mu
     d = g.dim
-    chol = np.linalg.cholesky(g.sigma)  # PD validated at construction
+    chol = g._chol
     log_norm = -0.5 * d * math.log(2.0 * math.pi) - float(np.log(np.diag(chol)).sum())
 
     if d == 1:

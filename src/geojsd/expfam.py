@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import cho_solve
 from scipy.special import logsumexp
 
 from .errors import DomainViolation
@@ -247,9 +248,9 @@ def gaussian_family(d: int) -> ExpFamily:
         chol = _chol(theta_m)
         if chol is None:
             raise DomainViolation("theta_M is not positive-definite")
-        # mu = theta_M^-1 theta_v / 2, Sigma = theta_M^-1 / 2
-        mu = 0.5 * np.linalg.solve(theta_m, theta_v)
-        sigma = 0.5 * np.linalg.solve(theta_m, np.eye(d))
+        # Sigma = theta_M^-1 / 2, mu = Sigma theta_v
+        sigma = 0.5 * cho_solve((chol, True), np.eye(d))
+        mu = sigma @ theta_v
         grad_m = -(sigma + np.outer(mu, mu))
         rows, cols = _tri_indices(d)
         packed_m = grad_m[rows, cols] * np.where(rows == cols, 1.0, 2.0)

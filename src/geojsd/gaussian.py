@@ -8,10 +8,14 @@ not); geometric mixtures of Gaussians stay Gaussian, which is exactly why
 the geometric JSD admits the formulas below.  For arithmetic mixtures use
 the Monte Carlo estimators in :mod:`geojsd.estimate`.
 
-All matrix work goes through Cholesky factorizations: the
-positive-definiteness check, log-determinants and linear solves share them,
-and no explicit inverse is formed except where the result itself is a
-matrix (the harmonic barycenter).
+Each constructor factors its matrix once and keeps the Cholesky factor.
+Pair divergences work in one pair basis: with ``Sigma1 = L1 L1'`` and the
+SVD ``L1^-1 L2 = U S V'``, the map ``z = U' L1^-1 (x - mu1)`` takes N1 to
+``N(0, I)`` and N2 to ``N(delta, diag(lam))``, ``lam = S^2 > 0``.  Every
+divergence is invariant under it, hence a sum of per-coordinate terms in
+``(lam_i, delta_i)``, each >= 0 after rounding and exactly 0 for equal
+inputs; the geometric mixture maps back through ``L1 U`` (Nielsen, Entropy
+21(5):485, 2019).
 
 Conventions: natural parameters are ``theta_v = Sigma^-1 mu`` and
 ``theta_M = Sigma^-1 / 2`` (the positive-definite sign choice, fixed by
@@ -22,11 +26,10 @@ the Bregman route); divergences are reported in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.special import erf
 
 from . import expfam
 from .errors import DegenerateQuadratic, InvalidAlpha, NotPositiveDefinite
@@ -55,25 +58,26 @@ _SYMMETRY_TOL = 1e-12
 _EQUAL_SIGMA_TOL = 1e-12
 
 
-def _validated_spd(name: str, mat: np.ndarray) -> np.ndarray:
+def _validated(vec_name: str, vec, mat_name: str,
+               mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only copies of a vector and an SPD matrix, plus its lower Cholesky factor."""
+    vec = np.array(vec, dtype=float, ndmin=1)
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise NotPositiveDefinite(f"{name} must be a square matrix")
+        raise NotPositiveDefinite(f"{mat_name} must be a square matrix")
     scale = max(1.0, float(np.abs(mat).max()))
     if float(np.abs(mat - mat.T).max()) > _SYMMETRY_TOL * scale:
-        raise NotPositiveDefinite(f"{name} is not symmetric")
-    return 0.5 * (mat + mat.T)
-
-
-def _chol_lower(name: str, mat: np.ndarray) -> np.ndarray:
+        raise NotPositiveDefinite(f"{mat_name} is not symmetric")
+    mat = 0.5 * (mat + mat.T)
+    if vec.ndim != 1 or mat.shape != (vec.size, vec.size):
+        raise NotPositiveDefinite(f"{vec_name} and {mat_name} dimensions do not match")
     try:
-        return cholesky(mat, lower=True)
+        chol = cholesky(mat, lower=True)
     except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"{name} is not positive-definite") from exc
-
-
-def _logdet(chol_lower: np.ndarray) -> float:
-    return 2.0 * float(np.log(np.diag(chol_lower)).sum())
+        raise NotPositiveDefinite(f"{mat_name} is not positive-definite") from exc
+    vec.setflags(write=False)
+    mat.setflags(write=False)
+    return vec, mat, chol
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,19 +86,13 @@ class GaussianParams:
 
     mu: np.ndarray
     sigma: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False)  # Cholesky factor of sigma
 
     def __post_init__(self) -> None:
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
-        sigma = _validated_spd("sigma", self.sigma)
-        if mu.ndim != 1 or sigma.shape != (mu.size, mu.size):
-            raise NotPositiveDefinite("mu and sigma dimensions do not match")
-        _chol_lower("sigma", sigma)
-        mu = mu.copy()
-        mu.setflags(write=False)
-        sigma = sigma.copy()
-        sigma.setflags(write=False)
+        mu, sigma, chol = _validated("mu", self.mu, "sigma", self.sigma)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def dim(self) -> int:
@@ -115,19 +113,14 @@ class GaussianNatural:
 
     theta_v: np.ndarray
     theta_m: np.ndarray
+    _chol: np.ndarray = field(init=False, repr=False)  # Cholesky factor of theta_M
 
     def __post_init__(self) -> None:
-        theta_v = np.atleast_1d(np.asarray(self.theta_v, dtype=float))
-        theta_m = _validated_spd("theta_M", self.theta_m)
-        if theta_m.shape != (theta_v.size, theta_v.size):
-            raise NotPositiveDefinite("theta_v and theta_M dimensions do not match")
-        _chol_lower("theta_M", theta_m)
-        theta_v = theta_v.copy()
-        theta_v.setflags(write=False)
-        theta_m = theta_m.copy()
-        theta_m.setflags(write=False)
+        theta_v, theta_m, chol = _validated("theta_v", self.theta_v,
+                                            "theta_M", self.theta_m)
         object.__setattr__(self, "theta_v", theta_v)
         object.__setattr__(self, "theta_m", theta_m)
+        object.__setattr__(self, "_chol", chol)
 
     @property
     def dim(self) -> int:
@@ -136,17 +129,15 @@ class GaussianNatural:
 
 def to_natural(g: GaussianParams) -> GaussianNatural:
     """(mu, Sigma) -> (Sigma^-1 mu, Sigma^-1 / 2)."""
-    chol = _chol_lower("sigma", g.sigma)
-    theta_v = cho_solve((chol, True), g.mu)
-    precision = cho_solve((chol, True), np.eye(g.dim))
+    theta_v = cho_solve((g._chol, True), g.mu)
+    precision = cho_solve((g._chol, True), np.eye(g.dim))
     return GaussianNatural(theta_v, 0.25 * (precision + precision.T))
 
 
 def from_natural(n: GaussianNatural) -> GaussianParams:
     """(theta_v, theta_M) -> (theta_M^-1 theta_v / 2, theta_M^-1 / 2)."""
-    chol = _chol_lower("theta_M", n.theta_m)
-    sigma = 0.5 * cho_solve((chol, True), np.eye(n.dim))
-    mu = 0.5 * cho_solve((chol, True), n.theta_v)
+    sigma = 0.5 * cho_solve((n._chol, True), np.eye(n.dim))
+    mu = 0.5 * cho_solve((n._chol, True), n.theta_v)
     return GaussianParams(mu, 0.5 * (sigma + sigma.T))
 
 
@@ -158,33 +149,71 @@ def natural_flat(g: GaussianParams) -> np.ndarray:
 
 def cumulant(n: GaussianNatural) -> float:
     """Cumulant F(theta) = (d log pi - log|theta_M| + theta_v' theta_M^-1 theta_v / 2) / 2."""
-    chol = _chol_lower("theta_M", n.theta_m)
-    half = solve_triangular(chol, n.theta_v, lower=True)
-    quad = float(half @ half)
-    return 0.5 * (n.dim * math.log(math.pi) - _logdet(chol) + 0.5 * quad)
+    theta = expfam.pack_gaussian_theta(n.theta_v, n.theta_m)
+    return expfam.gaussian_family(n.dim).cumulant(theta)
 
 
 def cumulant_ordinary(g: GaussianParams) -> float:
     """Cumulant in moment parameters: (mu' Sigma^-1 mu + log|Sigma| + d log 2pi) / 2."""
-    chol = _chol_lower("sigma", g.sigma)
-    half = solve_triangular(chol, g.mu, lower=True)
-    quad = float(half @ half)
-    return 0.5 * (quad + _logdet(chol) + g.dim * math.log(2.0 * math.pi))
+    half = solve_triangular(g._chol, g.mu, lower=True)
+    logdet = 2.0 * float(np.log(np.diag(g._chol)).sum())
+    return 0.5 * (float(half @ half) + logdet + g.dim * math.log(2.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
 # Divergences
 # ---------------------------------------------------------------------------
 
+def _pair(g1: GaussianParams,
+          g2: GaussianParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, delta, U) of the pair basis; equal covariances skip the SVD (exact 0)."""
+    if g1.dim != g2.dim:
+        raise NotPositiveDefinite(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+    if np.array_equal(g1.sigma, g2.sigma):
+        rot, lam = np.eye(g1.dim), np.ones(g1.dim)
+    else:
+        rot, s, _ = np.linalg.svd(solve_triangular(g1._chol, g2._chol, lower=True))
+        lam = s * s
+    delta = rot.T @ solve_triangular(g1._chol, g2.mu - g1.mu, lower=True)
+    return lam, delta, rot
+
+
+def _phi(x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """x - 1 - log x from x and u = x - 1, both to full relative accuracy.
+
+    log1p(u) near x = 1 keeps it >= 0; elsewhere log(x), as 1 + u loses log x."""
+    near = np.abs(u) < 0.5
+    return np.where(near, u - np.log1p(np.where(near, u, 0.0)),
+                    (x - 1.0) - np.log(np.where(near, 1.0, x)))
+
+
+def _bhattacharyya(lam: np.ndarray, delta: np.ndarray, alpha: float) -> float:
+    # a = alpha lam + (1 - alpha); the log-det part log a - alpha log lam
+    # is written as alpha phi(lam/a) + (1 - alpha) phi(1/a)
+    t = lam - 1.0
+    a = alpha * lam + (1.0 - alpha)
+    terms = (alpha * (1.0 - alpha) * delta * delta / a
+             + alpha * _phi(lam / a, (1.0 - alpha) * t / a)
+             + (1.0 - alpha) * _phi(1.0 / a, -alpha * t / a))
+    return 0.5 * float(terms.sum())
+
+
+def _gjsd(lam: np.ndarray, delta: np.ndarray, alpha: float, beta: float) -> float:
+    # the mixture is N((1 - alpha) delta / a, diag(lam / a)) in the pair basis;
+    # beta 2KL(N1, mix) + (1 - beta) 2KL(N2, mix), term by term
+    t = lam - 1.0
+    a = alpha * lam + (1.0 - alpha)
+    terms = (beta * (_phi(a / lam, -(1.0 - alpha) * t / lam)
+                     + (1.0 - alpha) ** 2 * delta * delta / (a * lam))
+             + (1.0 - beta) * (_phi(a, alpha * t)
+                               + alpha * alpha * lam * delta * delta / a))
+    return 0.5 * float(terms.sum())
+
+
 def kl_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
     """KL(N1, N2) = (tr(S2^-1 S1) + (m2-m1)' S2^-1 (m2-m1) - d + log|S2|/|S1|) / 2."""
-    _check_same_dim(g1, g2)
-    chol1 = _chol_lower("sigma1", g1.sigma)
-    chol2 = _chol_lower("sigma2", g2.sigma)
-    trace = float(np.trace(cho_solve((chol2, True), g1.sigma)))
-    half = solve_triangular(chol2, g2.mu - g1.mu, lower=True)
-    quad = float(half @ half)
-    return 0.5 * (trace + quad - g1.dim + _logdet(chol2) - _logdet(chol1))
+    lam, delta, _ = _pair(g1, g2)
+    return 0.5 * float((_phi(1.0 / lam, (1.0 - lam) / lam) + delta * delta / lam).sum())
 
 
 def jeffreys_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
@@ -193,16 +222,9 @@ def jeffreys_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
     ``(tr(S1 S2^-1 + S2 S1^-1) + (m1-m2)'(S1^-1 + S2^-1)(m1-m2) - 2d) / 2``,
     identical to ``kl_gaussian(g1, g2) + kl_gaussian(g2, g1)``.
     """
-    _check_same_dim(g1, g2)
-    chol1 = _chol_lower("sigma1", g1.sigma)
-    chol2 = _chol_lower("sigma2", g2.sigma)
-    trace = float(np.trace(cho_solve((chol2, True), g1.sigma))
-                  + np.trace(cho_solve((chol1, True), g2.sigma)))
-    diff = g1.mu - g2.mu
-    half1 = solve_triangular(chol1, diff, lower=True)
-    half2 = solve_triangular(chol2, diff, lower=True)
-    quad = float(half1 @ half1 + half2 @ half2)
-    return 0.5 * (trace + quad - 2.0 * g1.dim)
+    lam, delta, _ = _pair(g1, g2)
+    t = lam - 1.0
+    return 0.5 * float(((t * t + (lam + 1.0) * delta * delta) / lam).sum())
 
 
 def geometric_mixture_params(g1: GaussianParams, g2: GaussianParams,
@@ -214,18 +236,11 @@ def geometric_mixture_params(g1: GaussianParams, g2: GaussianParams,
     ``mu_alpha = Sigma_alpha (alpha S1^-1 m1 + (1-alpha) S2^-1 m2)``.
     """
     _check_alpha(alpha)
-    _check_same_dim(g1, g2)
-    chol1 = _chol_lower("sigma1", g1.sigma)
-    chol2 = _chol_lower("sigma2", g2.sigma)
-    eye = np.eye(g1.dim)
-    prec = (alpha * cho_solve((chol1, True), eye)
-            + (1.0 - alpha) * cho_solve((chol2, True), eye))
-    prec = 0.5 * (prec + prec.T)
-    eta = (alpha * cho_solve((chol1, True), g1.mu)
-           + (1.0 - alpha) * cho_solve((chol2, True), g2.mu))
-    chol_p = _chol_lower("harmonic barycenter precision", prec)
-    sigma_alpha = cho_solve((chol_p, True), eye)
-    mu_alpha = cho_solve((chol_p, True), eta)
+    lam, delta, rot = _pair(g1, g2)
+    a = alpha * lam + (1.0 - alpha)
+    back = g1._chol @ rot
+    mu_alpha = g1.mu + back @ ((1.0 - alpha) * delta / a)
+    sigma_alpha = (back * (lam / a)) @ back.T
     return GaussianParams(mu_alpha, 0.5 * (sigma_alpha + sigma_alpha.T))
 
 
@@ -239,27 +254,8 @@ def bhattacharyya_gaussian(g1: GaussianParams, g2: GaussianParams,
     parameters.
     """
     _check_alpha(alpha)
-    _check_same_dim(g1, g2)
-    chol1 = _chol_lower("sigma1", g1.sigma)
-    chol2 = _chol_lower("sigma2", g2.sigma)
-    eye = np.eye(g1.dim)
-    prec = (alpha * cho_solve((chol1, True), eye)
-            + (1.0 - alpha) * cho_solve((chol2, True), eye))
-    prec = 0.5 * (prec + prec.T)
-    eta = (alpha * cho_solve((chol1, True), g1.mu)
-           + (1.0 - alpha) * cho_solve((chol2, True), g2.mu))
-    chol_p = _chol_lower("harmonic barycenter precision", prec)
-    mu_alpha = cho_solve((chol_p, True), eta)
-
-    half1 = solve_triangular(chol1, g1.mu, lower=True)
-    half2 = solve_triangular(chol2, g2.mu, lower=True)
-    quad = (alpha * float(half1 @ half1)
-            + (1.0 - alpha) * float(half2 @ half2)
-            - float(mu_alpha @ eta))
-    # log|S_a| = -log|prec|
-    logdets = (alpha * _logdet(chol1) + (1.0 - alpha) * _logdet(chol2)
-               + _logdet(chol_p))
-    return 0.5 * (quad + logdets)
+    lam, delta, _ = _pair(g1, g2)
+    return _bhattacharyya(lam, delta, alpha)
 
 
 def bhattacharyya_coefficient_gaussian(g1: GaussianParams, g2: GaussianParams,
@@ -277,18 +273,20 @@ def gjsd_gaussian(g1: GaussianParams, g2: GaussianParams,
     ``jeffreys/4 - bhattacharyya``.
     """
     _check_alpha(beta)
-    mix = geometric_mixture_params(g1, g2, alpha)
-    return beta * kl_gaussian(g1, mix) + (1.0 - beta) * kl_gaussian(g2, mix)
+    _check_alpha(alpha)
+    lam, delta, _ = _pair(g1, g2)
+    return _gjsd(lam, delta, alpha, beta)
 
 
 def gjsd_extended_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
     """Extended geometric JSD: jeffreys/4 + exp(-bhattacharyya) - 1 (nats).
 
     Exceeds :func:`gjsd_gaussian` by the gap ``Z - log Z - 1`` with
-    ``Z = exp(-B)``.
+    ``Z = exp(-B)``; computed as that sum, whose two terms are >= 0.
     """
-    quarter_j = 0.25 * jeffreys_gaussian(g1, g2)
-    return quarter_j + math.exp(-bhattacharyya_gaussian(g1, g2)) - 1.0
+    lam, delta, _ = _pair(g1, g2)
+    b = _bhattacharyya(lam, delta, 0.5)
+    return _gjsd(lam, delta, 0.5, 0.5) + (math.expm1(-b) + b)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +294,7 @@ def gjsd_extended_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
 # ---------------------------------------------------------------------------
 
 def _normal_cdf(x: float, mu: float, sigma: float) -> float:
-    return 0.5 * (1.0 + erf((x - mu) / (sigma * math.sqrt(2.0))))
+    return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
 
 
 def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> float:
@@ -340,13 +338,6 @@ def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> float:
     gap_lo, gap_hi = cdf_gap(x_lo), cdf_gap(x_hi)
     value = 0.5 * (abs(gap_lo) + abs(gap_hi - gap_lo) + abs(gap_hi))
     return min(max(value, 0.0), 1.0)
-
-
-def _check_same_dim(g1: GaussianParams, g2: GaussianParams) -> None:
-    if g1.dim != g2.dim:
-        raise NotPositiveDefinite(
-            f"dimension mismatch: {g1.dim} vs {g2.dim}"
-        )
 
 
 def _check_alpha(alpha: float) -> None:

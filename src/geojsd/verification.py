@@ -67,7 +67,7 @@ class Check:
 
 
 def _check_residual(name: str, residual: float, tol: float) -> Check:
-    return Check(name, residual < tol, f"max residual {residual:.3e} (tol {tol:g})")
+    return Check(name, bool(residual < tol), f"max residual {residual:.3e} (tol {tol:g})")
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +459,11 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
             g2 = random_gaussian(rng, d)
             identity_route = (0.25 * gaussian.jeffreys_gaussian(g1, g2)
                               - gaussian.bhattacharyya_gaussian(g1, g2))
-            cross["two_route_gjsd"] = max(cross["two_route_gjsd"], abs(
-                gaussian.gjsd_gaussian(g1, g2) - identity_route))
+            mix = gaussian.geometric_mixture_params(g1, g2, 0.5)
+            routes = [gaussian.gjsd_gaussian(g1, g2), identity_route, 0.5 * (
+                gaussian.kl_gaussian(g1, mix) + gaussian.kl_gaussian(g2, mix))]
+            cross["two_route_gjsd"] = max(cross["two_route_gjsd"],
+                                          max(routes) - min(routes))
             alpha = float(rng.uniform(0.1, 0.9))
             fam = expfam.gaussian_family(d)
             jensen = expfam.skew_jensen(fam, gaussian.natural_flat(g1),

@@ -189,3 +189,38 @@ def gaussian_tv_quad(m1, s1, m2, s2):
         last_sign, last_x = sign, x
     points.append(hi)
     return float(mp.quad(lambda x: abs(diff(x)), sorted(points)) / 2)
+
+
+# ---------------------------------------------------------------------------
+# Univariate Gaussian closed forms in moment parameters, at 50 digits
+# ---------------------------------------------------------------------------
+
+def _gauss_kl_moments(m1, v1, m2, v2):
+    return (v1 / v2 + (m2 - m1) ** 2 / v2 - 1 + mp.log(v2) - mp.log(v1)) / 2
+
+
+def gaussian_closed_forms_oracle(m1, v1, m2, v2, alpha=0.5, beta=0.5):
+    """KL, Jeffreys, B_alpha, skew G-JSD and extended G-JSD of N(m1, v1), N(m2, v2).
+
+    The geometric mixture p1^alpha p2^(1-alpha) / Z is the Gaussian with
+    harmonic-barycenter variance; B_alpha = -log Z; the extended G-JSD is
+    J/4 + exp(-B_1/2) - 1.
+    """
+    m1, v1, m2, v2 = (mp.mpf(repr(float(x))) for x in (m1, v1, m2, v2))
+    alpha, beta = mp.mpf(repr(float(alpha))), mp.mpf(repr(float(beta)))
+    va = 1 / (alpha / v1 + (1 - alpha) / v2)
+    ma = va * (alpha * m1 / v1 + (1 - alpha) * m2 / v2)
+    avg = alpha * v2 + (1 - alpha) * v1
+    b = (alpha * (1 - alpha) * (m2 - m1) ** 2 / avg + mp.log(avg)
+         - alpha * mp.log(v2) - (1 - alpha) * mp.log(v1)) / 2
+    b_half = ((m2 - m1) ** 2 / (4 * (v1 + v2) / 2) + mp.log((v1 + v2) / 2)
+              - (mp.log(v1) + mp.log(v2)) / 2) / 2
+    jeffreys = _gauss_kl_moments(m1, v1, m2, v2) + _gauss_kl_moments(m2, v2, m1, v1)
+    return {
+        "kl": float(_gauss_kl_moments(m1, v1, m2, v2)),
+        "jeffreys": float(jeffreys),
+        "bhattacharyya": float(b),
+        "gjsd": float(beta * _gauss_kl_moments(m1, v1, ma, va)
+                      + (1 - beta) * _gauss_kl_moments(m2, v2, ma, va)),
+        "gjsd_extended": float(jeffreys / 4 + mp.exp(-b_half) - 1),
+    }

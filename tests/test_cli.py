@@ -194,6 +194,22 @@ class TestCompute:
 
 
 class TestExitCodes:
+    def test_malformed_env_seed_is_usage_error(self, capsys, gaussian_files,
+                                               monkeypatch):
+        g1, g2 = gaussian_files
+        argv = ["compute", "--div", "js", "--gaussian", "--p1", g1,
+                "--p2", g2, "--samples", "1000"]
+        monkeypatch.setenv("GEOJSD_SEED", "abc")
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].endswith("invalid int value: 'abc'")
+        # an explicit --seed does not read the malformed default
+        assert main(argv + ["--seed", "5"]) == 0
+        capsys.readouterr()
+
     def test_missing_file_is_usage_error(self, capsys, discrete_files):
         p1, _ = discrete_files
         code, _, err = run_cli(capsys, "compute", "--div", "kl",
@@ -248,6 +264,13 @@ class TestVerify:
         report = json.loads(out)
         assert len(report) == 3
         assert all(entry["passed"] for entry in report)
+
+    def test_json_report_with_residual_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "gaussian_oracle", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report
+        assert all(entry["passed"] is True for entry in report)
 
 
 class TestSweep:

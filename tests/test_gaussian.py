@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -27,6 +28,22 @@ N01 = GaussianParams.univariate(0.0, 1.0)
 N11 = GaussianParams.univariate(1.0, 1.0)
 N04 = GaussianParams.univariate(0.0, 4.0)
 N12 = GaussianParams.univariate(1.0, 2.0)
+
+
+# correlation 1 - 1e-9: condition number about 2e9
+RHO = 1.0 - 1e-9
+NEAR_SINGULAR = GaussianParams(np.array([0.3, -0.2]),
+                               np.array([[1.0, RHO], [RHO, 1.0]]))
+
+CLOSED_FORMS = {
+    "kl": kl_gaussian,
+    "jeffreys": jeffreys_gaussian,
+    "bhattacharyya": bhattacharyya_gaussian,
+    "bhattacharyya_skew": partial(bhattacharyya_gaussian, alpha=0.3),
+    "gjsd": gjsd_gaussian,
+    "gjsd_skew": partial(gjsd_gaussian, alpha=0.3, beta=0.8),
+    "gjsd_extended": gjsd_extended_gaussian,
+}
 
 
 def random_gaussian(rng, d, spread=2.0):
@@ -230,6 +247,9 @@ class TestGJSD:
                               - bhattacharyya_gaussian(g1, g2))
             assert gjsd_gaussian(g1, g2) == pytest.approx(identity_route,
                                                           abs=1e-10)
+            mix = geometric_mixture_params(g1, g2)
+            mixture_route = 0.5 * (kl_gaussian(g1, mix) + kl_gaussian(g2, mix))
+            assert mixture_route == pytest.approx(identity_route, abs=1e-10)
 
     def test_skew_display_formula(self, rng):
         # trace/log-det/quadratic closed form for beta = alpha
@@ -340,3 +360,41 @@ class TestAffineInvariance:
                            bhattacharyya_gaussian, gjsd_gaussian,
                            gjsd_extended_gaussian):
                     assert fn(t1, t2) == pytest.approx(fn(g1, g2), abs=1e-9)
+
+
+class TestExactZerosAndSign:
+    @pytest.mark.parametrize("fn", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+    @pytest.mark.parametrize("g", [N12, NEAR_SINGULAR],
+                             ids=["univariate", "near_singular"])
+    def test_identical_inputs_are_exactly_zero(self, fn, g):
+        copy = GaussianParams(g.mu.copy(), g.sigma.copy())
+        assert fn(g, g) == 0.0
+        assert fn(g, copy) == 0.0
+
+    @pytest.mark.parametrize("fn", CLOSED_FORMS.values(), ids=CLOSED_FORMS)
+    @pytest.mark.parametrize("eps", [1e-12, 1e-10])
+    def test_near_identical_ill_conditioned_pair_is_nonnegative(self, fn, eps):
+        g = NEAR_SINGULAR
+        moved = GaussianParams(g.mu + eps, g.sigma * (1.0 + eps))
+        assert fn(g, moved) >= 0.0
+        assert fn(moved, g) >= 0.0
+
+    # variance ratios far from 1: each closed form against the moment-form
+    # values at 50 digits (no cancellation to hide behind)
+    @pytest.mark.parametrize("ratio", [1e12, 1e-12, 1e17, 1e-17])
+    @pytest.mark.parametrize("dm", [0.0, 0.7])
+    @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.3, 0.8)])
+    def test_wide_variance_ratio_matches_moment_form(self, ratio, dm, alpha, beta):
+        g1 = GaussianParams.univariate(0.0, 1.0 / math.sqrt(ratio))
+        g2 = GaussianParams.univariate(dm, math.sqrt(ratio))
+        want = oracles.gaussian_closed_forms_oracle(
+            0.0, 1.0 / math.sqrt(ratio), dm, math.sqrt(ratio), alpha, beta)
+        got = {
+            "kl": kl_gaussian(g1, g2),
+            "jeffreys": jeffreys_gaussian(g1, g2),
+            "bhattacharyya": bhattacharyya_gaussian(g1, g2, alpha),
+            "gjsd": gjsd_gaussian(g1, g2, alpha, beta),
+            "gjsd_extended": gjsd_extended_gaussian(g1, g2),
+        }
+        for name, value in got.items():
+            assert value == pytest.approx(want[name], rel=1e-12), name
