@@ -26,6 +26,7 @@ from .errors import (
     DisjointSupport,
     DivergentIntegral,
     DomainViolation,
+    InvalidDensity,
     NoConvergence,
     NonPositiveInput,
     NotPositiveDefinite,
@@ -184,6 +185,9 @@ def _compute_discrete(args, base: LogBase, mean: MeanSpec) -> dict:
 def _compute_gaussian(args, base: LogBase, mean: MeanSpec) -> dict:
     div = args.div
     g1, g2 = read_gaussian(args.p1), read_gaussian(args.p2)
+    if g1.dim != g2.dim:
+        # an input error on every route, closed-form or not
+        raise InvalidDensity(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     geometric = means.is_geometric(mean)
 
     def in_base(nats_value: float) -> float:

@@ -26,10 +26,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import kl_div as _pointwise_extended_kl
-from scipy.special import logsumexp, rel_entr
 
 from . import means
+from ._kernels import kl_div, logsumexp, rel_entr
 from .errors import (
     DisjointSupport,
     InvalidAlpha,
@@ -167,7 +166,7 @@ def kl_extended(q1: DiscreteDensity, q2: DiscreteDensity,
     """
     w1, w2 = _aligned(q1, q2)
     if base is NATS:
-        return float(_pointwise_extended_kl(w1, w2).sum())
+        return float(kl_div(w1, w2).sum())
     log_part = float(rel_entr(w1, w2).sum())
     return log_part / base.ln + float((w2 - w1).sum())
 

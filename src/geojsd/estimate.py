@@ -23,10 +23,9 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad as _quad
-from scipy.special import logsumexp
 
 from . import means
+from ._kernels import logsumexp, solve_lower
 from .discrete import DiscreteDensity
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
 from .expfam import ExpFamilyDensity
@@ -110,7 +109,7 @@ def gaussian_sampled(g: GaussianParams) -> SampledDensity:
 
     def log_density(x: np.ndarray) -> np.ndarray:
         diff = np.atleast_2d(np.asarray(x, dtype=float)) - mu
-        z = np.linalg.solve(chol, diff.T).T
+        z = solve_lower(chol, diff.T).T
         return log_norm - 0.5 * (z * z).sum(axis=1)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -360,6 +359,9 @@ def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
 
 def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
                       support: tuple[float, float]) -> float:
+    # imported here: scipy takes longer to import than the other routes run
+    from scipy.integrate import quad
+
     lo, hi = support
 
     def log_integrand(x: float) -> float:
@@ -377,7 +379,7 @@ def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
         v = log_integrand(x) - shift
         return math.exp(v) if v > -745.0 else 0.0
 
-    value, _ = _quad(integrand, lo, hi, limit=300)
+    value, _ = quad(integrand, lo, hi, limit=300)
     if value <= 0.0:
         return -math.inf
     return shift + math.log(value)

@@ -31,9 +31,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.special import logsumexp
 
+from ._kernels import cho_solve, logsumexp, solve_lower
 from .errors import DomainViolation
 from .logbase import NATS, LogBase
 
@@ -239,7 +238,7 @@ def gaussian_family(d: int) -> ExpFamily:
         if chol is None:
             raise DomainViolation("theta_M is not positive-definite")
         logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        half_solve = np.linalg.solve(chol, theta_v)
+        half_solve = solve_lower(chol, theta_v)
         quad = float(half_solve @ half_solve)  # theta_v' theta_M^-1 theta_v
         return 0.5 * (d * math.log(math.pi) - logdet + 0.5 * quad)
 
@@ -249,7 +248,7 @@ def gaussian_family(d: int) -> ExpFamily:
         if chol is None:
             raise DomainViolation("theta_M is not positive-definite")
         # Sigma = theta_M^-1 / 2, mu = Sigma theta_v
-        sigma = 0.5 * cho_solve((chol, True), np.eye(d))
+        sigma = 0.5 * cho_solve(chol, np.eye(d))
         mu = sigma @ theta_v
         grad_m = -(sigma + np.outer(mu, mu))
         rows, cols = _tri_indices(d)

@@ -29,10 +29,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
 
 from . import expfam
-from .errors import DegenerateQuadratic, InvalidAlpha, NotPositiveDefinite
+from ._kernels import cho_solve, solve_lower
+from .errors import (DegenerateQuadratic, InvalidAlpha, InvalidDensity,
+                     NotPositiveDefinite)
 
 __all__ = [
     "GaussianParams",
@@ -65,6 +66,8 @@ def _validated(vec_name: str, vec, mat_name: str,
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise NotPositiveDefinite(f"{mat_name} must be a square matrix")
+    if not (np.isfinite(vec).all() and np.isfinite(mat).all()):
+        raise InvalidDensity(f"{vec_name} and {mat_name} must be finite")
     scale = max(1.0, float(np.abs(mat).max()))
     if float(np.abs(mat - mat.T).max()) > _SYMMETRY_TOL * scale:
         raise NotPositiveDefinite(f"{mat_name} is not symmetric")
@@ -72,7 +75,7 @@ def _validated(vec_name: str, vec, mat_name: str,
     if vec.ndim != 1 or mat.shape != (vec.size, vec.size):
         raise NotPositiveDefinite(f"{vec_name} and {mat_name} dimensions do not match")
     try:
-        chol = cholesky(mat, lower=True)
+        chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{mat_name} is not positive-definite") from exc
     vec.setflags(write=False)
@@ -129,15 +132,15 @@ class GaussianNatural:
 
 def to_natural(g: GaussianParams) -> GaussianNatural:
     """(mu, Sigma) -> (Sigma^-1 mu, Sigma^-1 / 2)."""
-    theta_v = cho_solve((g._chol, True), g.mu)
-    precision = cho_solve((g._chol, True), np.eye(g.dim))
+    theta_v = cho_solve(g._chol, g.mu)
+    precision = cho_solve(g._chol, np.eye(g.dim))
     return GaussianNatural(theta_v, 0.25 * (precision + precision.T))
 
 
 def from_natural(n: GaussianNatural) -> GaussianParams:
     """(theta_v, theta_M) -> (theta_M^-1 theta_v / 2, theta_M^-1 / 2)."""
-    sigma = 0.5 * cho_solve((n._chol, True), np.eye(n.dim))
-    mu = 0.5 * cho_solve((n._chol, True), n.theta_v)
+    sigma = 0.5 * cho_solve(n._chol, np.eye(n.dim))
+    mu = 0.5 * cho_solve(n._chol, n.theta_v)
     return GaussianParams(mu, 0.5 * (sigma + sigma.T))
 
 
@@ -155,7 +158,7 @@ def cumulant(n: GaussianNatural) -> float:
 
 def cumulant_ordinary(g: GaussianParams) -> float:
     """Cumulant in moment parameters: (mu' Sigma^-1 mu + log|Sigma| + d log 2pi) / 2."""
-    half = solve_triangular(g._chol, g.mu, lower=True)
+    half = solve_lower(g._chol, g.mu)
     logdet = 2.0 * float(np.log(np.diag(g._chol)).sum())
     return 0.5 * (float(half @ half) + logdet + g.dim * math.log(2.0 * math.pi))
 
@@ -168,13 +171,13 @@ def _pair(g1: GaussianParams,
           g2: GaussianParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, delta, U) of the pair basis; equal covariances skip the SVD (exact 0)."""
     if g1.dim != g2.dim:
-        raise NotPositiveDefinite(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+        raise InvalidDensity(f"dimension mismatch: {g1.dim} vs {g2.dim}")
     if np.array_equal(g1.sigma, g2.sigma):
         rot, lam = np.eye(g1.dim), np.ones(g1.dim)
     else:
-        rot, s, _ = np.linalg.svd(solve_triangular(g1._chol, g2._chol, lower=True))
+        rot, s, _ = np.linalg.svd(solve_lower(g1._chol, g2._chol))
         lam = s * s
-    delta = rot.T @ solve_triangular(g1._chol, g2.mu - g1.mu, lower=True)
+    delta = rot.T @ solve_lower(g1._chol, g2.mu - g1.mu)
     return lam, delta, rot
 
 

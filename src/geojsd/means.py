@@ -174,8 +174,14 @@ def _power(alpha: float, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarr
 
 
 def _quasi_exp(alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # phi(u) = exp(u): M = log(alpha*e^a + (1-alpha)*e^b), computed stably
-    return np.logaddexp(np.log(alpha) + a, np.log1p(-alpha) + b)
+    # phi(u) = exp(u): M = log(alpha*e^a + (1-alpha)*e^b), written around the
+    # larger argument as hi + log1p(w_lo*expm1(lo - hi)).  That stays in
+    # [lo, hi] and keeps the digits of small arguments, which log(alpha) + a
+    # rounds away (a = b(1 + 3e-16) = 1e-9 gave M 8e-8 above both).
+    hi = np.maximum(a, b)
+    lo = np.minimum(a, b)
+    w_lo = np.where(a < b, alpha, 1.0 - alpha)
+    return hi + np.log1p(w_lo * np.expm1(lo - hi))
 
 
 def evaluate(m: MeanSpec, a, b):

@@ -16,9 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import discrete, estimate, expfam, gaussian
+from ._kernels import logsumexp
 from .discrete import DiscreteDensity
 from .logbase import BITS
 from .means import MeanSpec

@@ -243,6 +243,23 @@ class TestExitCodes:
                              "--p1", str(g), "--p2", str(g))
         assert code == 2
 
+    @pytest.mark.parametrize("div, extra", [
+        ("kl", []), ("gjsd", []), ("tv", []), ("gamma", []),
+        ("js_m_gamma", ["--mean", "power:0.5"]), ("js", ["--samples", "1000"]),
+    ])
+    def test_gaussian_dimension_mismatch_is_usage_error(self, capsys, tmp_path,
+                                                        div, extra):
+        g1 = tmp_path / "g1.json"
+        g2 = tmp_path / "g2.json"
+        g1.write_text(json.dumps({"mu": [0.0], "sigma": [[1.0]]}))
+        g2.write_text(json.dumps({"mu": [0.0, 0.0],
+                                  "sigma": [[1.0, 0.0], [0.0, 1.0]]}))
+        code, out, err = run_cli(capsys, "compute", "--div", div, "--gaussian",
+                                 "--p1", str(g1), "--p2", str(g2), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: dimension mismatch: 1 vs 2"]
+
     def test_unknown_divergence_is_usage_error(self, capsys, discrete_files):
         p1, p2 = discrete_files
         with pytest.raises(SystemExit) as excinfo:

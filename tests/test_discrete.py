@@ -154,6 +154,15 @@ class TestKLExtended:
             q2 = DiscreteDensity.positive(rng.uniform(0.01, 3.0, 8))
             assert kl_extended(q1, q2) >= 0.0
 
+    def test_masses_1e300_apart_stay_finite(self):
+        # q1/q2 underflows to 0 and q2/q1 overflows: the log term must come
+        # from log(q1) - log(q2), not from log(q1/q2) (-inf and +inf)
+        q1 = DiscreteDensity.positive([1e-300, 1.0])
+        q2 = DiscreteDensity.positive([1e300, 1.0])
+        assert kl_extended(q1, q2) == pytest.approx(1e300, rel=1e-15)
+        assert kl_extended(q2, q1) == pytest.approx(
+            1e300 * 600.0 * math.log(10.0) - 1e300, rel=1e-14)
+
     def test_bits_scales_log_part_only(self, rng):
         q1 = DiscreteDensity.positive(rng.uniform(0.1, 2.0, 6))
         q2 = DiscreteDensity.positive(rng.uniform(0.1, 2.0, 6))

@@ -9,6 +9,7 @@ from geojsd import (
     GaussianNatural,
     GaussianParams,
     InvalidAlpha,
+    InvalidDensity,
     NotPositiveDefinite,
     bhattacharyya_gaussian,
     cumulant,
@@ -68,6 +69,23 @@ class TestParams:
     def test_natural_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianNatural(np.zeros(1), np.array([[-0.5]]))
+
+    @pytest.mark.parametrize("mu, sigma", [([np.nan], [[1.0]]),
+                                           ([0.0], [[np.inf]])])
+    def test_rejects_nonfinite(self, mu, sigma):
+        with pytest.raises(InvalidDensity, match="finite"):
+            GaussianParams(np.array(mu), np.array(sigma))
+
+
+class TestPairInputs:
+    @pytest.mark.parametrize("fn", [kl_gaussian, jeffreys_gaussian,
+                                    bhattacharyya_gaussian, gjsd_gaussian,
+                                    gjsd_extended_gaussian,
+                                    geometric_mixture_params])
+    def test_pair_of_different_dimensions_is_invalid_input(self, fn):
+        # an input error, not a mathematical one (NotPositiveDefinite)
+        with pytest.raises(InvalidDensity, match="dimension mismatch: 1 vs 2"):
+            fn(GaussianParams.standard(1), GaussianParams.standard(2))
 
 
 class TestNaturalConversion:
