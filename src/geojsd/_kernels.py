@@ -11,73 +11,10 @@ more time than any of these calls; only the quadrature route imports it.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 # DBL_MIN: a ratio x / y at or below it has lost digits to underflow
 _TINY = np.finfo(float).tiny
-
-
-# Below _SMALL entries a Python loop over math.log and math.log1p is faster
-# than the array form, whose ~25 numpy calls take about 20 us however short
-# the input (2-core x86 VM).  Larger inputs go through the array form in blocks of _BLOCK
-# entries, so that the temporaries stay in cache and their allocations stay
-# below malloc's mmap threshold (fresh 8 MB temporaries cost page faults).
-_SMALL = 48
-_BLOCK = 8192
-
-
-def _x_log_ratio_list(xs: list, ys: list, extended: bool) -> list:
-    """:func:`_x_log_ratio` entry by entry, with math's log and log1p."""
-    log, log1p = math.log, math.log1p
-    out = []
-    for x, y in zip(xs, ys):
-        if x > 0.0 and y > 0.0:
-            ratio = x / y
-            if 0.5 < ratio < 2.0:
-                value = x * log1p((x - y) / y)
-            elif _TINY < ratio < math.inf:
-                value = x * log(ratio)
-            else:
-                value = x * (log(x) - log(y))
-            if extended:
-                value = value - x + y
-        elif x == 0.0 and y >= 0.0:
-            value = y if extended else 0.0
-        else:
-            value = math.nan if math.isnan(x) or math.isnan(y) else math.inf
-        out.append(value)
-    return out
-
-
-def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool) -> np.ndarray:
-    """:func:`_x_log_ratio` for entries with no negative and no NaN."""
-    zero = x == 0.0
-    if zero.any():
-        # ratio 1 where x == 0: 0 log 1 = 0 without the slow log(0) path
-        x_, y_ = x + zero, np.where(zero, 1.0, y)
-    else:
-        x_, y_ = x, y
-    ratio = x_ / y_
-    step = x_ - y_
-    step /= y_
-    out = np.where((ratio > 0.5) & (ratio < 2.0), np.log1p(step, out=step),
-                   np.log(ratio))
-    out *= x
-    if extended:
-        out -= x
-        out += y
-    # x > 0 and x / y under- or overflows, or y == 0
-    far = (ratio <= _TINY) | (ratio == np.inf)
-    if far.any():
-        idx = far.nonzero()
-        xr, yr = x[idx], y[idx]
-        value = xr * (np.log(xr) - np.log(yr))
-        if extended:
-            value = value - xr + yr
-        out[idx] = np.where(yr == 0.0, np.inf, value)
-    return out
 
 
 def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
@@ -88,29 +25,24 @@ def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
     elsewhere; ``0`` (``y`` when extended) where ``x == 0 <= y``, NaN where
     either is NaN, ``+inf`` elsewhere.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    shape = x.shape
-    x, y = x.ravel(), y.ravel()
-    if x.size < _SMALL:
-        return np.array(_x_log_ratio_list(x.tolist(), y.tolist(), extended),
-                        dtype=float).reshape(shape)
-    out = np.empty(x.size)
-    lo_x, lo_y = x.min(), y.min()
-    odd = None if lo_x >= 0.0 and lo_y >= 0.0 else ~((x >= 0.0) & (y >= 0.0))
-    # a negative or a NaN: those entries go through the loop
-    xs, ys = (x, y) if odd is None else (np.where(odd, 1.0, x),
-                                         np.where(odd, 1.0, y))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
+                               np.asarray(y, dtype=float))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, x.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            out[block] = _x_log_ratio_block(xs[block], ys[block], extended)
-    if odd is not None:
-        idx = odd.nonzero()
-        out[idx] = _x_log_ratio_list(x[idx].tolist(), y[idx].tolist(), extended)
-    return out.reshape(shape)
+        ratio = x / y
+        log_ratio = np.where((ratio > 0.5) & (ratio < 2.0),
+                             np.log1p((x - y) / y), np.log(ratio))
+        inside = (x > 0.0) & (y > 0.0)
+        far = inside & ((ratio <= _TINY) | (ratio == np.inf))
+        if far.any():
+            log_ratio[far] = np.log(x[far]) - np.log(y[far])
+        out = x * log_ratio
+        if extended:
+            out = out - x + y
+        if not inside.all():
+            edge = np.where(np.isnan(x) | np.isnan(y), np.nan, np.inf)
+            out = np.where(inside, out, np.where((x == 0.0) & (y >= 0.0),
+                                                 y if extended else 0.0, edge))
+    return out
 
 
 def rel_entr(x, y) -> np.ndarray:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geojsd import InvalidAlpha, MeanKind, MeanSpec, NonPositiveInput
@@ -77,6 +77,8 @@ def test_power_limit_rejects_nonpositive():
 
 @settings(max_examples=200, deadline=None)
 @given(a=positive, b=positive, alpha=skew)
+# small, nearly equal arguments: log(alpha) + a rounds a's digits away
+@example(a=1e-9 * (1.0 + 3e-16), b=1e-9, alpha=0.25)
 def test_in_betweenness(a, b, alpha):
     for kind in (MeanSpec.arithmetic(alpha), MeanSpec.geometric(alpha),
                  MeanSpec.power(-1.5, alpha), MeanSpec.power(2.5, alpha),
