@@ -16,6 +16,34 @@ import numpy as np
 # DBL_MIN: a ratio x / y at or below it has lost digits to underflow
 _TINY = np.finfo(float).tiny
 
+# Long inputs are taken in blocks of _BLOCK entries, so that the temporaries
+# stay in cache and below malloc's mmap threshold: fresh 8 MB temporaries
+# cost page faults on every call.
+_BLOCK = 8192
+
+
+def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
+                       out: np.ndarray) -> None:
+    """:func:`_x_log_ratio` of 1-D ``x`` and ``y``, written into ``out``."""
+    np.divide(x, y, out=out)
+    near = (out > 0.5) & (out < 2.0)
+    inside = (x > 0.0) & (y > 0.0)
+    far = inside & ((out <= _TINY) | (out == np.inf))
+    np.log(out, out=out)
+    step = x - y
+    step /= y
+    np.copyto(out, np.log1p(step, out=step), where=near)
+    if np.count_nonzero(far):
+        out[far] = np.log(x[far]) - np.log(y[far])
+    out *= x
+    if extended:
+        out -= x
+        out += y
+    if np.count_nonzero(inside) < inside.size:
+        edge = np.where((x == 0.0) & (y >= 0.0), y if extended else 0.0,
+                        np.where(np.isnan(x) | np.isnan(y), np.nan, np.inf))
+        np.copyto(out, edge, where=~inside)
+
 
 def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
     """``x log(x/y)``, plus ``y - x`` when ``extended``, with scipy's limits.
@@ -25,24 +53,18 @@ def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
     elsewhere; ``0`` (``y`` when extended) where ``x == 0 <= y``, NaN where
     either is NaN, ``+inf`` elsewhere.
     """
-    x, y = np.broadcast_arrays(np.asarray(x, dtype=float),
-                               np.asarray(y, dtype=float))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    shape = x.shape
+    x, y = x.ravel(), y.ravel()
+    out = np.empty(x.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ratio = x / y
-        log_ratio = np.where((ratio > 0.5) & (ratio < 2.0),
-                             np.log1p((x - y) / y), np.log(ratio))
-        inside = (x > 0.0) & (y > 0.0)
-        far = inside & ((ratio <= _TINY) | (ratio == np.inf))
-        if far.any():
-            log_ratio[far] = np.log(x[far]) - np.log(y[far])
-        out = x * log_ratio
-        if extended:
-            out = out - x + y
-        if not inside.all():
-            edge = np.where(np.isnan(x) | np.isnan(y), np.nan, np.inf)
-            out = np.where(inside, out, np.where((x == 0.0) & (y >= 0.0),
-                                                 y if extended else 0.0, edge))
-    return out
+        for start in range(0, x.size, _BLOCK):
+            block = slice(start, start + _BLOCK)
+            _x_log_ratio_block(x[block], y[block], extended, out[block])
+    return out.reshape(shape)
 
 
 def rel_entr(x, y) -> np.ndarray:
