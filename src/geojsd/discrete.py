@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import means
-from ._kernels import kl_div, logsumexp, rel_entr
+from ._kernels import kl_div, rel_entr
 from .errors import (
     DisjointSupport,
     InvalidAlpha,
@@ -69,6 +69,7 @@ __all__ = [
 
 _NORMALIZATION_TOL = 1e-12   # accepted as exactly normalized
 _RENORMALIZE_TOL = 1e-9      # silently rescaled, with the flag set
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,9 +90,9 @@ class DiscreteDensity:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidDensity("weights must be a nonempty 1-D vector")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+        if (w < 0.0).any() or not np.isfinite(w).all():
             raise InvalidDensity("weights must be finite and nonnegative")
-        if not np.any(w > 0.0):
+        if not (w > 0.0).any():
             raise InvalidDensity("at least one weight must be positive")
         renormalized = False
         if self.normalized:
@@ -251,7 +252,7 @@ def bhattacharyya_coefficient(p1: DiscreteDensity, p2: DiscreteDensity,
         raise InvalidAlpha(f"alpha must lie in (0, 1), got {alpha}")
     w1, w2 = _aligned(p1, p2, require_normalized=True)
     both = (w1 > 0.0) & (w2 > 0.0)
-    if not np.any(both):
+    if not both.any():
         return 0.0
     a, b = w1[both], w2[both]
     return float(np.exp(alpha * np.log(a) + (1.0 - alpha) * np.log(b)).sum())
@@ -275,72 +276,103 @@ def chernoff(p1: DiscreteDensity, p2: DiscreteDensity, tol: float = 1e-12,
              base: LogBase = NATS, max_iter: int = 200) -> tuple[float, float]:
     """Chernoff information: max over alpha of B_alpha, with its maximizer.
 
-    B_alpha is strictly concave with a unique interior maximizer whenever
-    the densities differ, so a golden-section search over
-    ``[1e-9, 1 - 1e-9]`` suffices; ``tol`` bounds the final bracketing
-    interval.  At the returned ``alpha*`` the two reverse-KL terms to the
-    skew geometric mixture are equal within curvature times ``tol`` (the
-    equalizer property), so the default keeps the gap under 1e-8 even for
-    sharply curved pairs.
+    ``B(alpha) = -log sum(p1**alpha * p2**(1-alpha))`` over the shared
+    support is concave.  Under the skew geometric mixture ``mix`` at alpha,
+    its slope is the equalizer ``E_mix[log(p2/p1)] = KL(mix, p1) -
+    KL(mix, p2)`` and its curvature is ``-Var_mix[log(p1/p2)]``, so one
+    exponential pass over the support gives the value, slope and curvature
+    together.  Newton steps on the slope stay inside a bracket kept from the
+    slope's sign; a step that would leave it is replaced by bisection.  The
+    iteration stops on the pass after the first step (in alpha) below
+    ``tol``, or when the bracket is narrower than ``tol``, and returns the
+    value of the pass at the returned alpha; ``max_iter`` passes without
+    that raise :class:`NoConvergence`.  On nearly equal pairs, steps too
+    small to change the rounded log-weights also count as below ``tol``.
+
+    Boundary maximizers are returned exactly.  When the slope has one sign
+    over all of (0, 1), the result is ``(-log sum_shared p2, 0.0)`` if the
+    slope is nowhere positive and ``(-log sum_shared p1, 1.0)`` if it is
+    nowhere negative.  That needs an atom outside the shared support, or
+    weights that agree to about 1e-8, where rounding of the masses outweighs
+    the curvature.  The end slopes are weight sums of the inputs, so this
+    costs no exponential pass.  Where B is constant (p1 = p2 on the shared
+    support) every alpha is optimal and the iteration stops at 0.5 on its
+    first pass; identical densities return ``(0.0, 0.5)``.
 
     Returns ``(value, alpha_star)``.
     """
-    if tol <= 0.0:
+    if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive")
     w1, w2 = _aligned(p1, p2, require_normalized=True)
     if np.array_equal(w1, w2):
         return 0.0, 0.5
-    both = (w1 > 0.0) & (w2 > 0.0)
-    if not np.any(both):
-        raise DisjointSupport("Chernoff information diverges on disjoint supports")
-    la = np.log(w1[both])
-    lb = np.log(w2[both])
-
-    def b_alpha(alpha: float) -> float:
-        return -float(logsumexp(alpha * la + (1.0 - alpha) * lb))
-
-    def equalizer(alpha: float) -> float:
-        # d(B_alpha)/d(alpha) = E_mix[log(p2/p1)] = KL(mix, p1) - KL(mix, p2)
-        log_mix = alpha * la + (1.0 - alpha) * lb
-        weights = np.exp(log_mix - log_mix.max())
-        return float((weights * (lb - la)).sum() / weights.sum())
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 1e-9, 1.0 - 1e-9
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = b_alpha(x1), b_alpha(x2)
+    if w1.min() == 0.0 or w2.min() == 0.0:
+        both = (w1 > 0.0) & (w2 > 0.0)
+        if not both.any():
+            raise DisjointSupport("Chernoff information diverges on disjoint supports")
+        w1, w2 = w1[both], w2[both]
+    # Centred coordinate t = 2*alpha - 1: the mixture's log-weights are
+    # m + t*h, with m and h half the sum and half the difference of
+    # log p1 and log p2.  Swapping p1 and p2 negates h and t exactly, so
+    # the swapped pair runs the mirror image of this iteration.
+    m = np.log(w1)
+    work = np.log(w2)
+    h = m - work
+    m += work
+    m *= 0.5
+    h *= 0.5
+    # g(t) = E_mix[h] = -dB/dt / 2 rises with t; at t = -1 the mixture
+    # is p2, at t = +1 it is p1.
+    g_lo, g_hi = float(np.dot(w2, h)), float(np.dot(w1, h))
+    if g_lo >= 0.0 and g_hi > 0.0:
+        return -math.log(float(w2.sum())) / base.ln, 0.0
+    if g_hi <= 0.0 and g_lo < 0.0:
+        return -math.log(float(w1.sum())) / base.ln, 1.0
+    # start where g interpolated linearly between the ends vanishes
+    t = (g_lo + g_hi) / (g_lo - g_hi) if g_lo < 0.0 < g_hi else 0.0
+    # A step moves each log-weight by at most |step| * max|h|.  Below the
+    # rounding of the largest log-weight (m <= 0) the slope is noise, so
+    # such steps count as converged; this binds only for nearly equal pairs.
+    h_max = max(float(h.max()), -float(h.min()))
+    step_tol = 2.0 * tol
+    if h_max > 0.0:
+        step_tol = max(step_tol, _EPS * (h_max - float(m.min())) / h_max)
+    lo, hi = -1.0, 1.0
+    last_step = math.inf
     for _ in range(max_iter):
-        if hi - lo < max(tol, 1e-7):
+        np.multiply(h, t, out=work)
+        work += m
+        top = float(work.max())
+        work -= top
+        np.exp(work, out=work)
+        total = float(work.sum())
+        mean = float(np.dot(work, h)) / total
+        work *= h
+        # E[h^2] - E[h]^2 cancels only far from the root, where the
+        # curvature just scales the step
+        var = float(np.dot(work, h)) / total - mean * mean
+        value = -(top + math.log(total))
+        # Stop one pass after a step below tol: t is then within about that
+        # step squared of the root, while the step's start still had a
+        # slope of up to curvature times tol (5e-8 on sharply curved pairs).
+        if abs(last_step) < step_tol or mean == 0.0:
             break
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = b_alpha(x2)
+        if mean < 0.0:
+            lo = t
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = b_alpha(x1)
+            hi = t
+        t_next = t - mean / var if var > 0.0 else math.inf
+        # a step that rounds to nothing would repeat this pass
+        if t_next == t or hi - lo < step_tol:
+            break
+        if not lo < t_next < hi:
+            t_next = 0.5 * (lo + hi)
+        last_step, t = t_next - t, t_next
     else:
         raise NoConvergence(
-            f"golden-section search did not reach tol={tol} in {max_iter} iterations"
+            f"Newton iteration did not reach tol={tol} in {max_iter} passes"
         )
-    # Value-only search cannot place the maximizer better than sqrt(eps):
-    # B is flat there to rounding.  The equalizer gap B'(alpha) still has an
-    # O(1) slope, so bisecting its sign pins alpha* to full precision.
-    lo = max(1e-9, lo - 1e-7)
-    hi = min(1.0 - 1e-9, hi + 1e-7)
-    if equalizer(lo) > 0.0 > equalizer(hi):
-        for _ in range(100):
-            if hi - lo < tol:
-                break
-            mid = 0.5 * (lo + hi)
-            if equalizer(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-    alpha_star = 0.5 * (lo + hi)
-    return b_alpha(alpha_star) / base.ln, alpha_star
+    return value / base.ln, 0.5 * (1.0 + t)
 
 
 def total_variation(p1: DiscreteDensity, p2: DiscreteDensity) -> float:
@@ -500,7 +532,7 @@ def cross_entropy(p1: DiscreteDensity, p2: DiscreteDensity,
     """Cross-entropy -sum(p1 * log(p2)); ``+inf`` if p2 vanishes under p1."""
     w1, w2 = _aligned(p1, p2)
     pos = w1 > 0.0
-    if np.any(w2[pos] == 0.0):
+    if (w2[pos] == 0.0).any():
         return math.inf
     return -float((w1[pos] * np.log(w2[pos])).sum()) / base.ln
 

@@ -156,7 +156,7 @@ def _geometric(alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _power(alpha: float, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     zero = (a == 0.0) | (b == 0.0)
-    if gamma < 0.0 and np.any(zero):
+    if gamma < 0.0 and zero.any():
         raise NonPositiveInput(
             f"power mean with gamma={gamma} is undefined for zero arguments"
         )
@@ -166,7 +166,7 @@ def _power(alpha: float, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarr
         lm = np.logaddexp(np.log(alpha) + gamma * la,
                           np.log1p(-alpha) + gamma * lb) / gamma
         out = np.exp(lm)
-    if np.any(zero):
+    if zero.any():
         # gamma > 0: the zero argument simply drops out of the sum
         direct = (alpha * a ** gamma + (1.0 - alpha) * b ** gamma) ** (1.0 / gamma)
         out = np.where(zero, direct, out)
@@ -194,7 +194,7 @@ def evaluate(m: MeanSpec, a, b):
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
-    if np.any(a_arr < 0.0) or np.any(b_arr < 0.0):
+    if (a_arr < 0.0).any() or (b_arr < 0.0).any():
         raise NonPositiveInput("mean arguments must be nonnegative")
     scalar = a_arr.ndim == 0 and b_arr.ndim == 0
 

@@ -56,6 +56,26 @@ def bhattacharyya_oracle(p, q, alpha=0.5):
     return float(-mp.log(coeff)) if coeff > 0 else float(mp.inf)
 
 
+def chernoff_oracle(p, q):
+    """Chernoff information and its maximizer: the root of the equalizer.
+
+    The skew Bhattacharyya distance over the shared support has slope
+    E_mix[log(q/p)] in alpha; its root in (0, 1) is found by the Illinois
+    method.  Both end slopes must have opposite signs (an interior maximum).
+    """
+    pairs = [(a, b) for a, b in zip(_to_mp(p), _to_mp(q)) if a > 0 and b > 0]
+
+    def weights(alpha):
+        return [a ** alpha * b ** (1 - alpha) for a, b in pairs]
+
+    def slope(alpha):
+        w = weights(alpha)
+        return mp.fsum(wi * mp.log(b / a) for wi, (a, b) in zip(w, pairs)) / mp.fsum(w)
+
+    alpha = mp.findroot(slope, (mp.mpf(0), mp.mpf(1)), solver="illinois")
+    return float(-mp.log(mp.fsum(weights(alpha)))), float(alpha)
+
+
 def js_geometric_oracle(p, q):
     """Normalized geometric JSD by direct summation (not the J/4 - B identity)."""
     p, q = _to_mp(p), _to_mp(q)

@@ -228,6 +228,15 @@ class TestExitCodes:
         assert code == 3
         assert "disjoint" in err
 
+    @pytest.mark.parametrize("tol", ["0", "nan", "inf", "-inf"])
+    def test_bad_chernoff_tol_is_usage_error(self, capsys, discrete_files, tol):
+        p1, p2 = discrete_files
+        code, out, err = run_cli(capsys, "compute", "--div", "chernoff",
+                                 "--p1", p1, "--p2", p2, f"--tol={tol}")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: tol must be positive"]
+
     def test_bad_mass_is_usage_error(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         a.write_text("0.5 0.6\n")

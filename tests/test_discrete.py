@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from geojsd import (
@@ -371,6 +374,15 @@ class TestChernoff:
         assert value >= best - 1e-12
         assert abs(alpha_star - 0.5119228576824908) < 1e-6
 
+    def test_matches_mpmath_root(self, pq, rng, pair_factory):
+        pairs = [pq] + [pair_factory(rng, int(rng.integers(2, 24)))
+                        for _ in range(4)]
+        for p, q in pairs:
+            value, alpha_star = chernoff(p, q)
+            ref_value, ref_alpha = oracles.chernoff_oracle(p.weights, q.weights)
+            assert value == pytest.approx(ref_value, abs=1e-15)
+            assert alpha_star == pytest.approx(ref_alpha, abs=1e-14)
+
     def test_equalizer_property(self, rng, pair_factory):
         for _ in range(20):
             p1, p2 = pair_factory(rng, int(rng.integers(2, 24)))
@@ -387,7 +399,7 @@ class TestChernoff:
     def test_exhausted_iteration_budget(self, pq):
         p, q = pq
         with pytest.raises(NoConvergence):
-            chernoff(p, q, max_iter=5)
+            chernoff(p, q, max_iter=1)
 
     def test_constant_b_alpha_on_partial_overlap(self):
         # only one shared atom: B_alpha is constant, any alpha is optimal
@@ -395,6 +407,149 @@ class TestChernoff:
         q = DiscreteDensity.probability([0.5, 0.0, 0.5])
         value, _ = chernoff(p, q)
         assert value == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_boundary_maximizer(self, monkeypatch):
+        # B_alpha = (1 - alpha) log 2 falls on (0, 1): the maximum is at 0
+        exp_calls = count_calls(monkeypatch, np, "exp")
+        p = DiscreteDensity.probability([1.0, 0.0])
+        q = DiscreteDensity.probability([0.5, 0.5])
+        value, alpha_star = chernoff(p, q)
+        assert value == pytest.approx(LN2, rel=1e-15)
+        assert alpha_star == 0.0
+        value, alpha_star = chernoff(q, p)
+        assert value == pytest.approx(LN2, rel=1e-15)
+        assert alpha_star == 1.0
+        # the end slopes are weight sums: no exponential pass was needed
+        assert exp_calls == []
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_tol(self, pq, tol):
+        p, q = pq
+        with pytest.raises(ValueError, match="tol must be positive"):
+            chernoff(p, q, tol=tol)
+
+    def test_passes_at_one_million_atoms(self, monkeypatch):
+        rng = np.random.default_rng(1_000_000)
+        w1 = rng.uniform(0.05, 1.0, 1_000_000)
+        w2 = rng.uniform(0.05, 1.0, 1_000_000)
+        p = DiscreteDensity.probability(w1 / w1.sum())
+        q = DiscreteDensity.probability(w2 / w2.sum())
+        exp_calls = count_calls(monkeypatch, np, "exp")
+        _, alpha_star = chernoff(p, q)
+        assert 0.0 < alpha_star < 1.0
+        assert 1 <= len(exp_calls) <= 8
+
+    def test_passes_on_nearly_equal_pair(self, monkeypatch):
+        # weights equal to 1e-6: steps too small to change the rounded
+        # log-weights see only noise in the slope; creeping on by such
+        # steps took 38 passes
+        p = DiscreteDensity.probability([0.7762802571403095, 0.22371974285969046])
+        q = DiscreteDensity.probability([0.7762805145294165, 0.2237194854705835])
+        exp_calls = count_calls(monkeypatch, np, "exp")
+        chernoff(p, q)
+        assert 1 <= len(exp_calls) <= 8
+
+
+def count_calls(monkeypatch, module, name):
+    """Record each call of ``module.name`` for the rest of the test."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+# Slack for comparisons against separately rounded sums of up to 1e4 masses.
+CHERNOFF_SLACK = 1e-12
+
+
+@st.composite
+def chernoff_pairs(draw):
+    """Normalized pairs of up to 1e4 atoms that share at least one atom.
+
+    Weights spread over up to ~40 orders of magnitude; a drawn share of the
+    atoms is 1e-300 on either side or exactly zero on one side only, and the
+    second density is either independent or equal to the first within a
+    drawn relative perturbation.
+    """
+    n = draw(st.sampled_from([2, 3, 8, 33, 257, 1000, 10_000]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0.0, 1.0, 10.0]))
+    w1 = rng.uniform(0.05, 1.0, n) * np.exp(spread * rng.standard_normal(n))
+    near = draw(st.sampled_from([None, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3]))
+    if near is None:
+        w2 = rng.uniform(0.05, 1.0, n) * np.exp(spread * rng.standard_normal(n))
+    else:
+        w2 = w1 * (1.0 + near * rng.standard_normal(n))
+    share = st.sampled_from([0.0, 0.01, 0.3, 0.9])
+    w1[rng.random(n) < draw(share)] = 1e-300
+    w2[rng.random(n) < draw(share)] = 1e-300
+    zero1 = rng.random(n) < draw(share)
+    zero2 = (rng.random(n) < draw(share)) & ~zero1
+    zero1[0] = zero2[0] = False
+    w1[zero1] = 0.0
+    w2[zero2] = 0.0
+    return (DiscreteDensity.probability(w1 / w1.sum()),
+            DiscreteDensity.probability(w2 / w2.sum()))
+
+
+def b_alpha_scan(la, lb, alphas, block=64):
+    """B_alpha on the shared support at each alpha, scanned in blocks."""
+    return np.concatenate([
+        -sp.logsumexp(np.outer(a, la) + np.outer(1.0 - a, lb), axis=1)
+        for a in np.array_split(alphas, max(1, alphas.size // block))])
+
+
+def sharp_pair(a, b):
+    """Two atoms whose log-ratios are hundreds of nats apart: curvature ~1e4."""
+    return (DiscreteDensity.probability([a, 1.0]),
+            DiscreteDensity.probability([1.0, b]))
+
+
+class TestChernoffProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(pair=chernoff_pairs())
+    # stopping on the pass whose step is below tol left a gap of 5e-8 here
+    @example(pair=sharp_pair(1e-300, 1e-264))
+    # a Newton step that rounds to nothing at a bracket end was replaced by
+    # bisection, which moved away from the root: gap 2e-8
+    @example(pair=sharp_pair(1e-128, 1e-46))
+    # weights equal to 1e-6: rounding noise in the slope sent each Newton
+    # step to the far end of the bracket, and 200 passes alternated there
+    @example(pair=(DiscreteDensity.probability([0.4280372296414787,
+                                                0.5719627703585213]),
+                   DiscreteDensity.probability([0.42803754701046215,
+                                                0.5719624529895377])))
+    def test_maximizer(self, pair):
+        p, q = pair
+        value, alpha_star = chernoff(p, q)
+        shared = (p.weights > 0.0) & (q.weights > 0.0)
+        w1, w2 = p.weights[shared], q.weights[shared]
+        la, lb = np.log(w1), np.log(w2)
+        grid = np.arange(1e-3, 1.0, 1e-3)
+        assert value >= float(b_alpha_scan(la, lb, grid).max()) - CHERNOFF_SLACK
+        # the two boundary limits, and B_alpha >= 0 for normalized pairs
+        assert value >= -math.log(float(w1.sum())) - CHERNOFF_SLACK
+        assert value >= -math.log(float(w2.sum())) - CHERNOFF_SLACK
+        assert value >= -CHERNOFF_SLACK
+        if 0.0 < alpha_star < 1.0:
+            log_mix = alpha_star * la + (1.0 - alpha_star) * lb
+            weights = np.exp(log_mix - log_mix.max())
+            gap = float((weights * (lb - la)).sum() / weights.sum())
+            assert abs(gap) <= 1e-8
+
+    @settings(max_examples=60, deadline=None)
+    @given(pair=chernoff_pairs())
+    def test_swap_symmetry(self, pair):
+        p, q = pair
+        value, alpha_star = chernoff(p, q)
+        swapped_value, swapped_alpha = chernoff(q, p)
+        assert abs(swapped_value - value) <= 1e-12
+        assert abs(swapped_alpha - (1.0 - alpha_star)) <= 1e-12
 
 
 class TestTotalVariation:
