@@ -32,17 +32,12 @@ from .errors import (
     NotPositiveDefinite,
     ProposalSupportViolation,
 )
-from .logbase import BITS, NATS, LogBase
+from .logbase import NATS, LogBase
 from .means import MeanSpec
 
 _MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence,
                 DivergentIntegral, ProposalSupportViolation,
                 DegenerateQuadratic, DomainViolation, NonPositiveInput)
-
-_DIVERGENCES = ("kl", "kl_plus", "js", "js_m", "js_m_plus", "jeffreys",
-                "bhattacharyya", "bc", "chernoff", "tv", "taneja",
-                "kl_mixtures", "gamma", "js_m_gamma", "gjsd", "gjsd_plus")
-
 
 def _default_seed() -> str:
     # a string default passes through type=int: a bad value exits 2, not a traceback
@@ -108,9 +103,31 @@ def _gaussian_from_payload(payload, origin: str) -> gaussian.GaussianParams:
     return gaussian.GaussianParams(mu, sigma)
 
 
+def _load_pair(kind: str, entries, unnormalized: bool = False):
+    """Two densities of one kind, each from a file path or an inline payload."""
+    if kind == "gaussian":
+        g1, g2 = (read_gaussian(entry) if isinstance(entry, str)
+                  else _gaussian_from_payload(entry, "sweep inputs")
+                  for entry in entries)
+        if g1.dim != g2.dim:
+            # an input error on every route, closed-form or not
+            raise InvalidDensity(f"dimension mismatch: {g1.dim} vs {g2.dim}")
+        return g1, g2
+    if kind == "discrete":
+        # both inputs are read before either is validated
+        w1, w2 = (read_discrete(entry) if isinstance(entry, str)
+                  else np.asarray(entry, dtype=float) for entry in entries)
+        return (DiscreteDensity(w1, normalized=not unnormalized),
+                DiscreteDensity(w2, normalized=not unnormalized))
+    raise ValueError(f"unknown input kind {kind!r}")
+
+
 # ---------------------------------------------------------------------------
-# compute
+# compute: one route table
 # ---------------------------------------------------------------------------
+# A route takes ``(p1, p2, args)``, where ``args.mean`` is a MeanSpec and
+# ``args.base`` a LogBase, and returns the ``compute`` result.  It looks library
+# functions up when called, so wrappers installed after import see the calls.
 
 def _result(value: float, base: LogBase | None, method: str,
             **extra) -> dict:
@@ -120,163 +137,168 @@ def _result(value: float, base: LogBase | None, method: str,
     return out
 
 
-def _estimator_config(args) -> estimate.EstimatorConfig:
-    return estimate.EstimatorConfig(samples=args.samples, seed=args.seed,
-                                    chunk_size=args.chunk_size)
+def _exact(value):
+    """Discrete route whose ``value(p1, p2, args)`` is exact in ``args.base``."""
+    return lambda p, q, args: _result(value(p, q, args), args.base, "exact")
 
 
-def _compute_discrete(args, base: LogBase, mean: MeanSpec) -> dict:
-    div = args.div
-    # the extended and projective divergences accept unnormalized vectors
-    positive_ok = div in ("kl_plus", "js_m_plus", "gjsd_plus", "gamma",
-                          "js_m_gamma")
-    w1, w2 = read_discrete(args.p1), read_discrete(args.p2)
-    if positive_ok:
-        p1, p2 = DiscreteDensity.positive(w1), DiscreteDensity.positive(w2)
-    else:
-        p1, p2 = DiscreteDensity.probability(w1), DiscreteDensity.probability(w2)
-
-    if div == "kl":
-        return _result(discrete.kl(p1, p2, base), base, "exact")
-    if div == "kl_plus":
-        return _result(discrete.kl_extended(p1, p2, base), base, "exact")
-    if div == "js":
-        return _result(discrete.js(p1, p2, base), base, "exact")
-    if div in ("js_m", "gjsd"):
-        if div == "gjsd":
-            mean = MeanSpec.geometric(args.alpha)
-        return _result(discrete.js_m(p1, p2, mean, args.beta, base), base,
-                       "exact")
-    if div in ("js_m_plus", "gjsd_plus"):
-        if div == "gjsd_plus":
-            mean = MeanSpec.geometric(args.alpha)
-        return _result(discrete.js_m_extended(p1, p2, mean, args.beta, base),
-                       base, "exact")
-    if div == "jeffreys":
-        return _result(discrete.jeffreys(p1, p2, base), base, "exact")
-    if div == "bhattacharyya":
-        return _result(discrete.bhattacharyya(p1, p2, args.alpha, base), base,
-                       "exact")
-    if div == "bc":
-        return _result(discrete.bhattacharyya_coefficient(p1, p2, args.alpha),
-                       None, "exact")
-    if div == "chernoff":
-        value, alpha_star = discrete.chernoff(p1, p2, args.tol, base)
-        return _result(value, base, "exact", alpha_star=alpha_star)
-    if div == "tv":
-        return _result(discrete.total_variation(p1, p2), None, "exact")
-    if div == "taneja":
-        return _result(discrete.taneja_t(p1, p2, base), base, "exact")
-    if div == "kl_mixtures":
-        mean2 = parse_mean(args.mean2, 0.5)
-        return _result(discrete.kl_between_mixtures(p1, p2, mean, mean2, base),
-                       base, "exact")
-    if div == "gamma":
-        return _result(base.from_nats(
-            estimate.gamma_divergence(p1, p2, args.gamma, "exact")),
-            base, "exact")
-    if div == "js_m_gamma":
-        return _result(base.from_nats(
-            estimate.js_m_gamma(p1, p2, mean, args.gamma, "exact")),
-            base, "exact")
-    raise ValueError(f"unsupported divergence {div!r}")
+def _closed_form(nats):
+    """Gaussian route whose ``nats(g1, g2, args)`` is a closed form in nats."""
+    return lambda g, h, args: _result(args.base.from_nats(nats(g, h, args)),
+                                      args.base, "closed-form")
 
 
-def _compute_gaussian(args, base: LogBase, mean: MeanSpec) -> dict:
-    div = args.div
-    g1, g2 = read_gaussian(args.p1), read_gaussian(args.p2)
-    if g1.dim != g2.dim:
-        # an input error on every route, closed-form or not
-        raise InvalidDensity(f"dimension mismatch: {g1.dim} vs {g2.dim}")
-    geometric = means.is_geometric(mean)
+def _base_free(method: str, value):
+    """Route for a value that has no logarithm base (``bc``, ``tv``)."""
+    return lambda p, q, args: _result(value(p, q, args), None, method)
 
-    def in_base(nats_value: float) -> float:
-        return base.from_nats(nats_value)
 
-    if div in ("kl", "kl_plus"):
-        return _result(in_base(gaussian.kl_gaussian(g1, g2)), base,
-                       "closed-form")
-    if div == "jeffreys":
-        return _result(in_base(gaussian.jeffreys_gaussian(g1, g2)), base,
-                       "closed-form")
-    if div == "bhattacharyya":
-        return _result(in_base(gaussian.bhattacharyya_gaussian(g1, g2,
-                                                               args.alpha)),
-                       base, "closed-form")
-    if div == "bc":
-        return _result(gaussian.bhattacharyya_coefficient_gaussian(
-            g1, g2, args.alpha), None, "closed-form")
-    if div == "tv":
-        if g1.dim != 1:
-            raise ValueError("total variation is closed-form for d=1 only")
-        return _result(gaussian.tv_gaussian_1d(
-            float(g1.mu[0]), math.sqrt(float(g1.sigma[0, 0])),
-            float(g2.mu[0]), math.sqrt(float(g2.sigma[0, 0]))), None,
-            "closed-form")
-    if div in ("js_m", "gjsd"):
-        if div == "gjsd" or geometric:
-            return _result(in_base(gaussian.gjsd_gaussian(
-                g1, g2, args.alpha, args.beta)), base, "closed-form")
+def _geometric(route):
+    """``route`` with the mean forced to the geometric mean."""
+    return lambda p, q, args: route(p, q, argparse.Namespace(
+        **{**vars(args), "mean": MeanSpec.geometric(args.alpha)}))
+
+
+def _expfam_pair(g1: gaussian.GaussianParams, g2: gaussian.GaussianParams):
+    """Two Gaussians as densities of one exponential family."""
+    fam = expfam.gaussian_family(g1.dim)
+    return (expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g1)),
+            expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g2)))
+
+
+def _mu_sd(g: gaussian.GaussianParams) -> tuple[float, float]:
+    """Mean and standard deviation of a 1-D Gaussian."""
+    return float(g.mu[0]), math.sqrt(float(g.sigma[0, 0]))
+
+
+def _chernoff(p1, p2, args) -> dict:
+    value, alpha_star = discrete.chernoff(p1, p2, args.tol, args.base)
+    return _result(value, args.base, "exact", alpha_star=alpha_star)
+
+
+def _tv_gaussian(g1, g2, args) -> float:
+    if g1.dim != 1:
+        raise ValueError("total variation is closed-form for d=1 only")
+    return gaussian.tv_gaussian_1d(*_mu_sd(g1), *_mu_sd(g2))
+
+
+def _gjsd_gaussian(g1, g2, args) -> float:
+    if not means.is_geometric(args.mean):
         raise ValueError(
             "normalized M-JSD has no Gaussian closed form for this mean; "
             "use js_m_plus with --samples for the extended variant"
         )
-    if div == "gjsd_plus" or (div == "js_m_plus" and geometric):
-        if args.alpha != 0.5 or args.beta != 0.5:
-            raise ValueError("closed-form extended geometric JSD is balanced only")
-        return _result(in_base(gaussian.gjsd_extended_gaussian(g1, g2)),
-                       base, "closed-form")
-    if div in ("js", "js_m_plus"):
-        if args.samples is None:
-            raise ValueError(
-                f"{div} between Gaussians requires --samples (Monte Carlo)"
-            )
-        mc_mean = MeanSpec.arithmetic() if div == "js" else mean
-        cfg = _estimator_config(args)
-        value, stderr = estimate.estimate_js_m_extended(
-            estimate.gaussian_sampled(g1), estimate.gaussian_sampled(g2),
-            mc_mean, cfg, workers=args.workers)
-        return _result(in_base(value), base, "monte-carlo",
-                       std_error=in_base(stderr))
-    if div == "gamma":
-        fam = expfam.gaussian_family(g1.dim)
-        e1 = expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g1))
-        e2 = expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g2))
-        return _result(in_base(estimate.gamma_divergence(
-            e1, e2, args.gamma, "closed_form")), base, "closed-form")
-    if div == "js_m_gamma":
-        if geometric:
-            fam = expfam.gaussian_family(g1.dim)
-            e1 = expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g1))
-            e2 = expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g2))
-            return _result(in_base(estimate.js_m_gamma(
-                e1, e2, mean, args.gamma, "closed_form")), base, "closed-form")
-        if g1.dim != 1:
-            raise ValueError("projective M-JSD quadrature is 1-D only")
-        support = _support_1d(g1, g2)
-        value = estimate.js_m_gamma(
-            estimate.gaussian_sampled(g1), estimate.gaussian_sampled(g2),
-            mean, args.gamma, "quadrature", support=support)
-        return _result(in_base(value), base, "quadrature")
-    raise ValueError(f"divergence {div!r} is not available for Gaussian inputs")
+    return gaussian.gjsd_gaussian(g1, g2, args.alpha, args.beta)
 
 
-def _support_1d(g1: gaussian.GaussianParams,
-                g2: gaussian.GaussianParams) -> tuple[float, float]:
-    sd = max(math.sqrt(float(g1.sigma[0, 0])), math.sqrt(float(g2.sigma[0, 0])))
-    lo = min(float(g1.mu[0]), float(g2.mu[0])) - 13.0 * sd
-    hi = max(float(g1.mu[0]), float(g2.mu[0])) + 13.0 * sd
-    return lo, hi
+def _monte_carlo(g1, g2, args, mean: MeanSpec, extended: bool) -> dict:
+    if args.samples is None:
+        raise ValueError(
+            f"{args.div} between Gaussians requires --samples (Monte Carlo)"
+        )
+    if extended and args.base is not NATS:
+        # one estimate sums the logarithmic and the mass terms, and only the
+        # first may be rescaled
+        raise ValueError("Monte Carlo extended divergences are reported in nats")
+    cfg = estimate.EstimatorConfig(samples=args.samples, seed=args.seed,
+                                   chunk_size=args.chunk_size)
+    value, stderr = estimate.estimate_js_m_extended(
+        estimate.gaussian_sampled(g1), estimate.gaussian_sampled(g2),
+        mean, cfg, workers=args.workers)
+    return _result(args.base.from_nats(value), args.base, "monte-carlo",
+                   std_error=args.base.from_nats(stderr))
+
+
+def _js_m_plus_gaussian(g1, g2, args) -> dict:
+    if not means.is_geometric(args.mean):
+        return _monte_carlo(g1, g2, args, args.mean, extended=True)
+    if args.alpha != 0.5 or args.beta != 0.5:
+        raise ValueError("closed-form extended geometric JSD is balanced only")
+    if args.base is NATS:
+        value = gaussian.gjsd_extended_gaussian(g1, g2)
+    else:
+        # jeffreys/4 + (BC - 1): only the logarithmic part rescales
+        value = (args.base.from_nats(gaussian.jeffreys_gaussian(g1, g2) / 4.0)
+                 + math.expm1(-gaussian.bhattacharyya_gaussian(g1, g2)))
+    return _result(value, args.base, "closed-form")
+
+
+def _js_m_gamma_gaussian(g1, g2, args) -> dict:
+    if means.is_geometric(args.mean):
+        value = estimate.js_m_gamma(*_expfam_pair(g1, g2), args.mean,
+                                    args.gamma, "closed_form")
+        return _result(args.base.from_nats(value), args.base, "closed-form")
+    if g1.dim != 1:
+        raise ValueError("projective M-JSD quadrature is 1-D only")
+    (m1, s1), (m2, s2) = _mu_sd(g1), _mu_sd(g2)
+    reach = 13.0 * max(s1, s2)
+    value = estimate.js_m_gamma(
+        estimate.gaussian_sampled(g1), estimate.gaussian_sampled(g2), args.mean,
+        args.gamma, "quadrature", support=(min(m1, m2) - reach, max(m1, m2) + reach))
+    return _result(args.base.from_nats(value), args.base, "quadrature")
+
+
+_JS_M = _exact(lambda p, q, a: discrete.js_m(p, q, a.mean, a.beta, a.base))
+_JS_M_PLUS = _exact(lambda p, q, a:
+                    discrete.js_m_extended(p, q, a.mean, a.beta, a.base))
+_KL_GAUSSIAN = _closed_form(lambda g, h, a: gaussian.kl_gaussian(g, h))
+
+# --div name: (discrete inputs may be unnormalized, discrete route,
+#              Gaussian route or None)
+_ROUTES = {
+    "kl": (False, _exact(lambda p, q, a: discrete.kl(p, q, a.base)), _KL_GAUSSIAN),
+    "kl_plus": (True, _exact(lambda p, q, a: discrete.kl_extended(p, q, a.base)),
+                _KL_GAUSSIAN),
+    "js": (False, _exact(lambda p, q, a: discrete.js(p, q, a.base)),
+           lambda g, h, a: _monte_carlo(g, h, a, MeanSpec.arithmetic(), False)),
+    "js_m": (False, _JS_M, _closed_form(_gjsd_gaussian)),
+    "js_m_plus": (True, _JS_M_PLUS, _js_m_plus_gaussian),
+    "jeffreys": (False, _exact(lambda p, q, a: discrete.jeffreys(p, q, a.base)),
+                 _closed_form(lambda g, h, a: gaussian.jeffreys_gaussian(g, h))),
+    "bhattacharyya": (
+        False, _exact(lambda p, q, a: discrete.bhattacharyya(p, q, a.alpha, a.base)),
+        _closed_form(lambda g, h, a: gaussian.bhattacharyya_gaussian(g, h, a.alpha))),
+    "bc": (False, _base_free("exact", lambda p, q, a:
+                             discrete.bhattacharyya_coefficient(p, q, a.alpha)),
+           _base_free("closed-form", lambda g, h, a:
+                      gaussian.bhattacharyya_coefficient_gaussian(g, h, a.alpha))),
+    "chernoff": (False, _chernoff, None),
+    "tv": (False,
+           _base_free("exact", lambda p, q, a: discrete.total_variation(p, q)),
+           _base_free("closed-form", _tv_gaussian)),
+    "taneja": (False, _exact(lambda p, q, a: discrete.taneja_t(p, q, a.base)),
+               None),
+    "kl_mixtures": (False, _exact(lambda p, q, a: discrete.kl_between_mixtures(
+        p, q, a.mean, parse_mean(a.mean2, 0.5), a.base)), None),
+    "gamma": (True, _exact(lambda p, q, a: a.base.from_nats(
+                  estimate.gamma_divergence(p, q, a.gamma, "exact"))),
+              _closed_form(lambda g, h, a: estimate.gamma_divergence(
+                  *_expfam_pair(g, h), a.gamma, "closed_form"))),
+    "js_m_gamma": (True, _exact(lambda p, q, a: a.base.from_nats(
+                       estimate.js_m_gamma(p, q, a.mean, a.gamma, "exact"))),
+                   _js_m_gamma_gaussian),
+    "gjsd": (False, _geometric(_JS_M), _geometric(_closed_form(_gjsd_gaussian))),
+    "gjsd_plus": (True, _geometric(_JS_M_PLUS), _geometric(_js_m_plus_gaussian)),
+}
+
+
+def _route(div: str, kind: str):
+    route = _ROUTES[div][1 if kind == "discrete" else 2]
+    if route is None:  # every divergence has a discrete route
+        raise ValueError(f"divergence {div!r} is not available for Gaussian inputs")
+    return route
 
 
 def cmd_compute(args) -> int:
-    base = BITS if args.base == "bits" else NATS
-    mean = parse_mean(args.mean, args.alpha)
-    if args.gaussian:
-        result = _compute_gaussian(args, base, mean)
-    else:
-        result = _compute_discrete(args, base, mean)
-    print(json.dumps(result))
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    # parsed before the inputs are read: a bad --mean fails on every route
+    args.mean = parse_mean(args.mean, args.alpha)
+    args.base = LogBase(args.base)
+    kind = "gaussian" if args.gaussian else "discrete"
+    p1, p2 = _load_pair(kind, (args.p1, args.p2),
+                        unnormalized=_ROUTES[args.div][0])
+    print(json.dumps(_route(args.div, kind)(p1, p2, args)))
     return 0
 
 
@@ -302,26 +324,6 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_inputs(spec: dict):
-    inputs = spec.get("inputs")
-    if not isinstance(inputs, dict) or "kind" not in inputs:
-        raise ValueError("sweep spec needs inputs: {kind, p1, p2}")
-    kind = inputs["kind"]
-    if kind == "discrete":
-        def load(entry):
-            weights = (read_discrete(entry) if isinstance(entry, str)
-                       else np.asarray(entry, dtype=float))
-            return DiscreteDensity.probability(weights)
-        return kind, load(inputs["p1"]), load(inputs["p2"])
-    if kind == "gaussian":
-        def load(entry):
-            if isinstance(entry, str):
-                return read_gaussian(entry)
-            return _gaussian_from_payload(entry, "sweep inputs")
-        return kind, load(inputs["p1"]), load(inputs["p2"])
-    raise ValueError(f"unknown input kind {kind!r}")
-
-
 def _sweep_row(spec: dict, kind: str, p1, p2, parameter: str,
                value: float, seed: int) -> tuple[float, float | None, float | None]:
     """Returns (computed value, std_error, oracle)."""
@@ -337,16 +339,10 @@ def _sweep_row(spec: dict, kind: str, p1, p2, parameter: str,
 
     if target == "gamma_divergence":
         gamma = value if parameter == "gamma" else float(spec.get("gamma", 1e-3))
-        if kind == "discrete":
-            computed = estimate.gamma_divergence(p1, p2, gamma, "exact")
-            oracle = discrete.kl(p1, p2)
-        else:
-            fam = expfam.gaussian_family(p1.dim)
-            computed = estimate.gamma_divergence(
-                expfam.ExpFamilyDensity(fam, gaussian.natural_flat(p1)),
-                expfam.ExpFamilyDensity(fam, gaussian.natural_flat(p2)),
-                gamma, "closed_form")
-            oracle = gaussian.kl_gaussian(p1, p2)
+        computed = _route("gamma", kind)(
+            p1, p2, argparse.Namespace(base=NATS, gamma=gamma))["value"]
+        oracle = (discrete.kl(p1, p2) if kind == "discrete"
+                  else gaussian.kl_gaussian(p1, p2))
         return computed, None, oracle
 
     if target in ("estimate_z", "estimate_js_m_extended"):
@@ -374,17 +370,16 @@ def _sweep_row(spec: dict, kind: str, p1, p2, parameter: str,
 
     if target == "bhattacharyya":
         alpha = value if parameter == "alpha" else float(spec.get("alpha", 0.5))
+        computed = _route("bhattacharyya", kind)(
+            p1, p2, argparse.Namespace(base=NATS, alpha=alpha))["value"]
         if kind == "discrete":
-            computed = discrete.bhattacharyya(p1, p2, alpha)
             fam = expfam.categorical_family(p1.size)
             oracle = expfam.skew_jensen(fam, expfam.categorical_theta(p1.weights),
                                         expfam.categorical_theta(p2.weights),
                                         alpha)
         else:
-            computed = gaussian.bhattacharyya_gaussian(p1, p2, alpha)
-            fam = expfam.gaussian_family(p1.dim)
-            oracle = expfam.skew_jensen(fam, gaussian.natural_flat(p1),
-                                        gaussian.natural_flat(p2), alpha)
+            e1, e2 = _expfam_pair(p1, p2)
+            oracle = expfam.skew_jensen(e1.family, e1.theta, e2.theta, alpha)
         return computed, None, oracle
 
     raise ValueError(f"unknown sweep target {target!r}")
@@ -404,7 +399,11 @@ def cmd_sweep(args) -> int:
     writer.writerow(["parameter", "value", "std_error", "oracle", "abs_error"])
     if not values:
         return 0
-    kind, p1, p2 = _sweep_inputs(spec)
+    inputs = spec.get("inputs")
+    if not isinstance(inputs, dict) or "kind" not in inputs:
+        raise ValueError("sweep spec needs inputs: {kind, p1, p2}")
+    kind = inputs["kind"]
+    p1, p2 = _load_pair(kind, (inputs["p1"], inputs["p2"]))
     for grid_value in values:
         computed, stderr, oracle = _sweep_row(
             spec, kind, p1, p2, parameter, float(grid_value), args.seed)
@@ -429,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     compute = sub.add_parser("compute", help="compute one divergence")
-    compute.add_argument("--div", required=True, choices=_DIVERGENCES)
+    compute.add_argument("--div", required=True, choices=tuple(_ROUTES))
     compute.add_argument("--p1", required=True, help="first density file")
     compute.add_argument("--p2", required=True, help="second density file")
     compute.add_argument("--gaussian", action="store_true",

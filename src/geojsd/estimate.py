@@ -28,7 +28,7 @@ from . import means
 from ._kernels import logsumexp, solve_lower
 from .discrete import DiscreteDensity
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
-from .expfam import ExpFamilyDensity
+from .expfam import ExpFamilyDensity, _cumulant_at
 from .gaussian import GaussianParams
 from .means import MeanSpec
 
@@ -348,9 +348,9 @@ def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
             "theta1 + gamma*theta2 left the natural parameter space"
         )
     try:
-        f_mixed = fam.cumulant(mixed)
-        f1 = fam.cumulant(t1)
-        f2 = fam.cumulant(t2)
+        f_mixed = _cumulant_at(fam, mixed, "gamma_divergence")
+        f1 = _cumulant_at(fam, t1, "gamma_divergence")
+        f2 = _cumulant_at(fam, t2, "gamma_divergence")
     except DomainViolation as exc:
         raise DivergentIntegral(str(exc)) from exc
     return (f_mixed - f1 - gamma * f2

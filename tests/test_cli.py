@@ -5,16 +5,26 @@ import numpy as np
 import pytest
 
 from geojsd import (
+    BITS,
     DiscreteDensity,
+    EstimatorConfig,
+    ExpFamilyDensity,
+    GaussianParams,
+    LogBase,
     MeanSpec,
     bhattacharyya_gaussian,
     chernoff,
+    discrete,
+    estimate,
+    gaussian,
+    gaussian_family,
     js,
     js_m_extended,
     kl_between_mixtures,
     kl_gaussian,
+    natural_flat,
 )
-from geojsd.cli import main, parse_mean
+from geojsd.cli import _ROUTES, main, parse_mean
 
 
 @pytest.fixture
@@ -269,6 +279,31 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines() == ["error: dimension mismatch: 1 vs 2"]
 
+    @pytest.mark.parametrize("workers", ["0", "-4"])
+    def test_workers_below_one_is_usage_error(self, capsys, gaussian_files,
+                                              workers):
+        g1, g2 = gaussian_files
+        code, out, err = run_cli(capsys, "compute", "--div", "js", "--gaussian",
+                                 "--p1", g1, "--p2", g2, "--samples", "1000",
+                                 "--workers", workers)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: --workers must be at least 1"]
+
+    def test_monte_carlo_extended_in_bits_is_usage_error(self, capsys,
+                                                         gaussian_files):
+        # one estimate sums the log and mass terms; only the log part may
+        # change with the base
+        g1, g2 = gaussian_files
+        code, out, err = run_cli(capsys, "compute", "--div", "js_m_plus",
+                                 "--mean", "power:0.5", "--gaussian",
+                                 "--p1", g1, "--p2", g2, "--samples", "1000",
+                                 "--base", "bits")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: Monte Carlo extended divergences are reported in nats"]
+
     def test_unknown_divergence_is_usage_error(self, capsys, discrete_files):
         p1, p2 = discrete_files
         with pytest.raises(SystemExit) as excinfo:
@@ -366,8 +401,235 @@ class TestSweep:
             abs_error = float(line.split(",")[4])
             assert abs_error < 1e-10
 
+    def test_gaussian_dimension_mismatch_is_usage_error(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "parameter": "gamma", "values": [1e-2],
+            "target": "gamma_divergence",
+            "inputs": {"kind": "gaussian",
+                       "p1": {"mu": [0.0], "sigma": [[1.0]]},
+                       "p2": {"mu": [0.0, 0.0],
+                              "sigma": [[1.0, 0.0], [0.0, 1.0]]}},
+        }))
+        code, _, err = run_cli(capsys, "sweep", str(spec))
+        assert code == 2
+        assert err.splitlines() == ["error: dimension mismatch: 1 vs 2"]
+
     def test_bad_spec_is_usage_error(self, capsys, tmp_path):
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({"parameter": "frequency", "values": [1]}))
         code, _, _ = run_cli(capsys, "sweep", str(spec))
         assert code == 2
+
+
+class TestExtendedBits:
+    """Extended divergences rescale only their logarithmic part with the base."""
+
+    def test_gaussian_closed_form_matches_discretisation(self, capsys,
+                                                         tmp_path):
+        g1 = tmp_path / "g1.json"
+        g2 = tmp_path / "g2.json"
+        g1.write_text(json.dumps({"mu": [0.0], "sigma": [[1.0]]}))
+        g2.write_text(json.dumps({"mu": [1.5], "sigma": [[2.0]]}))
+        # the same pair on a fine grid, through the discrete sums
+        x = np.linspace(-14.0, 15.5, 20_001)
+        w1 = np.exp(-0.5 * x**2)
+        w2 = np.exp(-0.25 * (x - 1.5) ** 2)
+        p1 = DiscreteDensity.probability(w1 / w1.sum())
+        p2 = DiscreteDensity.probability(w2 / w2.sum())
+        for base in ("nats", "bits"):
+            reference = js_m_extended(p1, p2, MeanSpec.geometric(),
+                                      base=LogBase(base))
+            for div in ("gjsd_plus", "js_m_plus"):
+                code, out, _ = run_cli(capsys, "compute", "--div", div,
+                                       "--gaussian", "--p1", str(g1),
+                                       "--p2", str(g2), "--base", base)
+                assert code == 0
+                assert json.loads(out)["value"] == pytest.approx(reference,
+                                                                 abs=1e-9)
+        # jeffreys/(4 ln 2) + BC - 1, not (jeffreys/4 + BC - 1)/ln 2
+        assert reference == pytest.approx(0.503779, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# every compute route against the library call it makes
+# ---------------------------------------------------------------------------
+
+W1, W2 = [0.2, 0.5, 0.3], [0.4, 0.4, 0.2]          # normalized inputs
+U1, U2 = [0.6, 0.9, 0.3], [0.3, 1.2, 0.1]          # unnormalized inputs
+N1 = {"mu": [0.0], "sigma": [[1.0]]}
+N2 = {"mu": [1.5], "sigma": [[2.0]]}
+GEO, ARITH, POW = (MeanSpec.geometric(), MeanSpec.arithmetic(),
+                   MeanSpec.power(0.5))
+MC = ["--samples", "2000", "--seed", "3"]
+CFG = EstimatorConfig(samples=2000, seed=3, chunk_size=1 << 16)
+
+
+def res(value, base, method, **extra):
+    return {"value": value, "base": None if base is None else base.value,
+            "method": method, **extra}
+
+
+def expfam_pair(g, h):
+    fam = gaussian_family(g.dim)
+    return (ExpFamilyDensity(fam, natural_flat(g)),
+            ExpFamilyDensity(fam, natural_flat(h)))
+
+
+def monte_carlo(g, h, mean, b):
+    value, stderr = estimate.estimate_js_m_extended(
+        estimate.gaussian_sampled(g), estimate.gaussian_sampled(h), mean, CFG)
+    return res(b.from_nats(value), b, "monte-carlo",
+               std_error=b.from_nats(stderr))
+
+
+def chernoff_exact(p, q, b):
+    value, alpha_star = discrete.chernoff(p, q, 1e-12, b)
+    return res(value, b, "exact", alpha_star=alpha_star)
+
+
+def gjsd_plus_gaussian(g, h, b):
+    if b is BITS:  # only the logarithmic part, jeffreys/4, rescales
+        value = (b.from_nats(gaussian.jeffreys_gaussian(g, h) / 4.0)
+                 + math.expm1(-gaussian.bhattacharyya_gaussian(g, h)))
+    else:
+        value = gaussian.gjsd_extended_gaussian(g, h)
+    return res(value, b, "closed-form")
+
+
+def quadrature(g, h, b):
+    sd = max(1.0, math.sqrt(2.0))
+    value = estimate.js_m_gamma(
+        estimate.gaussian_sampled(g), estimate.gaussian_sampled(h), POW, 1e-3,
+        "quadrature", support=(0.0 - 13.0 * sd, 1.5 + 13.0 * sd))
+    return res(b.from_nats(value), b, "quadrature")
+
+
+# (kind, div, extra argv, unnormalized inputs, the library call)
+ROUTE_CASES = [
+    ("discrete", "kl", [], False,
+     lambda p, q, b: res(discrete.kl(p, q, b), b, "exact")),
+    ("discrete", "kl_plus", [], True,
+     lambda p, q, b: res(discrete.kl_extended(p, q, b), b, "exact")),
+    ("discrete", "js", [], False,
+     lambda p, q, b: res(discrete.js(p, q, b), b, "exact")),
+    ("discrete", "js_m", ["--mean", "power:0.5"], False,
+     lambda p, q, b: res(discrete.js_m(p, q, POW, 0.5, b), b, "exact")),
+    ("discrete", "js_m_plus", ["--mean", "power:0.5"], True,
+     lambda p, q, b: res(discrete.js_m_extended(p, q, POW, 0.5, b), b,
+                         "exact")),
+    ("discrete", "jeffreys", [], False,
+     lambda p, q, b: res(discrete.jeffreys(p, q, b), b, "exact")),
+    ("discrete", "bhattacharyya", ["--alpha", "0.3"], False,
+     lambda p, q, b: res(discrete.bhattacharyya(p, q, 0.3, b), b, "exact")),
+    ("discrete", "bc", ["--alpha", "0.3"], False,
+     lambda p, q, b: res(discrete.bhattacharyya_coefficient(p, q, 0.3), None,
+                         "exact")),
+    ("discrete", "chernoff", [], False, chernoff_exact),
+    ("discrete", "tv", [], False,
+     lambda p, q, b: res(discrete.total_variation(p, q), None, "exact")),
+    ("discrete", "taneja", [], False,
+     lambda p, q, b: res(discrete.taneja_t(p, q, b), b, "exact")),
+    ("discrete", "kl_mixtures", ["--mean", "arithmetic"], False,
+     lambda p, q, b: res(discrete.kl_between_mixtures(p, q, ARITH, GEO, b), b,
+                         "exact")),
+    ("discrete", "gamma", ["--gamma", "0.05"], True,
+     lambda p, q, b: res(b.from_nats(
+         estimate.gamma_divergence(p, q, 0.05, "exact")), b, "exact")),
+    ("discrete", "js_m_gamma", ["--gamma", "0.05", "--mean", "arithmetic"], True,
+     lambda p, q, b: res(b.from_nats(
+         estimate.js_m_gamma(p, q, ARITH, 0.05, "exact")), b, "exact")),
+    ("discrete", "gjsd", ["--mean", "arithmetic"], False,
+     lambda p, q, b: res(discrete.js_m(p, q, GEO, 0.5, b), b, "exact")),
+    ("discrete", "gjsd_plus", ["--mean", "arithmetic"], True,
+     lambda p, q, b: res(discrete.js_m_extended(p, q, GEO, 0.5, b), b,
+                         "exact")),
+    ("gaussian", "kl", [], False,
+     lambda g, h, b: res(b.from_nats(kl_gaussian(g, h)), b, "closed-form")),
+    ("gaussian", "kl_plus", [], False,
+     lambda g, h, b: res(b.from_nats(kl_gaussian(g, h)), b, "closed-form")),
+    ("gaussian", "js", MC, False, lambda g, h, b: monte_carlo(g, h, ARITH, b)),
+    ("gaussian", "js_m", [], False,
+     lambda g, h, b: res(b.from_nats(gaussian.gjsd_gaussian(g, h, 0.5, 0.5)),
+                         b, "closed-form")),
+    ("gaussian", "js_m_plus", [], False, gjsd_plus_gaussian),
+    ("gaussian", "js_m_plus", ["--mean", "power:0.5", *MC], False,
+     lambda g, h, b: monte_carlo(g, h, POW, b)),
+    ("gaussian", "jeffreys", [], False,
+     lambda g, h, b: res(b.from_nats(gaussian.jeffreys_gaussian(g, h)), b,
+                         "closed-form")),
+    ("gaussian", "bhattacharyya", ["--alpha", "0.3"], False,
+     lambda g, h, b: res(b.from_nats(bhattacharyya_gaussian(g, h, 0.3)), b,
+                         "closed-form")),
+    ("gaussian", "bc", ["--alpha", "0.3"], False,
+     lambda g, h, b: res(gaussian.bhattacharyya_coefficient_gaussian(g, h, 0.3),
+                         None, "closed-form")),
+    ("gaussian", "tv", [], False,
+     lambda g, h, b: res(gaussian.tv_gaussian_1d(0.0, 1.0, 1.5, math.sqrt(2.0)),
+                         None, "closed-form")),
+    ("gaussian", "gamma", [], False,
+     lambda g, h, b: res(b.from_nats(estimate.gamma_divergence(
+         *expfam_pair(g, h), 1e-3, "closed_form")), b, "closed-form")),
+    ("gaussian", "js_m_gamma", [], False,
+     lambda g, h, b: res(b.from_nats(estimate.js_m_gamma(
+         *expfam_pair(g, h), GEO, 1e-3, "closed_form")), b, "closed-form")),
+    ("gaussian", "js_m_gamma", ["--mean", "power:0.5"], False, quadrature),
+    ("gaussian", "gjsd", ["--mean", "arithmetic"], False,
+     lambda g, h, b: res(b.from_nats(gaussian.gjsd_gaussian(g, h, 0.5, 0.5)),
+                         b, "closed-form")),
+    ("gaussian", "gjsd_plus", ["--mean", "arithmetic"], False,
+     gjsd_plus_gaussian),
+]
+
+
+def _route_params():
+    for kind, div, extra, unnormalized, call in ROUTE_CASES:
+        for base in ("nats", "bits"):
+            if div == "js_m_plus" and "--samples" in extra and base == "bits":
+                continue  # a usage error, see TestExitCodes
+            yield pytest.param(kind, div, extra, unnormalized, call, base,
+                               id=f"{kind}-{div}-{' '.join(extra[:2])}-{base}")
+
+
+class TestRoutes:
+    def test_cases_cover_every_route(self, capsys, discrete_files,
+                                     gaussian_files):
+        routes = {(kind, div) for div, (_, on_discrete, on_gaussian)
+                  in _ROUTES.items()
+                  for kind, route in (("discrete", on_discrete),
+                                      ("gaussian", on_gaussian))
+                  if route is not None}
+        assert len(routes) == 29
+        assert {(kind, div) for kind, div, *_ in ROUTE_CASES} == routes
+        g1, g2 = gaussian_files
+        for div in sorted(set(_ROUTES) - {div for kind, div in routes
+                                          if kind == "gaussian"}):
+            code, out, err = run_cli(capsys, "compute", "--div", div,
+                                     "--gaussian", "--p1", g1, "--p2", g2)
+            assert code == 2
+            assert err.splitlines() == [
+                f"error: divergence {div!r} is not available for Gaussian inputs"]
+
+    @pytest.mark.parametrize("kind, div, extra, unnormalized, call, base",
+                             _route_params())
+    def test_output_equals_library_call(self, capsys, tmp_path, kind, div,
+                                        extra, unnormalized, call, base):
+        if kind == "discrete":
+            first, second = (U1, U2) if unnormalized else (W1, W2)
+            p1 = DiscreteDensity(np.array(first), normalized=not unnormalized)
+            p2 = DiscreteDensity(np.array(second), normalized=not unnormalized)
+        else:
+            first, second = N1, N2
+            p1, p2 = (GaussianParams(np.array(g["mu"]), np.array(g["sigma"]))
+                      for g in (N1, N2))
+        f1 = tmp_path / "p1.json"
+        f2 = tmp_path / "p2.json"
+        f1.write_text(json.dumps(first))
+        f2.write_text(json.dumps(second))
+        flags = ["--gaussian"] if kind == "gaussian" else []
+        code, out, err = run_cli(capsys, "compute", "--div", div, *flags,
+                                 "--p1", str(f1), "--p2", str(f2),
+                                 "--base", base, *extra)
+        assert (code, err) == (0, "")
+        # bit for bit: json round-trips every float exactly
+        assert json.loads(out) == call(p1, p2, LogBase(base))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -267,6 +268,13 @@ class TestGammaDivergence:
         p = DiscreteDensity.probability([0.5, 0.5])
         with pytest.raises(ValueError):
             gamma_divergence(p, p, 0.0)
+
+    def test_closed_form_needs_a_cumulant(self):
+        # the same error skew_jensen and bregman raise, not a TypeError
+        fam = dataclasses.replace(gaussian_family(1), cumulant=None)
+        e = ExpFamilyDensity(fam, natural_flat(N01))
+        with pytest.raises(ValueError, match="needs a closed-form cumulant"):
+            gamma_divergence(e, e, 0.1, "closed_form")
 
 
 class TestJsMGamma:
