@@ -3,10 +3,10 @@
 ``rel_entr``, ``kl_div`` and ``logsumexp`` follow the branches and limit
 conventions of their ``scipy.special`` namesakes: ``0 log 0 = 0``,
 ``x > 0 = y`` gives ``+inf``, ``kl_div(0, y) = y``, a NaN argument gives
-NaN, and ``logsumexp`` of all ``-inf`` is ``-inf``.  The two solves take a
-lower Cholesky factor ``L``, as :mod:`geojsd.gaussian` keeps and
-:mod:`geojsd.expfam` computes them.  Importing scipy costs a cold process
-more time than any of these calls; only the quadrature route imports it.
+NaN, and ``logsumexp`` of all ``-inf`` is ``-inf``.  The two solves take
+the lower Cholesky factor ``L`` that :mod:`geojsd.gaussian` keeps.
+Importing scipy costs a cold process more time than any of these calls;
+only the quadrature route imports it.
 """
 
 from __future__ import annotations

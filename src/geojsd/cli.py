@@ -356,9 +356,11 @@ def _sweep_row(spec: dict, kind: str, p1, p2, parameter: str,
         else:
             d1, d2 = estimate.gaussian_sampled(p1), estimate.gaussian_sampled(p2)
             if means.is_geometric(mean):
-                oracle = (math.exp(-gaussian.bhattacharyya_gaussian(p1, p2, mean.alpha))
-                          if target == "estimate_z"
-                          else gaussian.gjsd_extended_gaussian(p1, p2))
+                # Z = exp(-B_alpha); each KL+ to Z m_alpha is KL + B_alpha + Z - 1
+                b = gaussian.bhattacharyya_gaussian(p1, p2, mean.alpha)
+                oracle = (math.exp(-b) if target == "estimate_z"
+                          else gaussian.gjsd_gaussian(p1, p2, mean.alpha, 0.5)
+                          + (math.expm1(-b) + b))
             elif mean.kind.value == "arithmetic" and target == "estimate_z":
                 oracle = 1.0
             else:
@@ -395,15 +397,14 @@ def cmd_sweep(args) -> int:
     if not isinstance(values, list):
         raise ValueError("sweep spec 'values' must be a list")
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(["parameter", "value", "std_error", "oracle", "abs_error"])
-    if not values:
-        return 0
     inputs = spec.get("inputs")
     if not isinstance(inputs, dict) or "kind" not in inputs:
         raise ValueError("sweep spec needs inputs: {kind, p1, p2}")
     kind = inputs["kind"]
+    # inputs are read before the header, so an input error leaves stdout empty
     p1, p2 = _load_pair(kind, (inputs["p1"], inputs["p2"]))
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(["parameter", "value", "std_error", "oracle", "abs_error"])
     for grid_value in values:
         computed, stderr, oracle = _sweep_row(
             spec, kind, p1, p2, parameter, float(grid_value), args.seed)

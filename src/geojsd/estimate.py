@@ -183,13 +183,18 @@ def _chunks(cfg: EstimatorConfig) -> list[tuple[int, int]]:
     return out
 
 
-def _map_chunks(cfg: EstimatorConfig, fn: Callable[[int, int], tuple],
-                workers: int) -> list[tuple]:
+def _map_chunks(cfg: EstimatorConfig, r: SampledDensity,
+                fn: Callable[[np.ndarray], tuple], workers: int) -> list[tuple]:
+    """``fn`` of each chunk's draws from ``r``, in order; chunk k uses seed ^ k."""
+
+    def one_chunk(k: int, n: int) -> tuple:
+        return fn(r.sampler(np.random.default_rng(cfg.seed ^ k), n))
+
     plan = _chunks(cfg)
     if workers <= 1 or len(plan) == 1:
-        return [fn(k, n) for k, n in plan]
+        return [one_chunk(k, n) for k, n in plan]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda kn: fn(*kn), plan))
+        return list(pool.map(lambda kn: one_chunk(*kn), plan))
 
 
 def _mean_and_stderr(partials: Sequence[tuple[float, float]],
@@ -237,9 +242,7 @@ def estimate_z(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     """
     r = _resolve_proposal(cfg, p1, p2, proposal)
 
-    def one_chunk(k: int, n: int) -> tuple[float, float]:
-        rng = np.random.default_rng(cfg.seed ^ k)
-        x = r.sampler(rng, n)
+    def one_chunk(x: np.ndarray) -> tuple[float, float]:
         log_mix = np.asarray(means.log_evaluate(m, p1.log_density(x),
                                                 p2.log_density(x)))
         log_r = np.asarray(r.log_density(x), dtype=float)
@@ -253,7 +256,7 @@ def estimate_z(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
         g = np.where(np.isneginf(log_mix), 0.0, g)
         return float(g.sum()), float((g * g).sum())
 
-    return _mean_and_stderr(_map_chunks(cfg, one_chunk, workers), cfg.samples)
+    return _mean_and_stderr(_map_chunks(cfg, r, one_chunk, workers), cfg.samples)
 
 
 def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
@@ -271,9 +274,7 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     r = _resolve_proposal(cfg, p1, p2, proposal)
     self_proposal = r is p1
 
-    def one_chunk(k: int, n: int) -> tuple[float, float]:
-        rng = np.random.default_rng(cfg.seed ^ k)
-        x = r.sampler(rng, n)
+    def one_chunk(x: np.ndarray) -> tuple[float, float]:
         l1 = np.asarray(p1.log_density(x), dtype=float)
         log_mix = np.asarray(means.log_evaluate(m, l1, p2.log_density(x)))
         if self_proposal:
@@ -289,7 +290,7 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
             g = weight * (l1 - log_mix) + np.exp(log_mix - log_r) - weight
         return float(g.sum()), float((g * g).sum())
 
-    return _mean_and_stderr(_map_chunks(cfg, one_chunk, workers), cfg.samples)
+    return _mean_and_stderr(_map_chunks(cfg, r, one_chunk, workers), cfg.samples)
 
 
 def estimate_js_m_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
@@ -391,9 +392,7 @@ def _log_i_mc_triplet(q1: SampledDensity, q2: SampledDensity, gamma: float,
     if proposal.sampler is None:
         raise ValueError("Monte Carlo route needs a samplable proposal")
 
-    def one_chunk(k: int, n: int) -> tuple[float, float, float]:
-        rng = np.random.default_rng(cfg.seed ^ k)
-        x = proposal.sampler(rng, n)
+    def one_chunk(x: np.ndarray) -> tuple[float, float, float]:
         l1 = np.asarray(q1.log_density(x), dtype=float)
         l2 = np.asarray(q2.log_density(x), dtype=float)
         lr = np.asarray(proposal.log_density(x), dtype=float)
@@ -401,7 +400,7 @@ def _log_i_mc_triplet(q1: SampledDensity, q2: SampledDensity, gamma: float,
                 float(logsumexp(l1 + gamma * l2 - lr)),
                 float(logsumexp((1.0 + gamma) * l2 - lr)))
 
-    partials = _map_chunks(cfg, one_chunk, workers)
+    partials = _map_chunks(cfg, proposal, one_chunk, workers)
     log_s = math.log(cfg.samples)
     lses = [np.logaddexp.reduce([p[i] for p in partials]) for i in range(3)]
     return tuple(float(v) - log_s for v in lses)  # type: ignore[return-value]

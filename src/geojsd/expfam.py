@@ -10,12 +10,13 @@ of a common family, the classical dictionary applies:
 * the geometric JS divergence is a quarter symmetrized Bregman divergence
   minus a Jensen gap, and its extended variant adds ``exp(-J_F) - 1``.
 
-Built-in families: the d-variate Gaussian (natural parameter packed as the
-mean part followed by the row-major upper triangle of the matrix part, with
-``theta_M = Sigma^{-1}/2``) and the categorical family (for cross-checks
-against :mod:`geojsd.discrete`).  Families whose cumulant has no tractable
-form (polynomial exponential families) carry ``cumulant=None`` and must be
-handled through the estimators in :mod:`geojsd.estimate`.
+Built-in families: the d-variate Gaussian, whose natural parameters, their
+packing (:func:`geojsd.gaussian.pack_gaussian_theta`, re-exported here),
+cumulant and moment map live in :mod:`geojsd.gaussian`, and the categorical
+family (for cross-checks against :mod:`geojsd.discrete`).  Families whose
+cumulant has no tractable form (polynomial exponential families) carry
+``cumulant=None`` and must be handled through the estimators in
+:mod:`geojsd.estimate`.
 
 A fact worth knowing but not constructed here: the geometric mixtures of a
 *fixed* pair of densities form a one-parameter exponential family in the
@@ -32,8 +33,10 @@ from typing import Callable
 
 import numpy as np
 
-from ._kernels import cho_solve, logsumexp, solve_lower
-from .errors import DomainViolation
+from . import gaussian
+from ._kernels import logsumexp
+from .errors import DomainViolation, InvalidDensity, NotPositiveDefinite
+from .gaussian import pack_gaussian_theta, unpack_gaussian_theta
 from .logbase import NATS, LogBase
 
 __all__ = [
@@ -176,89 +179,31 @@ def dual_gjsd_ef(fam: ExpFamily, theta1, theta2, alpha: float = 0.5) -> float:
 # Gaussian family
 # ---------------------------------------------------------------------------
 
-def _tri_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(d)
-
-
-def pack_gaussian_theta(theta_v: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
-    """Flatten (theta_v, theta_M) into the family's parameter vector.
-
-    The matrix part is stored as its row-major upper triangle; only the
-    symmetric part of ``theta_m`` is read.
-    """
-    theta_v = np.asarray(theta_v, dtype=float).reshape(-1)
-    theta_m = np.asarray(theta_m, dtype=float)
-    d = theta_v.size
-    rows, cols = _tri_indices(d)
-    sym = 0.5 * (theta_m + theta_m.T)
-    return np.concatenate([theta_v, sym[rows, cols]])
-
-
-def unpack_gaussian_theta(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`pack_gaussian_theta`."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    theta_v = theta[:d]
-    rows, cols = _tri_indices(d)
-    mat = np.zeros((d, d))
-    mat[rows, cols] = theta[d:]
-    mat[cols, rows] = theta[d:]
-    return theta_v, mat
-
-
-def _gaussian_flat_dim(d: int) -> int:
-    return d + d * (d + 1) // 2
-
-
 def gaussian_family(d: int) -> ExpFamily:
     """The d-variate Gaussian family with theta = (Sigma^-1 mu, Sigma^-1 / 2).
 
-    Cumulant: ``F(theta) = (d log pi - log|theta_M| + theta_v' theta_M^-1
-    theta_v / 2) / 2``, matching the moment form
-    ``(mu' Sigma^-1 mu + log|Sigma| + d log 2pi) / 2``.  The gradient packs
-    the mean parameters (mu, -(Sigma + mu mu')), with off-diagonal entries
-    doubled so that flat dot products reproduce the matrix inner product on
-    the upper-triangle packing.
+    Parameters are packed by :func:`geojsd.gaussian.pack_gaussian_theta`;
+    the cumulant and its gradient (the packed mean parameters) are those of
+    :mod:`geojsd.gaussian`, which validates and factors theta_M.
     """
 
-    def _chol(theta_m: np.ndarray) -> np.ndarray | None:
+    def natural(theta: np.ndarray) -> gaussian.GaussianNatural:
         try:
-            return np.linalg.cholesky(theta_m)
-        except np.linalg.LinAlgError:
-            return None
+            return gaussian.GaussianNatural(*unpack_gaussian_theta(theta, d))
+        except (InvalidDensity, NotPositiveDefinite) as exc:
+            raise DomainViolation(str(exc)) from exc
 
     def domain_check(theta: np.ndarray) -> bool:
-        if not np.all(np.isfinite(theta)):
+        try:
+            natural(theta)
+        except DomainViolation:
             return False
-        _, theta_m = unpack_gaussian_theta(theta, d)
-        return _chol(theta_m) is not None
-
-    def cumulant(theta: np.ndarray) -> float:
-        theta_v, theta_m = unpack_gaussian_theta(theta, d)
-        chol = _chol(theta_m)
-        if chol is None:
-            raise DomainViolation("theta_M is not positive-definite")
-        logdet = 2.0 * float(np.log(np.diag(chol)).sum())
-        half_solve = solve_lower(chol, theta_v)
-        quad = float(half_solve @ half_solve)  # theta_v' theta_M^-1 theta_v
-        return 0.5 * (d * math.log(math.pi) - logdet + 0.5 * quad)
-
-    def cumulant_gradient(theta: np.ndarray) -> np.ndarray:
-        theta_v, theta_m = unpack_gaussian_theta(theta, d)
-        chol = _chol(theta_m)
-        if chol is None:
-            raise DomainViolation("theta_M is not positive-definite")
-        # Sigma = theta_M^-1 / 2, mu = Sigma theta_v
-        sigma = 0.5 * cho_solve(chol, np.eye(d))
-        mu = sigma @ theta_v
-        grad_m = -(sigma + np.outer(mu, mu))
-        rows, cols = _tri_indices(d)
-        packed_m = grad_m[rows, cols] * np.where(rows == cols, 1.0, 2.0)
-        return np.concatenate([mu, packed_m])
+        return True
 
     return ExpFamily(
-        dim=_gaussian_flat_dim(d),
-        cumulant=cumulant,
-        cumulant_gradient=cumulant_gradient,
+        dim=d + d * (d + 1) // 2,
+        cumulant=lambda theta: gaussian.cumulant(natural(theta)),
+        cumulant_gradient=lambda t: gaussian._cumulant_gradient(natural(t)),
         domain_check=domain_check,
         name=f"gaussian_{d}d",
     )

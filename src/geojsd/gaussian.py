@@ -20,7 +20,8 @@ inputs; the geometric mixture maps back through ``L1 U`` (Nielsen, Entropy
 Conventions: natural parameters are ``theta_v = Sigma^-1 mu`` and
 ``theta_M = Sigma^-1 / 2`` (the positive-definite sign choice, fixed by
 requiring that the cumulant reproduce the quadrature-validated KL through
-the Bregman route); divergences are reported in nats.
+the Bregman route), packed flat as theta_v then the row-major upper
+triangle of theta_M; divergences are reported in nats.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expfam
 from ._kernels import cho_solve, solve_lower
 from .errors import (DegenerateQuadratic, InvalidAlpha, InvalidDensity,
                      NotPositiveDefinite)
@@ -41,6 +41,8 @@ __all__ = [
     "to_natural",
     "from_natural",
     "natural_flat",
+    "pack_gaussian_theta",
+    "unpack_gaussian_theta",
     "cumulant",
     "cumulant_ordinary",
     "kl_gaussian",
@@ -137,23 +139,64 @@ def to_natural(g: GaussianParams) -> GaussianNatural:
     return GaussianNatural(theta_v, 0.25 * (precision + precision.T))
 
 
+def _moments(n: GaussianNatural) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, Sigma) of ``n``: Sigma = theta_M^-1 / 2, mu = Sigma theta_v."""
+    sigma = 0.5 * cho_solve(n._chol, np.eye(n.dim))
+    return sigma @ n.theta_v, sigma
+
+
 def from_natural(n: GaussianNatural) -> GaussianParams:
     """(theta_v, theta_M) -> (theta_M^-1 theta_v / 2, theta_M^-1 / 2)."""
-    sigma = 0.5 * cho_solve(n._chol, np.eye(n.dim))
-    mu = 0.5 * cho_solve(n._chol, n.theta_v)
+    mu, sigma = _moments(n)
     return GaussianParams(mu, 0.5 * (sigma + sigma.T))
 
 
+def pack_gaussian_theta(theta_v: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
+    """Flatten (theta_v, theta_M) into the vector of :func:`expfam.gaussian_family`.
+
+    The matrix part is stored as its row-major upper triangle; only the
+    symmetric part of ``theta_m`` is read.
+    """
+    theta_v = np.asarray(theta_v, dtype=float).reshape(-1)
+    theta_m = np.asarray(theta_m, dtype=float)
+    rows, cols = np.triu_indices(theta_v.size)
+    sym = 0.5 * (theta_m + theta_m.T)
+    return np.concatenate([theta_v, sym[rows, cols]])
+
+
+def unpack_gaussian_theta(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of :func:`pack_gaussian_theta`."""
+    theta = np.asarray(theta, dtype=float).reshape(-1)
+    rows, cols = np.triu_indices(d)
+    mat = np.zeros((d, d))
+    mat[rows, cols] = theta[d:]
+    mat[cols, rows] = theta[d:]
+    return theta[:d], mat
+
+
 def natural_flat(g: GaussianParams) -> np.ndarray:
-    """Flat natural parameter in the packing of :func:`expfam.gaussian_family`."""
+    """Flat natural parameter in the packing of :func:`pack_gaussian_theta`."""
     n = to_natural(g)
-    return expfam.pack_gaussian_theta(n.theta_v, n.theta_m)
+    return pack_gaussian_theta(n.theta_v, n.theta_m)
 
 
 def cumulant(n: GaussianNatural) -> float:
     """Cumulant F(theta) = (d log pi - log|theta_M| + theta_v' theta_M^-1 theta_v / 2) / 2."""
-    theta = expfam.pack_gaussian_theta(n.theta_v, n.theta_m)
-    return expfam.gaussian_family(n.dim).cumulant(theta)
+    logdet = 2.0 * float(np.log(np.diag(n._chol)).sum())
+    half_solve = solve_lower(n._chol, n.theta_v)
+    quad = float(half_solve @ half_solve)  # theta_v' theta_M^-1 theta_v
+    return 0.5 * (n.dim * math.log(math.pi) - logdet + 0.5 * quad)
+
+
+def _cumulant_gradient(n: GaussianNatural) -> np.ndarray:
+    """Packed gradient of :func:`cumulant`: the mean parameters (mu, -(Sigma + mu mu')).
+
+    Off-diagonals are doubled, so flat dot products are matrix inner products."""
+    mu, sigma = _moments(n)
+    grad_m = -(sigma + np.outer(mu, mu))
+    rows, cols = np.triu_indices(n.dim)
+    packed_m = grad_m[rows, cols] * np.where(rows == cols, 1.0, 2.0)
+    return np.concatenate([mu, packed_m])
 
 
 def cumulant_ordinary(g: GaussianParams) -> float:

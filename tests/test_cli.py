@@ -402,18 +402,42 @@ class TestSweep:
             assert abs_error < 1e-10
 
     def test_gaussian_dimension_mismatch_is_usage_error(self, capsys, tmp_path):
+        # an input error leaves stdout empty, with no CSV header
+        spec = tmp_path / "sweep.json"
+        mismatch = {"kind": "gaussian",
+                    "p1": {"mu": [0.0], "sigma": [[1.0]]},
+                    "p2": {"mu": [0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]}}
+        for inputs, message in (
+                (mismatch, "error: dimension mismatch: 1 vs 2"),
+                ({**mismatch, "kind": "poisson"},
+                 "error: unknown input kind 'poisson'")):
+            spec.write_text(json.dumps({
+                "parameter": "gamma", "values": [1e-2],
+                "target": "gamma_divergence", "inputs": inputs,
+            }))
+            code, out, err = run_cli(capsys, "sweep", str(spec))
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [message]
+
+    def test_skewed_geometric_extended_oracle(self, capsys, tmp_path):
+        # the oracle is gjsd(alpha, 1/2) + B_alpha + exp(-B_alpha) - 1; the
+        # balanced extended G-JSD (alpha = 1/2) reads 0.2893 on this pair
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({
-            "parameter": "gamma", "values": [1e-2],
-            "target": "gamma_divergence",
+            "parameter": "samples", "values": [400_000],
+            "target": "estimate_js_m_extended",
+            "mean": "geometric", "alpha": 0.2,
             "inputs": {"kind": "gaussian",
                        "p1": {"mu": [0.0], "sigma": [[1.0]]},
-                       "p2": {"mu": [0.0, 0.0],
-                              "sigma": [[1.0, 0.0], [0.0, 1.0]]}},
+                       "p2": {"mu": [1.5], "sigma": [[2.0]]}},
+            "estimator": {"seed": 3},
         }))
-        code, _, err = run_cli(capsys, "sweep", str(spec))
-        assert code == 2
-        assert err.splitlines() == ["error: dimension mismatch: 1 vs 2"]
+        code, out, _ = run_cli(capsys, "sweep", str(spec))
+        assert code == 0
+        _, _, std_error, oracle, abs_error = out.splitlines()[1].split(",")
+        assert float(oracle) == pytest.approx(0.233581, abs=1e-6)
+        assert float(abs_error) <= 4.0 * float(std_error)
 
     def test_bad_spec_is_usage_error(self, capsys, tmp_path):
         spec = tmp_path / "sweep.json"

@@ -6,6 +6,7 @@ import pytest
 import oracles
 from geojsd import (
     DiscreteDensity,
+    DivergentIntegral,
     DomainViolation,
     ExpFamily,
     GaussianParams,
@@ -23,8 +24,11 @@ from geojsd import (
     kl_gaussian,
     natural_flat,
     skew_jensen,
+    to_natural,
 )
-from geojsd.expfam import pack_gaussian_theta, unpack_gaussian_theta
+from geojsd import estimate, gaussian
+from geojsd.expfam import (ExpFamilyDensity, pack_gaussian_theta,
+                           unpack_gaussian_theta)
 
 
 @pytest.fixture
@@ -74,6 +78,40 @@ class TestPacking:
         f0 = fam.cumulant(theta)
         f1 = fam.cumulant(theta + direction)
         assert f1 - f0 == pytest.approx(float(grad @ direction), rel=5e-4)
+
+
+class TestGaussianDomain:
+    """gaussian_family(d) reads theta through gaussian.GaussianNatural."""
+
+    INDEFINITE = pack_gaussian_theta([0.3, -0.2], np.diag([1.0, -0.1]))
+
+    def test_domain_check_is_false_without_raising(self):
+        fam = gaussian_family(2)
+        nan_theta = pack_gaussian_theta([np.nan, 0.0], np.eye(2))
+        assert fam.domain_check(nan_theta) is False
+        assert fam.domain_check(self.INDEFINITE) is False
+        assert fam.domain_check(pack_gaussian_theta([0.3, -0.2], np.eye(2)))
+
+    def test_cumulant_and_gradient_raise_domain_violation(self):
+        fam = gaussian_family(2)
+        with pytest.raises(DomainViolation):
+            fam.cumulant(self.INDEFINITE)
+        with pytest.raises(DomainViolation):
+            fam.cumulant_gradient(self.INDEFINITE)
+
+    def test_gamma_route_reports_divergent_integral(self):
+        # theta1 + gamma theta2 is inside the domain, so the cumulant at
+        # theta1 is the call that raises
+        fam = gaussian_family(2)
+        e1 = ExpFamilyDensity(fam, self.INDEFINITE)
+        e2 = ExpFamilyDensity(fam, pack_gaussian_theta([0.0, 0.0], np.eye(2)))
+        with pytest.raises(DivergentIntegral):
+            estimate._log_i_expfam(e1, e2, 1.0)
+
+    def test_family_cumulant_is_gaussian_cumulant(self, rng):
+        g = random_gaussian(rng, 2)
+        assert (gaussian_family(2).cumulant(natural_flat(g))
+                == gaussian.cumulant(to_natural(g)))
 
 
 class TestSkewJensen:
