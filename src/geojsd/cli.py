@@ -324,11 +324,14 @@ def cmd_verify(args) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_row(spec: dict, kind: str, p1, p2, parameter: str,
-               value: float, seed: int) -> tuple[float, float | None, float | None]:
+_SWEEP_TARGETS = ("gamma_divergence", "estimate_z", "estimate_js_m_extended",
+                  "bhattacharyya")
+
+
+def _sweep_row(spec: dict, target: str, kind: str, p1, p2, parameter: str,
+               value: float, mean: MeanSpec,
+               seed: int) -> tuple[float, float | None, float | None]:
     """Returns (computed value, std_error, oracle)."""
-    target = spec.get("target", "gamma_divergence")
-    mean = parse_mean(spec.get("mean", "geometric"), spec.get("alpha", 0.5))
     est = spec.get("estimator", {})
     samples = int(est.get("samples", 10_000))
     chunk = int(est.get("chunk_size", 1 << 16))
@@ -370,21 +373,18 @@ def _sweep_row(spec: dict, kind: str, p1, p2, parameter: str,
         computed, stderr = fn(d1, d2, mean, cfg)
         return computed, stderr, oracle
 
-    if target == "bhattacharyya":
-        alpha = value if parameter == "alpha" else float(spec.get("alpha", 0.5))
-        computed = _route("bhattacharyya", kind)(
-            p1, p2, argparse.Namespace(base=NATS, alpha=alpha))["value"]
-        if kind == "discrete":
-            fam = expfam.categorical_family(p1.size)
-            oracle = expfam.skew_jensen(fam, expfam.categorical_theta(p1.weights),
-                                        expfam.categorical_theta(p2.weights),
-                                        alpha)
-        else:
-            e1, e2 = _expfam_pair(p1, p2)
-            oracle = expfam.skew_jensen(e1.family, e1.theta, e2.theta, alpha)
-        return computed, None, oracle
-
-    raise ValueError(f"unknown sweep target {target!r}")
+    # bhattacharyya
+    alpha = value if parameter == "alpha" else float(spec.get("alpha", 0.5))
+    computed = _route("bhattacharyya", kind)(
+        p1, p2, argparse.Namespace(base=NATS, alpha=alpha))["value"]
+    if kind == "discrete":
+        fam = expfam.categorical_family(p1.size)
+        oracle = expfam.skew_jensen(fam, expfam.categorical_theta(p1.weights),
+                                    expfam.categorical_theta(p2.weights), alpha)
+    else:
+        e1, e2 = _expfam_pair(p1, p2)
+        oracle = expfam.skew_jensen(e1.family, e1.theta, e2.theta, alpha)
+    return computed, None, oracle
 
 
 def cmd_sweep(args) -> int:
@@ -394,20 +394,33 @@ def cmd_sweep(args) -> int:
     if parameter not in ("gamma", "samples", "alpha"):
         raise ValueError("sweep spec needs parameter: gamma | samples | alpha")
     values = spec.get("values", [])
-    if not isinstance(values, list):
-        raise ValueError("sweep spec 'values' must be a list")
+    if not (isinstance(values, list)
+            and all(isinstance(v, (int, float)) for v in values)):
+        raise ValueError("sweep spec 'values' must be a list of numbers")
+    grid = [float(v) for v in values]
 
     inputs = spec.get("inputs")
     if not isinstance(inputs, dict) or "kind" not in inputs:
         raise ValueError("sweep spec needs inputs: {kind, p1, p2}")
     kind = inputs["kind"]
-    # inputs are read before the header, so an input error leaves stdout empty
+    target = spec.get("target", "gamma_divergence")
+    if target not in _SWEEP_TARGETS:
+        raise ValueError(f"unknown sweep target {target!r}")
+    if target == "gamma_divergence" and parameter == "alpha":
+        raise ValueError("sweep target 'gamma_divergence' has no alpha")
+    descriptor = spec.get("mean", "geometric")
+    fixed = parse_mean(descriptor, float(spec.get("alpha", 0.5)))
+    # an alpha grid reaches the mean of the estimate targets
+    swept = parameter == "alpha" and target != "bhattacharyya"
+    row_means = [parse_mean(descriptor, v) if swept else fixed for v in grid]
+    # the spec and inputs are checked before the header, so an error in
+    # either leaves stdout empty
     p1, p2 = _load_pair(kind, (inputs["p1"], inputs["p2"]))
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["parameter", "value", "std_error", "oracle", "abs_error"])
-    for grid_value in values:
+    for grid_value, mean in zip(grid, row_means):
         computed, stderr, oracle = _sweep_row(
-            spec, kind, p1, p2, parameter, float(grid_value), args.seed)
+            spec, target, kind, p1, p2, parameter, grid_value, mean, args.seed)
         abs_error = None if oracle is None else abs(computed - oracle)
         writer.writerow([
             f"{grid_value:g}", f"{computed:.12g}",

@@ -2,12 +2,18 @@
 
 Importance-sampling estimators for mixture normalizers and extended-KL
 terms, and the projective gamma-divergence with exact, closed-form,
-quadrature, and Monte Carlo integration routes.
+quadrature, and Monte Carlo integration routes.  The quadrature route is
+QUADPACK's adaptive Gauss-Kronrod rule in numpy
+(:func:`geojsd._kernels.gauss_kronrod`); like the Monte Carlo route, it
+calls each ``log_density`` on 1-D arrays of points, a few times per
+integral, never point by point.
 
 Determinism contract: estimates depend only on ``(samples, seed,
 chunk_size)``.  Each fixed-size chunk draws from its own counter-seeded
-generator (``seed xor chunk_index``) and partial sums are merged in chunk
-order, so serial and thread-parallel runs produce bit-identical results.
+generator (``seed xor chunk_index``) and each chunk's count, mean and
+centred sum of squares are merged in chunk order (Chan, Golub & LeVeque),
+so serial and thread-parallel runs produce bit-identical results and a
+spread far below the mean is not lost to cancellation.
 
 Everything runs in log space: mixture means of density values are taken via
 :func:`geojsd.means.log_evaluate` and the gamma-divergence moment integrals
@@ -25,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import means
-from ._kernels import logsumexp, solve_lower
+from ._kernels import gauss_kronrod, logsumexp, solve_lower
 from .discrete import DiscreteDensity
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
 from .expfam import ExpFamilyDensity, _cumulant_at
@@ -197,18 +203,28 @@ def _map_chunks(cfg: EstimatorConfig, r: SampledDensity,
         return list(pool.map(lambda kn: one_chunk(*kn), plan))
 
 
-def _mean_and_stderr(partials: Sequence[tuple[float, float]],
+def _moments(g: np.ndarray) -> tuple[int, float, float]:
+    """``(n, mean, M2)`` of one chunk's terms, ``M2`` the centred sum of squares."""
+    mean = float(g.mean())
+    return g.size, mean, float(np.square(g - mean).sum())
+
+
+def _mean_and_stderr(partials: Sequence[tuple[int, float, float]],
                      samples: int) -> tuple[float, float]:
-    total = 0.0
-    total_sq = 0.0
-    for part_sum, part_sq in partials:
-        total += part_sum
-        total_sq += part_sq
-    mean = total / samples
-    if samples == 1 or not math.isfinite(total_sq):
-        return mean, math.inf if not math.isfinite(total_sq) else 0.0
-    var = max(total_sq - total * total / samples, 0.0) / (samples - 1)
-    return mean, math.sqrt(var / samples)
+    """Merge chunk moments in chunk order (Chan, Golub & LeVeque, 1983)."""
+    n, mean, m2 = partials[0]
+    for n_b, mean_b, m2_b in partials[1:]:
+        total = n + n_b
+        delta = mean_b - mean
+        mean += delta * (n_b / total)
+        m2 += m2_b + delta * delta * (n * (n_b / total))
+        n = total
+    if not math.isfinite(m2):
+        # an infinite or NaN term: the plain sum gives the IEEE mean
+        return sum(n_b * mean_b for n_b, mean_b, _ in partials) / samples, math.inf
+    if samples == 1:
+        return mean, 0.0
+    return mean, math.sqrt(m2 / (samples - 1) / samples)
 
 
 def _resolve_proposal(cfg: EstimatorConfig, p1: SampledDensity,
@@ -242,7 +258,7 @@ def estimate_z(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     """
     r = _resolve_proposal(cfg, p1, p2, proposal)
 
-    def one_chunk(x: np.ndarray) -> tuple[float, float]:
+    def one_chunk(x: np.ndarray) -> tuple[int, float, float]:
         log_mix = np.asarray(means.log_evaluate(m, p1.log_density(x),
                                                 p2.log_density(x)))
         log_r = np.asarray(r.log_density(x), dtype=float)
@@ -253,8 +269,7 @@ def estimate_z(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
             )
         with np.errstate(invalid="ignore"):
             g = np.exp(log_mix - log_r)
-        g = np.where(np.isneginf(log_mix), 0.0, g)
-        return float(g.sum()), float((g * g).sum())
+        return _moments(np.where(np.isneginf(log_mix), 0.0, g))
 
     return _mean_and_stderr(_map_chunks(cfg, r, one_chunk, workers), cfg.samples)
 
@@ -274,7 +289,7 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     r = _resolve_proposal(cfg, p1, p2, proposal)
     self_proposal = r is p1
 
-    def one_chunk(x: np.ndarray) -> tuple[float, float]:
+    def one_chunk(x: np.ndarray) -> tuple[int, float, float]:
         l1 = np.asarray(p1.log_density(x), dtype=float)
         log_mix = np.asarray(means.log_evaluate(m, l1, p2.log_density(x)))
         if self_proposal:
@@ -288,7 +303,7 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
                 )
             weight = np.exp(l1 - log_r)
             g = weight * (l1 - log_mix) + np.exp(log_mix - log_r) - weight
-        return float(g.sum()), float((g * g).sum())
+        return _moments(g)
 
     return _mean_and_stderr(_map_chunks(cfg, r, one_chunk, workers), cfg.samples)
 
@@ -360,27 +375,25 @@ def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
 
 def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
                       support: tuple[float, float]) -> float:
-    # imported here: scipy takes longer to import than the other routes run
-    from scipy.integrate import quad
-
     lo, hi = support
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("quadrature support must be a finite interval lo < hi")
 
-    def log_integrand(x: float) -> float:
-        return float(ld1(np.asarray(x, dtype=float))
-                     + gamma * ld2(np.asarray(x, dtype=float)))
+    def log_integrand(x: np.ndarray) -> np.ndarray:
+        return (np.asarray(ld1(x), dtype=float)
+                + gamma * np.asarray(ld2(x), dtype=float))
 
-    grid = np.linspace(lo, hi, 2049)
-    values = np.array([log_integrand(x) for x in grid])
+    values = log_integrand(np.linspace(lo, hi, 2049))
     finite = values[np.isfinite(values)]
     if finite.size == 0:
         return -math.inf
     shift = float(finite.max())
 
-    def integrand(x: float) -> float:
+    def integrand(x: np.ndarray) -> np.ndarray:
         v = log_integrand(x) - shift
-        return math.exp(v) if v > -745.0 else 0.0
+        return np.exp(np.where(v > -745.0, v, -np.inf))
 
-    value, _ = quad(integrand, lo, hi, limit=300)
+    value, _ = gauss_kronrod(integrand, lo, hi)
     if value <= 0.0:
         return -math.inf
     return shift + math.log(value)
@@ -425,7 +438,9 @@ def gamma_divergence(q1, q2, gamma: float, integrator: str = "auto", *,
     * ``"closed_form"``: two :class:`ExpFamilyDensity` of one family, using
       ``log I = F(t1 + g*t2) - F(t1) - g*F(t2)`` (plus scale terms).
     * ``"quadrature"``: two 1-D :class:`SampledDensity`, log-shifted
-      adaptive quadrature over ``support``.
+      adaptive Gauss-Kronrod quadrature over the finite ``support`` to a
+      relative or absolute error of 1.49e-8 per integral; each
+      ``log_density`` is evaluated on 1-D arrays of nodes.
     * ``"monte_carlo"``: :class:`SampledDensity` inputs with a samplable
       ``proposal`` and an :class:`EstimatorConfig`.
     """

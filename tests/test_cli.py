@@ -439,6 +439,46 @@ class TestSweep:
         assert float(oracle) == pytest.approx(0.233581, abs=1e-6)
         assert float(abs_error) <= 4.0 * float(std_error)
 
+    def test_spec_errors_leave_stdout_empty(self, capsys, tmp_path):
+        # the target and mean are checked before the CSV header is written
+        spec = tmp_path / "sweep.json"
+        inputs = {"kind": "discrete", "p1": [0.5, 0.5], "p2": [0.25, 0.75]}
+        for fields, message in (
+                ({"target": "nope"}, "error: unknown sweep target 'nope'"),
+                ({"target": "estimate_z", "mean": "median"},
+                 "error: unknown mean descriptor 'median'"),
+                ({"parameter": "alpha", "values": [0.3]},
+                 "error: sweep target 'gamma_divergence' has no alpha"),
+                ({"values": [None]},
+                 "error: sweep spec 'values' must be a list of numbers")):
+            spec.write_text(json.dumps({"parameter": "gamma", "values": [1e-2],
+                                        "inputs": inputs, **fields}))
+            code, out, err = run_cli(capsys, "sweep", str(spec))
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [message]
+
+    def test_alpha_grid_reaches_the_mean(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({
+            "parameter": "alpha", "values": [0.2, 0.8],
+            "target": "estimate_z", "mean": "geometric",
+            "inputs": {"kind": "gaussian",
+                       "p1": {"mu": [0.0], "sigma": [[1.0]]},
+                       "p2": {"mu": [1.5], "sigma": [[2.0]]}},
+            "estimator": {"samples": 200_000, "seed": 3},
+        }))
+        code, out, _ = run_cli(capsys, "sweep", str(spec))
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 2 and rows[0][1:] != rows[1][1:]
+        g1 = gaussian.GaussianParams.univariate(0.0, 1.0)
+        g2 = gaussian.GaussianParams.univariate(1.5, 2.0)
+        for alpha, value, std_error, oracle, _ in rows:
+            z = math.exp(-bhattacharyya_gaussian(g1, g2, float(alpha)))
+            assert float(oracle) == pytest.approx(z, rel=1e-11)
+            assert abs(float(value) - z) <= 6.0 * float(std_error)
+
     def test_bad_spec_is_usage_error(self, capsys, tmp_path):
         spec = tmp_path / "sweep.json"
         spec.write_text(json.dumps({"parameter": "frequency", "values": [1]}))

@@ -1,4 +1,4 @@
-"""Importing geojsd loads no scipy; the quadrature route loads scipy.integrate.
+"""No route loads scipy: not ``import geojsd``, nor ``compute`` on any route.
 
 Runs in a fresh interpreter, since this test process has scipy loaded
 already (the kernel tests use it as an oracle).
@@ -13,7 +13,7 @@ from pathlib import Path
 import geojsd
 
 PROBE = r"""
-import json, sys
+import contextlib, io, json, os, sys, tempfile
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -22,17 +22,37 @@ import geojsd, geojsd.cli
 from geojsd import GaussianParams, MeanSpec, estimate
 
 after_import = scipy_modules()
+folder = tempfile.mkdtemp()
+files = {"p1.txt": "0.2 0.3 0.5", "p2.txt": "0.4 0.4 0.2",
+         "g1.json": json.dumps({"mu": [0.0], "sigma": [[1.0]]}),
+         "g2.json": json.dumps({"mu": [1.0], "sigma": [[2.0]]})}
+for name, text in files.items():
+    with open(os.path.join(folder, name), "w") as handle:
+        handle.write(text)
+methods = set()
+for div in geojsd.cli._ROUTES:
+    for inputs in (["p1.txt", "p2.txt"], ["g1.json", "g2.json", "--gaussian"]):
+        for mean in ("geometric", "power:0.5"):
+            out = io.StringIO()
+            argv = ["compute", "--div", div, "--p1", os.path.join(folder, inputs[0]),
+                    "--p2", os.path.join(folder, inputs[1]), *inputs[2:],
+                    "--mean", mean, "--samples", "2000"]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = geojsd.cli.main(argv)
+            if code == 0:
+                methods.add(json.loads(out.getvalue())["method"])
+after_compute = scipy_modules()
 g1 = estimate.gaussian_sampled(GaussianParams.univariate(0.0, 1.0))
 g2 = estimate.gaussian_sampled(GaussianParams.univariate(1.0, 2.0))
-before_quad = "scipy.integrate" in sys.modules
 value = estimate.js_m_gamma(g1, g2, MeanSpec.power(0.5), 1e-3, "quadrature",
                             support=(-12.0, 13.0))
-print(json.dumps({"after_import": after_import, "before_quad": before_quad,
-                  "after_quad": "scipy.integrate" in sys.modules, "value": value}))
+print(json.dumps({"after_import": after_import, "after_compute": after_compute,
+                  "methods": sorted(methods), "after_quad": scipy_modules(),
+                  "value": value}))
 """
 
 
-def test_scipy_loaded_only_by_quadrature():
+def test_no_route_loads_scipy():
     src = str(Path(geojsd.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join([src] + ([env["PYTHONPATH"]]
@@ -41,6 +61,8 @@ def test_scipy_loaded_only_by_quadrature():
                          capture_output=True, text=True)
     report = json.loads(run.stdout)
     assert report["after_import"] == []
-    assert report["before_quad"] is False
-    assert report["after_quad"] is True
+    # every --div ran on both input kinds, and all four methods answered
+    assert report["methods"] == ["closed-form", "exact", "monte-carlo", "quadrature"]
+    assert report["after_compute"] == []
+    assert report["after_quad"] == []
     assert report["value"] > 0.0

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from geojsd import means
+from geojsd import estimate as estimate_module
 from geojsd import (
     DiscreteDensity,
     DivergentIntegral,
@@ -33,6 +35,10 @@ from geojsd import (
     kl_gaussian,
     natural_flat,
 )
+
+import oracles
+
+QUAD_EPS = 1.49e-8      # the kernel's epsabs and epsrel, quad's defaults
 
 GEO = MeanSpec.geometric()
 ARITH = MeanSpec.arithmetic()
@@ -304,3 +310,100 @@ class TestJsMGamma:
         e1, e2 = expfam_density(N01), expfam_density(N11)
         with pytest.raises(ValueError):
             js_m_gamma(e1, e2, ARITH, 1e-3)
+
+
+# (m1, v1, m2, v2, power of the balanced mean, support): a narrow peak
+# against a unit Gaussian, a separated pair and an unequal-variance pair
+QUADRATURE_PAIRS = {
+    "narrow_peak": (6.0, 0.01, 0.0, 1.0, -0.5, (-13.0, 19.0)),
+    "separated": (0.0, 1.0, 8.0, 1.0, 0.5, (-13.0, 21.0)),
+    "unequal_variance": (0.0, 1.0, 0.5, 25.0, 0.5, (-65.0, 65.5)),
+}
+
+
+def quadrature_pair(name):
+    m1, v1, m2, v2, power, support = QUADRATURE_PAIRS[name]
+    d1 = gaussian_sampled(GaussianParams.univariate(m1, v1))
+    d2 = gaussian_sampled(GaussianParams.univariate(m2, v2))
+    return d1, d2, MeanSpec.power(power), support
+
+
+class TestQuadratureRoute:
+    """The Gauss-Kronrod route against mpmath, and how it calls the densities."""
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.3])
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_PAIRS))
+    def test_matches_mpmath(self, name, gamma):
+        d1, d2, mean, support = quadrature_pair(name)
+        m1, v1, m2, v2, power, _ = QUADRATURE_PAIRS[name]
+        expected = oracles.power_mixture_log_moments_oracle(
+            m1, v1, m2, v2, power, gamma, support)
+
+        def log_mix(x):
+            return means.log_evaluate(mean, d1.log_density(x), d2.log_density(x))
+
+        named = {"1": d1.log_density, "2": d2.log_density, "m": log_mix}
+        for key, log_i in expected.items():
+            got = estimate_module._log_i_quadrature(named[key[0]], named[key[1]],
+                                                    gamma, support)
+            # a relative error eps in I is an error of about eps in log I
+            assert got == pytest.approx(log_i, abs=2.0 * QUAD_EPS), key
+
+        def divergence(a):
+            return (expected[a + a] / (gamma * (1.0 + gamma))
+                    - expected[a + "m"] / gamma + expected["mm"] / (1.0 + gamma))
+
+        reference = 0.5 * (divergence("1") + divergence("2"))
+        value = js_m_gamma(d1, d2, mean, gamma, "quadrature", support=support)
+        assert value == pytest.approx(reference, abs=2.0 * QUAD_EPS / gamma)
+
+    def test_log_densities_see_few_1d_arrays(self):
+        shapes = []
+
+        def counted(d):
+            def log_density(x):
+                shapes.append(np.shape(x))
+                return d.log_density(x)
+
+            return SampledDensity(log_density)
+
+        d1, d2, mean, support = quadrature_pair("narrow_peak")
+        js_m_gamma(counted(d1), counted(d2), mean, 0.3, "quadrature",
+                   support=support)
+        assert shapes and all(len(shape) == 1 for shape in shapes)
+        # six integrals, each evaluating one of the densities and the mixture
+        # of both (three calls) on its shift grid, its first partition and at
+        # most six refinement rounds; point-by-point calls would be ~10^4
+        assert len(shapes) <= 6 * 3 * 8
+
+    def test_rejects_unbounded_or_empty_support(self):
+        d = gaussian_sampled(N01)
+        for support in ((-math.inf, 1.0), (0.0, math.nan), (1.0, 1.0), (2.0, -2.0)):
+            with pytest.raises(ValueError, match="finite interval"):
+                gamma_divergence(d, d, 0.5, "quadrature", support=support)
+
+
+class TestStableMerge:
+    def test_tiny_spread_keeps_its_standard_error(self):
+        # terms exp(-1e-9 sin x) over 16 chunks: a sum-of-squares merge
+        # cancels the whole spread away and reports a standard error of 0
+        base = gaussian_sampled(N01)
+        draws = []
+
+        def sampler(rng, n):
+            x = base.sampler(rng, n)
+            draws.append(x)
+            return x
+
+        proposal = SampledDensity(
+            lambda x: base.log_density(x) + 1e-9 * np.sin(x), sampler)
+        cfg = EstimatorConfig(samples=1_000_000, seed=5, chunk_size=62_500,
+                              proposal=Proposal.CUSTOM)
+        mean, stderr = estimate_z(base, base, GEO, cfg, proposal=proposal)
+        x = np.concatenate(draws)
+        g = np.exp(base.log_density(x) - proposal.log_density(x))
+        assert len(draws) == 16
+        assert mean == pytest.approx(g.mean(), rel=1e-15)
+        assert stderr == pytest.approx(g.std(ddof=1) / math.sqrt(g.size), rel=0.01)
+        assert estimate_z(base, base, GEO, cfg, proposal=proposal,
+                          workers=2) == (mean, stderr)

@@ -8,6 +8,9 @@ its zeros are not compared; where scipy's ``x/y`` under- or overflows, its
 stands in.  Inputs mix exact zeros, subnormals, 1e-300 and 1e300 masses and
 near-equal pairs into arrays of up to 1e4 entries; a grid of edge values,
 inf, NaN and negatives included, is checked whole and pair by pair.
+``gauss_kronrod`` has no scipy namesake to mirror; its rule is checked
+against ``leggauss`` and polynomial exactness, and its integrals against
+closed forms.
 """
 
 import math
@@ -211,3 +214,57 @@ class TestCholeskySolves:
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(sigma @ _kernels.cho_solve(chol, b), b,
                                        rtol=1e-12, atol=1e-12)
+
+
+class TestGaussKronrod:
+    """QUADPACK's QK21 rule and the adaptive scheme built on it."""
+
+    def test_rule_nodes_and_weights(self):
+        gauss_x, gauss_w = np.polynomial.legendre.leggauss(10)
+        on = _kernels._GK_GAUSS > 0.0
+        np.testing.assert_allclose(_kernels._GK_NODES[on], gauss_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_kernels._GK_GAUSS[on], gauss_w, rtol=0, atol=1e-15)
+        # the 21-point Kronrod rule is exact for polynomials of degree 31
+        for k in range(32):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert _kernels._GK_NODES ** k @ _kernels._GK_KRONROD == pytest.approx(
+                exact, abs=4e-16)
+
+    @pytest.mark.parametrize("f, lo, hi, exact", [
+        (lambda x: np.exp(-0.5 * x * x), -10.0, 10.0,
+         math.sqrt(2.0 * math.pi) * math.erf(10.0 / math.sqrt(2.0))),
+        (lambda x: np.exp(-0.5 * ((x - 6.0) / 0.01) ** 2), -13.0, 19.0,
+         0.01 * math.sqrt(2.0 * math.pi)),
+        (lambda x: np.cos(40.0 * x), 0.0, 3.0, math.sin(120.0) / 40.0),
+        (lambda x: np.sqrt(np.abs(x - 0.3)), -1.0, 1.0,
+         (1.3 ** 1.5 + 0.7 ** 1.5) * 2.0 / 3.0),
+    ])
+    def test_meets_its_tolerance(self, f, lo, hi, exact):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return f(x)
+
+        value, error = _kernels.gauss_kronrod(counted, lo, hi)
+        tolerance = max(1.49e-8, 1.49e-8 * abs(value))
+        assert error <= tolerance
+        assert abs(value - exact) <= tolerance
+        # one call on a 1-D array per refinement round, not one per node
+        assert all(len(shape) == 1 for shape in calls)
+        assert len(calls) <= 16
+
+    def test_subinterval_limit_warns(self):
+        # an integrable singularity at a node-free point: halving the interval
+        # that holds it gains little, so 300 subintervals are not enough
+        nodes = []
+
+        def f(x):
+            nodes.append(x.size)
+            return np.abs(x) ** -0.9
+
+        with pytest.warns(RuntimeWarning, match="300 subintervals"):
+            value, error = _kernels.gauss_kronrod(f, -1.0, 1.0)
+        assert abs(value - 20.0) <= error
+        # 64 first, then each of the 236 bisections adds two halves
+        assert sum(nodes) == 21 * (64 + 2 * (300 - 64))
