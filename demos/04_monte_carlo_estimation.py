@@ -1,8 +1,10 @@
 """Monte Carlo estimation of extended divergences and mixture normalizers.
 
 The estimators are deterministic functions of (samples, seed, chunk_size):
-chunk k draws from a generator seeded with seed XOR k and partial sums merge
-in chunk order, so thread counts never change the bits.
+chunk k draws from a generator seeded with the k-th child that
+numpy's SeedSequence(seed).spawn hands out, so nearby seeds give independent
+streams, and partial sums merge in chunk order, so thread counts never change
+the bits.
 """
 
 import math

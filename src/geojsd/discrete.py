@@ -512,7 +512,8 @@ def taneja_t(p1: DiscreteDensity, p2: DiscreteDensity,
     """
     w1, w2 = _aligned(p1, p2, require_normalized=True)
     avg = 0.5 * (w1 + w2)
-    geo = np.sqrt(w1 * w2)
+    # in log space: sqrt(w1 * w2) underflows for masses near 1e-200
+    geo = means.evaluate(MeanSpec.geometric(), w1, w2)
     return float(rel_entr(avg, geo).sum()) / base.ln
 
 

@@ -9,11 +9,13 @@ calls each ``log_density`` on 1-D arrays of points, a few times per
 integral, never point by point.
 
 Determinism contract: estimates depend only on ``(samples, seed,
-chunk_size)``.  Each fixed-size chunk draws from its own counter-seeded
-generator (``seed xor chunk_index``) and each chunk's count, mean and
-centred sum of squares are merged in chunk order (Chan, Golub & LeVeque),
-so serial and thread-parallel runs produce bit-identical results and a
-spread far below the mean is not lost to cancellation.
+chunk_size)``.  Chunk k draws from its own generator, seeded by
+``SeedSequence(seed, spawn_key=(k,))`` (what ``SeedSequence(seed).spawn``
+hands out), so no chunk of one seed replays a chunk of another.  Each
+chunk's count, mean and centred sum of squares are merged in chunk order
+(Chan, Golub & LeVeque), so serial and thread-parallel runs produce
+bit-identical results and a spread far below the mean is not lost to
+cancellation.
 
 Everything runs in log space: mixture means of density values are taken via
 :func:`geojsd.means.log_evaluate` and the gamma-divergence moment integrals
@@ -32,7 +34,7 @@ import numpy as np
 
 from . import means
 from ._kernels import gauss_kronrod, logsumexp, solve_lower
-from .discrete import DiscreteDensity
+from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
 from .expfam import ExpFamilyDensity, _cumulant_at
 from .gaussian import GaussianParams
@@ -169,14 +171,6 @@ def arithmetic_mixture_proposal(d1: SampledDensity, d2: SampledDensity) -> Sampl
 # Chunked deterministic driver
 # ---------------------------------------------------------------------------
 
-def _child_seed(seed: int, salt: int) -> int:
-    """Derive an independent 64-bit stream seed (splitmix64 step)."""
-    z = (seed + salt * 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
-
-
 def _chunks(cfg: EstimatorConfig) -> list[tuple[int, int]]:
     out = []
     done = 0
@@ -191,10 +185,16 @@ def _chunks(cfg: EstimatorConfig) -> list[tuple[int, int]]:
 
 def _map_chunks(cfg: EstimatorConfig, r: SampledDensity,
                 fn: Callable[[np.ndarray], tuple], workers: int) -> list[tuple]:
-    """``fn`` of each chunk's draws from ``r``, in order; chunk k uses seed ^ k."""
+    """``fn`` of each chunk's draws from ``r``, in order.
+
+    Chunk k draws from ``SeedSequence(seed, spawn_key=(k,))``, the k-th
+    child that ``SeedSequence(seed).spawn`` hands out, so the streams of
+    all chunks of all seeds are independent.
+    """
 
     def one_chunk(k: int, n: int) -> tuple:
-        return fn(r.sampler(np.random.default_rng(cfg.seed ^ k), n))
+        stream = np.random.SeedSequence(cfg.seed, spawn_key=(k,))
+        return fn(r.sampler(np.random.default_rng(stream), n))
 
     plan = _chunks(cfg)
     if workers <= 1 or len(plan) == 1:
@@ -320,8 +320,10 @@ def estimate_js_m_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     if p1.sampler is None or p2.sampler is None:
         raise ValueError("both densities must be samplable")
     cfg1 = replace(cfg, proposal=Proposal.FIRST_ARGUMENT)
-    cfg2 = replace(cfg, proposal=Proposal.FIRST_ARGUMENT,
-                   seed=_child_seed(cfg.seed, 1))
+    # the root of the seed's SeedSequence tree, whose chunk streams are its
+    # spawned children, seeds the second estimate
+    seed2 = np.random.SeedSequence(cfg.seed).generate_state(1, np.uint64)[0]
+    cfg2 = replace(cfg, proposal=Proposal.FIRST_ARGUMENT, seed=int(seed2))
     first, se1 = estimate_kl_extended(p1, p2, m, cfg1, workers=workers)
     second, se2 = estimate_kl_extended(p2, p1, m.swapped(), cfg2, workers=workers)
     return 0.5 * (first + second), 0.5 * math.hypot(se1, se2)
@@ -333,6 +335,8 @@ def estimate_js_m_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
 
 def _combine_gamma(log_i11: float, log_i12: float, log_i22: float,
                    gamma: float) -> float:
+    if log_i12 == -math.inf:
+        return math.inf
     return (log_i11 / (gamma * (1.0 + gamma)) - log_i12 / gamma
             + log_i22 / (1.0 + gamma))
 
@@ -399,6 +403,21 @@ def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
     return shift + math.log(value)
 
 
+def _log_i_route(integrator: str, gamma: float,
+                 support: tuple[float, float] | None) -> Callable:
+    """``log I(f, h)`` on the exact, closed-form or quadrature route."""
+    if integrator == "exact":
+        return lambda f, h: _log_i_discrete(*_aligned(f, h), gamma)
+    if integrator == "closed_form":
+        return lambda f, h: _log_i_expfam(f, h, gamma)
+    if integrator == "quadrature":
+        if support is None:
+            raise ValueError("quadrature route requires an integration support")
+        return lambda f, h: _log_i_quadrature(f.log_density, h.log_density,
+                                              gamma, support)
+    raise ValueError(f"unknown integrator {integrator!r}")
+
+
 def _log_i_mc_triplet(q1: SampledDensity, q2: SampledDensity, gamma: float,
                       proposal: SampledDensity, cfg: EstimatorConfig,
                       workers: int) -> tuple[float, float, float]:
@@ -454,33 +473,14 @@ def gamma_divergence(q1, q2, gamma: float, integrator: str = "auto", *,
         else:
             integrator = "monte_carlo" if cfg is not None else "quadrature"
 
-    if integrator == "exact":
-        w1, w2 = q1.weights, q2.weights
-        log_i11 = _log_i_discrete(w1, w1, gamma)
-        log_i12 = _log_i_discrete(w1, w2, gamma)
-        log_i22 = _log_i_discrete(w2, w2, gamma)
-    elif integrator == "closed_form":
-        log_i11 = _log_i_expfam(q1, q1, gamma)
-        log_i12 = _log_i_expfam(q1, q2, gamma)
-        log_i22 = _log_i_expfam(q2, q2, gamma)
-    elif integrator == "quadrature":
-        if support is None:
-            raise ValueError("quadrature route requires an integration support")
-        log_i11 = _log_i_quadrature(q1.log_density, q1.log_density, gamma, support)
-        log_i12 = _log_i_quadrature(q1.log_density, q2.log_density, gamma, support)
-        log_i22 = _log_i_quadrature(q2.log_density, q2.log_density, gamma, support)
-    elif integrator == "monte_carlo":
+    if integrator == "monte_carlo":
         if cfg is None:
             raise ValueError("Monte Carlo route requires an EstimatorConfig")
         r = _resolve_proposal(cfg, q1, q2, proposal)
-        log_i11, log_i12, log_i22 = _log_i_mc_triplet(q1, q2, gamma, r, cfg,
-                                                      workers)
-    else:
-        raise ValueError(f"unknown integrator {integrator!r}")
-
-    if log_i12 == -math.inf:
-        return math.inf
-    return _combine_gamma(log_i11, log_i12, log_i22, gamma)
+        return _combine_gamma(*_log_i_mc_triplet(q1, q2, gamma, r, cfg, workers),
+                              gamma)
+    log_i = _log_i_route(integrator, gamma, support)
+    return _combine_gamma(log_i(q1, q1), log_i(q1, q2), log_i(q2, q2), gamma)
 
 
 def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
@@ -496,14 +496,15 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
 
     Input types follow :func:`gamma_divergence`; exponential-family inputs
     support geometric means only (the geometric mixture stays in-family).
+    Outside the Monte Carlo route the moment ``I(M~, M~)`` that both halves
+    share is computed once.
     """
+    if gamma <= 0.0:
+        raise ValueError("gamma must be positive")
     if isinstance(p1, DiscreteDensity):
-        mixed = np.asarray(means.evaluate(m, p1.weights, p2.weights), dtype=float)
-        mix = DiscreteDensity(mixed, normalized=False)
-        return 0.5 * (gamma_divergence(p1, mix, gamma, "exact")
-                      + gamma_divergence(p2, mix, gamma, "exact"))
-
-    if isinstance(p1, ExpFamilyDensity):
+        mix, _ = m_mixture(p1, p2, m, normalize=False)
+        integrator = "exact"
+    elif isinstance(p1, ExpFamilyDensity):
         if not means.is_geometric(m):
             raise ValueError(
                 "closed-form projective M-JSD needs a geometric mean; "
@@ -513,17 +514,24 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
         t2 = np.asarray(p2.theta, dtype=float)
         # the geometric mixture is in-family; its scale drops by projectivity
         mix = ExpFamilyDensity(p1.family, m.alpha * t1 + (1.0 - m.alpha) * t2)
-        return 0.5 * (gamma_divergence(p1, mix, gamma, "closed_form")
-                      + gamma_divergence(p2, mix, gamma, "closed_form"))
+        integrator = "closed_form"
+    else:
+        def mix_log_density(x: np.ndarray) -> np.ndarray:
+            return np.asarray(means.log_evaluate(m, p1.log_density(x),
+                                                 p2.log_density(x)))
 
-    def mix_log_density(x: np.ndarray) -> np.ndarray:
-        return np.asarray(means.log_evaluate(m, p1.log_density(x),
-                                             p2.log_density(x)))
+        mix = SampledDensity(mix_log_density)
+        if integrator == "auto":
+            integrator = "monte_carlo" if cfg is not None else "quadrature"
+        if integrator == "monte_carlo":
+            first = gamma_divergence(p1, mix, gamma, integrator, cfg=cfg,
+                                     proposal=proposal or p1, workers=workers)
+            second = gamma_divergence(p2, mix, gamma, integrator, cfg=cfg,
+                                      proposal=proposal or p2, workers=workers)
+            return 0.5 * (first + second)
 
-    mix = SampledDensity(mix_log_density)
-    kwargs = dict(cfg=cfg, support=support, workers=workers)
-    first = gamma_divergence(p1, mix, gamma, integrator,
-                             proposal=proposal or p1, **kwargs)
-    second = gamma_divergence(p2, mix, gamma, integrator,
-                              proposal=proposal or p2, **kwargs)
+    log_i = _log_i_route(integrator, gamma, support)
+    log_i_mix = log_i(mix, mix)
+    first = _combine_gamma(log_i(p1, p1), log_i(p1, mix), log_i_mix, gamma)
+    second = _combine_gamma(log_i(p2, p2), log_i(p2, mix), log_i_mix, gamma)
     return 0.5 * (first + second)

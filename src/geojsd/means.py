@@ -19,12 +19,20 @@ Pointwise application of a mean to two density vectors produces the
 (unnormalized) M-mixture used throughout :mod:`geojsd.discrete` and
 :mod:`geojsd.estimate`.  All functions are pure and accept scalars or
 numpy arrays.
+
+The geometric and power means have one implementation, in log space:
+:func:`log_evaluate` runs it directly and :func:`evaluate` exponentiates
+it.  Both follow one zero rule, the continuous limit: a zero argument makes
+the geometric and every gamma < 0 power mean 0, and drops out of a
+gamma > 0 power mean, which leaves ``(1-alpha)**(1/gamma) * b`` for
+``a = 0``.  Only negative arguments are rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
 
 import numpy as np
 
@@ -138,38 +146,33 @@ def is_geometric(m: MeanSpec) -> bool:
     return m.kind is MeanKind.QUASI_ARITHMETIC and m.phi == "log"
 
 
-def _effective_power(m: MeanSpec) -> float | None:
-    """Power exponent when the spec is a (quasi-)power mean, else None."""
-    if m.kind is MeanKind.POWER:
-        return m.gamma
-    if m.kind is MeanKind.QUASI_ARITHMETIC and m.phi == "power":
-        return m.gamma
-    return None
+def _log_power_mean(m: MeanSpec, a, b, to_log: Callable) -> np.ndarray:
+    """log M_alpha(a, b) for the geometric and (quasi-)power kinds.
 
+    ``to_log`` takes the arguments to log space: ``np.log`` from
+    :func:`evaluate`, the identity from :func:`log_evaluate`.  It is called
+    inside each expression, so numpy scales a fresh log array in place
+    instead of allocating another.
 
-def _geometric(alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # zeros propagate to 0, the continuous limit of a**alpha * b**(1-alpha)
+    A zero argument (log ``-inf``) takes the continuous limit: it drops out
+    of a gamma > 0 power sum, and sends the geometric and gamma < 0 means to
+    ``-inf``.  The expression already does that except where the other
+    argument is ``+inf`` or NaN; only there is the limit imposed.
+    """
+    alpha = m.alpha
+    geometric = is_geometric(m)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.exp(alpha * np.log(a) + (1.0 - alpha) * np.log(b))
-    return np.where((a == 0.0) | (b == 0.0), 0.0, out)
-
-
-def _power(alpha: float, gamma: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    zero = (a == 0.0) | (b == 0.0)
-    if gamma < 0.0 and zero.any():
-        raise NonPositiveInput(
-            f"power mean with gamma={gamma} is undefined for zero arguments"
-        )
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # log-space form is immune to overflow of a**gamma for large |gamma|
-        la, lb = np.log(a), np.log(b)
-        lm = np.logaddexp(np.log(alpha) + gamma * la,
-                          np.log1p(-alpha) + gamma * lb) / gamma
-        out = np.exp(lm)
-    if zero.any():
-        # gamma > 0: the zero argument simply drops out of the sum
-        direct = (alpha * a ** gamma + (1.0 - alpha) * b ** gamma) ** (1.0 / gamma)
-        out = np.where(zero, direct, out)
+        if geometric:
+            out = alpha * to_log(a) + (1.0 - alpha) * to_log(b)
+        else:
+            gamma = m.gamma
+            out = np.logaddexp(np.log(alpha) + gamma * to_log(a),
+                               np.log1p(-alpha) + gamma * to_log(b)) / gamma
+        if geometric or gamma < 0.0:
+            nan = np.isnan(out)
+            if nan.any():
+                zero = np.isneginf(to_log(a)) | np.isneginf(to_log(b))
+                out = np.where(nan & zero, -np.inf, out)
     return out
 
 
@@ -187,10 +190,11 @@ def _quasi_exp(alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def evaluate(m: MeanSpec, a, b):
     """Evaluate M_alpha(a, b) elementwise.
 
-    Arguments must be nonnegative; zeros are accepted wherever the mean has a
-    finite continuous extension (geometric means return 0 there) and raise
-    :class:`NonPositiveInput` otherwise.  Equal arguments return the common
-    value exactly, for every mean kind.
+    Arguments must be nonnegative; a negative one raises
+    :class:`NonPositiveInput`.  A zero argument takes the continuous limit:
+    geometric and gamma < 0 power means are 0, and a gamma > 0 power mean
+    keeps the other argument's term alone.  Equal arguments return the
+    common value exactly, for every mean kind.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
@@ -205,12 +209,12 @@ def evaluate(m: MeanSpec, a, b):
         out = np.minimum(a_arr, b_arr)
     elif m.kind is MeanKind.MAX:
         out = np.maximum(a_arr, b_arr)
-    elif is_geometric(m):
-        out = _geometric(alpha, a_arr, b_arr)
-    elif _effective_power(m) is not None:
-        out = _power(alpha, _effective_power(m), a_arr, b_arr)
-    else:  # quasi-arithmetic exp generator
+    elif m.kind is MeanKind.QUASI_ARITHMETIC and m.phi == "exp":
         out = _quasi_exp(alpha, a_arr, b_arr)
+    else:  # geometric and (quasi-)power kinds, through log space
+        out = _log_power_mean(m, a_arr, b_arr, np.log)
+        # out is a fresh array: exponentiate it in place
+        out = np.exp(out, out=out if out.ndim else None)
 
     # idempotence is definitional: M(a, a) = a without rounding drift
     out = np.where(a_arr == b_arr, a_arr, out)
@@ -221,8 +225,8 @@ def log_evaluate(m: MeanSpec, log_a, log_b):
     """Evaluate log M_alpha(exp(log_a), exp(log_b)) without leaving log space.
 
     This is the numerically safe route for density values that underflow
-    (deep Gaussian tails); ``-inf`` inputs follow the continuous limits, so
-    unlike :func:`evaluate` no error is raised for vanishing arguments.
+    (deep Gaussian tails).  ``-inf`` inputs follow the same continuous
+    limits as zeros in :func:`evaluate`.
     """
     la = np.asarray(log_a, dtype=float)
     lb = np.asarray(log_b, dtype=float)
@@ -235,19 +239,11 @@ def log_evaluate(m: MeanSpec, log_a, log_b):
         out = np.minimum(la, lb)
     elif m.kind is MeanKind.MAX:
         out = np.maximum(la, lb)
-    elif is_geometric(m):
-        out = alpha * la + (1.0 - alpha) * lb
-        out = np.where(np.isneginf(la) | np.isneginf(lb), -np.inf, out)
-    elif _effective_power(m) is not None:
-        gamma = _effective_power(m)
-        with np.errstate(invalid="ignore"):
-            out = np.logaddexp(np.log(alpha) + gamma * la,
-                               np.log1p(-alpha) + gamma * lb) / gamma
-        if gamma < 0.0:
-            out = np.where(np.isneginf(la) | np.isneginf(lb), -np.inf, out)
-    else:
+    elif m.kind is MeanKind.QUASI_ARITHMETIC and m.phi == "exp":
         with np.errstate(divide="ignore"):
             out = np.log(_quasi_exp(alpha, np.exp(la), np.exp(lb)))
+    else:
+        out = _log_power_mean(m, la, lb, lambda x: x)
 
     out = np.where(la == lb, la, out)
     return float(out) if scalar else out
@@ -262,11 +258,5 @@ def power_limit_check(gamma_sequence, a: float, b: float, alpha: float = 0.5):
     """
     if a <= 0.0 or b <= 0.0:
         raise NonPositiveInput("power limits require strictly positive arguments")
-    out = []
-    for gamma in gamma_sequence:
-        if abs(gamma) < _GEOMETRIC_GAMMA_EPS:
-            spec = MeanSpec.geometric(alpha)
-        else:
-            spec = MeanSpec.power(gamma, alpha)
-        out.append(evaluate(spec, a, b))
-    return out
+    return [evaluate(MeanSpec.power(gamma, alpha), a, b)
+            for gamma in gamma_sequence]

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,59 @@ class TestExitCodes:
                                "--p1", str(a), "--p2", str(b))
         assert code == 3
         assert "disjoint" in err
+
+    @pytest.mark.parametrize("div", ["gamma", "js_m_gamma"])
+    def test_gamma_support_size_mismatch_is_usage_error(self, capsys, tmp_path,
+                                                        div):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0.25 0.25 0.25 0.25\n")
+        b.write_text("0.2 0.3 0.5\n")
+        code, out, err = run_cli(capsys, "compute", "--div", div,
+                                 "--p1", str(a), "--p2", str(b))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: support sizes differ: 4 vs 3"]
+
+    def test_js_m_gamma_disjoint_support_is_math_error(self, capsys, tmp_path):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("1 0\n")
+        b.write_text("0 1\n")
+        code, out, err = run_cli(capsys, "compute", "--div", "js_m_gamma",
+                                 "--p1", str(a), "--p2", str(b))
+        assert code == 3
+        assert out == ""
+        assert err.splitlines() == [
+            "error: mixture normalizer is zero: disjoint supports"]
+
+    def test_negative_power_mean_takes_the_zero_limit(self, capsys, tmp_path):
+        # a zero weight sends the power:-1 mixture to 0 there: an in-band
+        # +inf, as with --mean min, not an error
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0 1\n")
+        b.write_text("0.5 0.5\n")
+        for mean in ("power:-1", "min"):
+            code, out, _ = run_cli(capsys, "compute", "--div", "js_m",
+                                   "--mean", mean, "--p1", str(a), "--p2", str(b))
+            assert code == 0
+            assert json.loads(out)["value"] == math.inf
+
+    def test_power_mean_of_huge_masses_stays_finite(self, capsys, tmp_path):
+        # the direct form (0.5*a**2 + 0.5*b**2)**(1/2) overflows at b = 1e300
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0 1e300\n")
+        b.write_text("1e300 1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "compute", "--div", "js_m_plus",
+                                     "--mean", "power:2", "--p1", str(a),
+                                     "--p2", str(b))
+        assert code == 0
+        assert err == ""
+        assert math.isfinite(json.loads(out)["value"])
 
     @pytest.mark.parametrize("tol", ["0", "nan", "inf", "-inf"])
     def test_bad_chernoff_tol_is_usage_error(self, capsys, discrete_files, tol):

@@ -654,6 +654,16 @@ class TestMixtureKLAndTaneja:
                 kl_between_mixtures(p1, p2, ARITH, GEO) - math.log(z_g),
                 abs=1e-12)
 
+    def test_taneja_tiny_masses(self):
+        # sqrt(p1 * p2) underflows at these masses; the log-space mean does not
+        p = DiscreteDensity.probability([1e-200, 1.0 - 1e-200])
+        q = DiscreteDensity.probability([2e-200, 1.0 - 2e-200])
+        assert taneja_t(p, p) == 0.0
+        identity = (kl_between_mixtures(p, q, ARITH, GEO)
+                    - math.log(bhattacharyya_coefficient(p, q)))
+        assert identity == pytest.approx(8.83e-202, rel=1e-3)
+        assert taneja_t(p, q) == pytest.approx(identity, rel=1e-12)
+
     def test_taneja_infinite_on_one_sided_zero(self):
         p = DiscreteDensity.probability([1.0, 0.0])
         q = DiscreteDensity.probability([0.5, 0.5])

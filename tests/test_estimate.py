@@ -33,6 +33,7 @@ from geojsd import (
     js_m_gamma,
     kl,
     kl_gaussian,
+    m_mixture,
     natural_flat,
 )
 
@@ -195,6 +196,36 @@ class TestDeterminism:
         b = estimate_z(d1, d2, GEO, EstimatorConfig(samples=10_000, seed=2))
         assert a != b
 
+    def test_chunk_streams_are_spawned_children(self):
+        # XOR seeding (seed ^ k) would make chunk 1 of seed 0 replay chunk 0
+        # of seed 1
+        base = gaussian_sampled(N01)
+
+        def draws(seed, estimator=estimate_z):
+            seen = []
+
+            def sampler(rng, n):
+                seen.append(base.sampler(rng, n))
+                return seen[-1]
+
+            d = SampledDensity(base.log_density, sampler)
+            estimator(d, d, GEO, EstimatorConfig(samples=64, seed=seed,
+                                                 chunk_size=16))
+            return seen
+
+        seed0, seed1 = draws(0), draws(1)
+        assert len(seed0) == 4
+        children = np.random.SeedSequence(0).spawn(4)
+        for chunk, child in zip(seed0, children):
+            np.testing.assert_array_equal(
+                chunk, base.sampler(np.random.default_rng(child), 16))
+        chunks = [c.tobytes() for c in seed0 + seed1]
+        assert len(set(chunks)) == len(chunks)
+        # the extended M-JSD's second estimate runs on streams of its own
+        both = [c.tobytes() for c in draws(0, estimate_js_m_extended)]
+        assert both[:4] == chunks[:4]
+        assert len(set(both)) == 8
+
 
 class TestGammaDivergence:
     def test_zero_at_identity_all_routes(self):
@@ -311,6 +342,42 @@ class TestJsMGamma:
         with pytest.raises(ValueError):
             js_m_gamma(e1, e2, ARITH, 1e-3)
 
+    @pytest.mark.parametrize("gamma", [1e-3, 0.5])
+    def test_halves_share_the_mixture_moment(self, gamma):
+        # the same bits as two gamma_divergence calls, on every route but
+        # Monte Carlo
+        p1 = DiscreteDensity.probability([0.1, 0.2, 0.7])
+        p2 = DiscreteDensity.probability([0.5, 0.0, 0.5])
+        power = MeanSpec.power(0.5)
+        mix, _ = m_mixture(p1, p2, power, normalize=False)
+        e1, e2 = expfam_density(N01), expfam_density(N12)
+        e_mix = ExpFamilyDensity(e1.family, 0.5 * e1.theta + 0.5 * e2.theta)
+        d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
+        d_mix = SampledDensity(lambda x: means.log_evaluate(
+            power, d1.log_density(x), d2.log_density(x)))
+        support = (-14.0, 15.0)
+        cases = [(p1, p2, power, mix, "exact", {}),
+                 (e1, e2, GEO, e_mix, "closed_form", {}),
+                 (d1, d2, power, d_mix, "quadrature", {"support": support})]
+        for a, b, mean, m, route, kw in cases:
+            halves = 0.5 * (gamma_divergence(a, m, gamma, route, **kw)
+                            + gamma_divergence(b, m, gamma, route, **kw))
+            assert js_m_gamma(a, b, mean, gamma, route, **kw) == halves, route
+
+    def test_quadrature_runs_five_integrals(self, monkeypatch):
+        calls = []
+        kernel = estimate_module.gauss_kronrod
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:])
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(estimate_module, "gauss_kronrod", counted)
+        d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
+        js_m_gamma(d1, d2, MeanSpec.power(0.5), 1e-3, "quadrature",
+                   support=(-14.0, 15.0))
+        assert len(calls) == 5
+
 
 # (m1, v1, m2, v2, power of the balanced mean, support): a narrow peak
 # against a unit Gaussian, a separated pair and an unequal-variance pair
@@ -371,10 +438,10 @@ class TestQuadratureRoute:
         js_m_gamma(counted(d1), counted(d2), mean, 0.3, "quadrature",
                    support=support)
         assert shapes and all(len(shape) == 1 for shape in shapes)
-        # six integrals, each evaluating one of the densities and the mixture
+        # five integrals, each evaluating one of the densities and the mixture
         # of both (three calls) on its shift grid, its first partition and at
         # most six refinement rounds; point-by-point calls would be ~10^4
-        assert len(shapes) <= 6 * 3 * 8
+        assert len(shapes) <= 5 * 3 * 8
 
     def test_rejects_unbounded_or_empty_support(self):
         d = gaussian_sampled(N01)

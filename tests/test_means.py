@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geojsd import InvalidAlpha, MeanKind, MeanSpec, NonPositiveInput
@@ -146,8 +147,74 @@ def test_zero_handling():
         math.sqrt(8.0), rel=1e-14)
     assert evaluate(MeanSpec.minimum(), 0.0, 4.0) == 0.0
     assert evaluate(MeanSpec.maximum(), 0.0, 4.0) == 4.0
-    with pytest.raises(NonPositiveInput):
-        evaluate(MeanSpec.power(-1.0), 0.0, 4.0)
+    # the continuous limit: a zero argument sends a gamma < 0 mean to 0
+    assert evaluate(MeanSpec.power(-1.0), 0.0, 4.0) == 0.0
+
+
+GRID = [0.0, 5e-324, 1e-300, 0.5, 1.0, 1e300, math.inf, math.nan]
+LIMIT_SPECS = [GEO, MeanSpec.geometric(0.3), MeanSpec.power(-1.0),
+               MeanSpec.power(-2.0, alpha=0.8), MeanSpec.power(0.5),
+               MeanSpec.power(2.0, alpha=0.7), MeanSpec.quasi_arithmetic("log"),
+               MeanSpec.quasi_arithmetic("power", gamma=3.0)]
+
+
+def _expected_mean(spec, a, b):
+    """M_alpha(a, b) on GRID: the limit rules at 0, inf and NaN, else mpmath."""
+    alpha = spec.alpha
+    gamma = 0.0 if is_geometric(spec) else spec.gamma
+    if a == b:
+        return a
+    if gamma <= 0.0 and 0.0 in (a, b):
+        return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.nan
+    if math.inf in (a, b) and gamma >= 0.0:
+        return math.inf
+    with mp.workdps(50):
+        weights = (mp.mpf(alpha), 1 - mp.mpf(alpha))
+        if gamma == 0.0:
+            return float(mp.mpf(a) ** weights[0] * mp.mpf(b) ** weights[1])
+        # x**gamma -> 0 as x -> 0 (gamma > 0) or x -> inf (gamma < 0): that
+        # argument drops out of the sum
+        g = mp.mpf(gamma)
+        total = sum(w * mp.mpf(x) ** g for w, x in zip(weights, (a, b))
+                    if 0.0 < x < math.inf)
+        return float(total ** (1 / g))
+
+
+@pytest.mark.parametrize("spec", LIMIT_SPECS, ids=lambda s: f"{s.label}@{s.alpha}")
+def test_grid_follows_the_limit_rules(spec):
+    a, b = np.meshgrid(GRID, GRID)
+    got = evaluate(spec, a.ravel(), b.ravel())
+    with np.errstate(divide="ignore"):
+        got_log = log_evaluate(spec, np.log(a.ravel()), np.log(b.ravel()))
+    for x, y, value, log_value in zip(a.ravel(), b.ravel(), got, got_log):
+        want = _expected_mean(spec, float(x), float(y))
+        assert evaluate(spec, float(x), float(y)) == pytest.approx(
+            want, rel=1e-13, abs=1e-323, nan_ok=True), (x, y)
+        assert value == pytest.approx(want, rel=1e-13, abs=1e-323,
+                                      nan_ok=True), (x, y)
+        if want > 0.0 and math.isfinite(want) and x != y:
+            assert math.exp(log_value) == pytest.approx(want, rel=1e-12), (x, y)
+
+
+nonnegative = st.one_of(st.sampled_from([0.0, 1e-300, 1e300]),
+                        st.floats(min_value=0.0, max_value=1e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=nonnegative, b=nonnegative, alpha=skew,
+       gamma=st.sampled_from([0.0, -8.0, -1.0, -0.5, 0.5, 2.0, 8.0]))
+@example(a=0.0, b=4.0, alpha=0.5, gamma=-1.0)
+@example(a=0.0, b=1e300, alpha=0.5, gamma=2.0)
+def test_evaluate_is_exp_of_log_evaluate(a, b, alpha, gamma):
+    with np.errstate(divide="ignore"):
+        la, lb = np.log(a), np.log(b)
+    # distinct arguments whose logs round together would take
+    # log_evaluate's idempotence step instead
+    assume(a != b and la != lb)
+    spec = MeanSpec.power(gamma, alpha)
+    assert evaluate(spec, a, b) == np.exp(log_evaluate(spec, la, lb))
 
 
 def test_negative_inputs_rejected():
