@@ -13,7 +13,6 @@ from geojsd import (
     EstimatorConfig,
     GaussianParams,
     MeanSpec,
-    Proposal,
     arithmetic_mixture_proposal,
     bhattacharyya_gaussian,
     estimate_js_m_extended,
@@ -52,7 +51,7 @@ print()
 
 # a proposal exactly matched to the arithmetic mixture integrand has zero
 # variance: every sample contributes the identical value 1
-cfg = EstimatorConfig(samples=10_000, seed=5, proposal=Proposal.CUSTOM)
+cfg = EstimatorConfig(samples=10_000, seed=5)
 matched = arithmetic_mixture_proposal(d1, d2)
 print("matched-proposal estimate of the arithmetic normalizer:",
       estimate_z(d1, d2, MeanSpec.arithmetic(), cfg, proposal=matched))

@@ -15,7 +15,6 @@ from geojsd import (
     ExpFamilyDensity,
     GaussianParams,
     MeanSpec,
-    Proposal,
     SampledDensity,
     gamma_divergence,
     gaussian_family,
@@ -83,7 +82,7 @@ t2 = np.array([0.3, 0.3, 0.05, -0.25])
 q1 = SampledDensity(quartic_log_density(t1))
 q2 = SampledDensity(quartic_log_density(t2))
 proposal = gaussian_sampled(GaussianParams.univariate(0.0, 2.0))
-cfg = EstimatorConfig(samples=400_000, seed=31, proposal=Proposal.CUSTOM)
+cfg = EstimatorConfig(samples=400_000, seed=31)
 mc = gamma_divergence(q1, q2, 0.5, "monte_carlo", cfg=cfg, proposal=proposal)
 quad = gamma_divergence(q1, q2, 0.5, "quadrature", support=(-8.0, 8.0))
 print("gamma-divergence between two unnormalized quartic densities:")

@@ -50,7 +50,6 @@ from .errors import (
 )
 from .estimate import (
     EstimatorConfig,
-    Proposal,
     SampledDensity,
     arithmetic_mixture_proposal,
     categorical_sampled,

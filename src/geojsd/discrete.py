@@ -22,7 +22,7 @@ Divergences:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -79,12 +79,13 @@ class DiscreteDensity:
     ``normalized=True`` asserts unit mass: vectors within 1e-12 of mass one
     pass as-is, vectors within 1e-9 are rescaled and flagged through
     ``renormalized`` (hand-written inputs rarely sum exactly to one), and
-    anything farther off is rejected.
+    anything farther off is rejected.  ``renormalized`` is set here, never
+    passed in.
     """
 
     weights: np.ndarray
     normalized: bool = False
-    renormalized: bool = False
+    renormalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -393,15 +394,14 @@ class FGenerator:
     the requested base (algebraic terms are base-free); ``at_zero`` and
     ``slope_at_inf`` supply the limit conventions ``f(0+)`` and
     ``lim f(u)/u`` used on one-sided zeros.  Divergence generators satisfy
-    f(1) = 0; ``similarity=True`` marks concave f-coefficients (f(1) = 1)
-    such as the Bhattacharyya coefficient.
+    f(1) = 0; coefficients such as the Bhattacharyya coefficient have
+    f(1) = 1.
     """
 
     name: str
     f: Callable[[np.ndarray, float], np.ndarray]
     at_zero: Callable[[float], float]
     slope_at_inf: Callable[[float], float]
-    similarity: bool = False
 
     @classmethod
     def custom(cls, f: Callable[[np.ndarray], np.ndarray],
@@ -454,8 +454,7 @@ F_JEFFREYS = FGenerator("jeffreys", _f_jeffreys,
 F_TANEJA = FGenerator("taneja", _f_taneja,
                       lambda ln_b: math.inf, lambda ln_b: math.inf)
 F_BHATTACHARYYA_COEFF = FGenerator("bhattacharyya_coeff", _f_bc,
-                                   lambda ln_b: 0.0, lambda ln_b: 0.0,
-                                   similarity=True)
+                                   lambda ln_b: 0.0, lambda ln_b: 0.0)
 
 F_GENERATORS: dict[str, FGenerator] = {
     g.name: g for g in (F_KL, F_JS, F_EXTENDED_GJS, F_JEFFREYS, F_TANEJA,

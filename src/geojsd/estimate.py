@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +40,6 @@ from .gaussian import GaussianParams
 from .means import MeanSpec
 
 __all__ = [
-    "Proposal",
     "EstimatorConfig",
     "SampledDensity",
     "gaussian_sampled",
@@ -57,20 +55,11 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 
 
-class Proposal(Enum):
-    """Which density supplies the importance-sampling draws."""
-
-    FIRST_ARGUMENT = "first"
-    SECOND_ARGUMENT = "second"
-    CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class EstimatorConfig:
     samples: int
     seed: int = 0
     chunk_size: int = 1 << 16
-    proposal: Proposal = Proposal.FIRST_ARGUMENT
 
     def __post_init__(self) -> None:
         if self.samples < 1:
@@ -227,17 +216,10 @@ def _mean_and_stderr(partials: Sequence[tuple[int, float, float]],
     return mean, math.sqrt(m2 / (samples - 1) / samples)
 
 
-def _resolve_proposal(cfg: EstimatorConfig, p1: SampledDensity,
-                      p2: SampledDensity,
+def _resolve_proposal(p1: SampledDensity,
                       proposal: SampledDensity | None) -> SampledDensity:
-    if proposal is not None:
-        chosen = proposal
-    elif cfg.proposal is Proposal.FIRST_ARGUMENT:
-        chosen = p1
-    elif cfg.proposal is Proposal.SECOND_ARGUMENT:
-        chosen = p2
-    else:
-        raise ValueError("custom proposal requested but none supplied")
+    """The given proposal, or the first argument when none is given."""
+    chosen = p1 if proposal is None else proposal
     if chosen.sampler is None:
         raise ValueError("proposal density has no sampler")
     return chosen
@@ -253,10 +235,11 @@ def estimate_z(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     """Importance-sampling estimate of the mixture normalizer Z_M.
 
     ``Z_M = integral of M_alpha(p1(x), p2(x))``, estimated as the average of
-    ``M(p1(x_i), p2(x_i)) / r(x_i)`` over draws from the proposal r.
-    Unbiased; returns ``(estimate, std_error)``.
+    ``M(p1(x_i), p2(x_i)) / r(x_i)`` over draws from the proposal r: the
+    ``proposal`` argument, or ``p1`` when it is ``None``.  Unbiased; returns
+    ``(estimate, std_error)``.
     """
-    r = _resolve_proposal(cfg, p1, p2, proposal)
+    r = _resolve_proposal(p1, proposal)
 
     def one_chunk(x: np.ndarray) -> tuple[int, float, float]:
         log_mix = np.asarray(means.log_evaluate(m, p1.log_density(x),
@@ -281,12 +264,13 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     """Monte Carlo estimate of the extended KL to the unnormalized M-mixture.
 
     Estimates ``KL+(p1, M~) = integral of p1 log(p1/M~) + M~ - p1`` with
-    ``M~(x) = M_alpha(p1(x), p2(x))``.  With the default proposal r = p1
-    the per-sample term is ``log(p1/M~) + M~/p1 - 1``.  The estimand is
+    ``M~(x) = M_alpha(p1(x), p2(x))``, over draws from the ``proposal``
+    argument.  With the default proposal r = p1 (``proposal=None``) the
+    per-sample term is ``log(p1/M~) + M~/p1 - 1``.  The estimand is
     nonnegative but finite-sample estimates may dip below zero; they are
     reported as-is (clamping would bias the estimator).
     """
-    r = _resolve_proposal(cfg, p1, p2, proposal)
+    r = _resolve_proposal(p1, proposal)
     self_proposal = r is p1
 
     def one_chunk(x: np.ndarray) -> tuple[int, float, float]:
@@ -319,12 +303,11 @@ def estimate_js_m_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     """
     if p1.sampler is None or p2.sampler is None:
         raise ValueError("both densities must be samplable")
-    cfg1 = replace(cfg, proposal=Proposal.FIRST_ARGUMENT)
     # the root of the seed's SeedSequence tree, whose chunk streams are its
     # spawned children, seeds the second estimate
     seed2 = np.random.SeedSequence(cfg.seed).generate_state(1, np.uint64)[0]
-    cfg2 = replace(cfg, proposal=Proposal.FIRST_ARGUMENT, seed=int(seed2))
-    first, se1 = estimate_kl_extended(p1, p2, m, cfg1, workers=workers)
+    cfg2 = replace(cfg, seed=int(seed2))
+    first, se1 = estimate_kl_extended(p1, p2, m, cfg, workers=workers)
     second, se2 = estimate_kl_extended(p2, p1, m.swapped(), cfg2, workers=workers)
     return 0.5 * (first + second), 0.5 * math.hypot(se1, se2)
 
@@ -421,9 +404,6 @@ def _log_i_route(integrator: str, gamma: float,
 def _log_i_mc_triplet(q1: SampledDensity, q2: SampledDensity, gamma: float,
                       proposal: SampledDensity, cfg: EstimatorConfig,
                       workers: int) -> tuple[float, float, float]:
-    if proposal.sampler is None:
-        raise ValueError("Monte Carlo route needs a samplable proposal")
-
     def one_chunk(x: np.ndarray) -> tuple[float, float, float]:
         l1 = np.asarray(q1.log_density(x), dtype=float)
         l2 = np.asarray(q2.log_density(x), dtype=float)
@@ -460,8 +440,9 @@ def gamma_divergence(q1, q2, gamma: float, integrator: str = "auto", *,
       adaptive Gauss-Kronrod quadrature over the finite ``support`` to a
       relative or absolute error of 1.49e-8 per integral; each
       ``log_density`` is evaluated on 1-D arrays of nodes.
-    * ``"monte_carlo"``: :class:`SampledDensity` inputs with a samplable
-      ``proposal`` and an :class:`EstimatorConfig`.
+    * ``"monte_carlo"``: :class:`SampledDensity` inputs and an
+      :class:`EstimatorConfig`; draws come from the samplable ``proposal``
+      argument, or from ``q1`` when it is ``None``.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -476,7 +457,7 @@ def gamma_divergence(q1, q2, gamma: float, integrator: str = "auto", *,
     if integrator == "monte_carlo":
         if cfg is None:
             raise ValueError("Monte Carlo route requires an EstimatorConfig")
-        r = _resolve_proposal(cfg, q1, q2, proposal)
+        r = _resolve_proposal(q1, proposal)
         return _combine_gamma(*_log_i_mc_triplet(q1, q2, gamma, r, cfg, workers),
                               gamma)
     log_i = _log_i_route(integrator, gamma, support)
@@ -496,8 +477,10 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
 
     Input types follow :func:`gamma_divergence`; exponential-family inputs
     support geometric means only (the geometric mixture stays in-family).
-    Outside the Monte Carlo route the moment ``I(M~, M~)`` that both halves
-    share is computed once.
+    On the Monte Carlo route each half draws from ``proposal``, or from its
+    own first argument (``p1``, then ``p2``) when it is ``None``.  Outside
+    that route the moment ``I(M~, M~)`` that both halves share is computed
+    once.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
@@ -525,9 +508,9 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
             integrator = "monte_carlo" if cfg is not None else "quadrature"
         if integrator == "monte_carlo":
             first = gamma_divergence(p1, mix, gamma, integrator, cfg=cfg,
-                                     proposal=proposal or p1, workers=workers)
+                                     proposal=proposal, workers=workers)
             second = gamma_divergence(p2, mix, gamma, integrator, cfg=cfg,
-                                      proposal=proposal or p2, workers=workers)
+                                      proposal=proposal, workers=workers)
             return 0.5 * (first + second)
 
     log_i = _log_i_route(integrator, gamma, support)

@@ -106,8 +106,13 @@ def skew_jensen(fam: ExpFamily, theta1, theta2, alpha: float = 0.5) -> float:
     Nonnegative by convexity of F, zero iff the parameters coincide; equals
     the skew Bhattacharyya distance B_alpha between the family densities.
     """
-    t1 = _as_theta(fam, theta1)
-    t2 = _as_theta(fam, theta2)
+    return _skew_jensen(fam, _as_theta(fam, theta1), _as_theta(fam, theta2),
+                        alpha)
+
+
+def _skew_jensen(fam: ExpFamily, t1: np.ndarray, t2: np.ndarray,
+                 alpha: float) -> float:
+    """:func:`skew_jensen` on parameters :func:`_as_theta` already checked."""
     mix = alpha * t1 + (1.0 - alpha) * t2
     if not fam.domain_check(mix):
         raise DomainViolation("interpolated parameter left the family domain")
@@ -132,11 +137,19 @@ def bregman(fam: ExpFamily, theta1, theta2) -> float:
             - float(grad2 @ (t1 - t2)))
 
 
-def _quarter_symmetrized_bregman(fam: ExpFamily, t1: np.ndarray,
-                                 t2: np.ndarray) -> float:
+def _gjsd_terms(fam: ExpFamily, theta1, theta2,
+                what: str) -> tuple[float, float]:
+    """``(J/4, B)``: a quarter of the Jeffreys divergence (the symmetrized
+    Bregman divergence) and the Bhattacharyya distance ``J_{F,1/2}``, with
+    each parameter checked once."""
+    t1 = _as_theta(fam, theta1)
+    t2 = _as_theta(fam, theta2)
+    if fam.cumulant_gradient is None:
+        raise ValueError(f"{what} needs a cumulant gradient; {fam.name!r} has none")
     grad1 = np.asarray(fam.cumulant_gradient(t1), dtype=float)
     grad2 = np.asarray(fam.cumulant_gradient(t2), dtype=float)
-    return 0.25 * float((t2 - t1) @ (grad2 - grad1))
+    quarter_j = 0.25 * float((t2 - t1) @ (grad2 - grad1))
+    return quarter_j, _skew_jensen(fam, t1, t2, 0.5)
 
 
 def gjsd_ef(fam: ExpFamily, theta1, theta2, base: LogBase = NATS) -> float:
@@ -146,12 +159,8 @@ def gjsd_ef(fam: ExpFamily, theta1, theta2, base: LogBase = NATS) -> float:
     the Jeffreys divergence (a symmetrized Bregman divergence) minus the
     Bhattacharyya distance.
     """
-    t1 = _as_theta(fam, theta1)
-    t2 = _as_theta(fam, theta2)
-    if fam.cumulant_gradient is None:
-        raise ValueError(f"gjsd_ef needs a cumulant gradient; {fam.name!r} has none")
-    quarter_j = _quarter_symmetrized_bregman(fam, t1, t2)
-    return (quarter_j - skew_jensen(fam, t1, t2, 0.5)) / base.ln
+    quarter_j, b = _gjsd_terms(fam, theta1, theta2, "gjsd_ef")
+    return (quarter_j - b) / base.ln
 
 
 def gjsd_extended_ef(fam: ExpFamily, theta1, theta2) -> float:
@@ -160,14 +169,8 @@ def gjsd_extended_ef(fam: ExpFamily, theta1, theta2) -> float:
     ``(1/4)<t2-t1, grad F(t2)-grad F(t1)> + exp(-J_F) - 1``; exceeds
     :func:`gjsd_ef` by the gap ``Z - log Z - 1`` with ``Z = exp(-J_F)``.
     """
-    t1 = _as_theta(fam, theta1)
-    t2 = _as_theta(fam, theta2)
-    if fam.cumulant_gradient is None:
-        raise ValueError(
-            f"gjsd_extended_ef needs a cumulant gradient; {fam.name!r} has none"
-        )
-    quarter_j = _quarter_symmetrized_bregman(fam, t1, t2)
-    return quarter_j + math.exp(-skew_jensen(fam, t1, t2, 0.5)) - 1.0
+    quarter_j, b = _gjsd_terms(fam, theta1, theta2, "gjsd_extended_ef")
+    return quarter_j + math.exp(-b) - 1.0
 
 
 def dual_gjsd_ef(fam: ExpFamily, theta1, theta2, alpha: float = 0.5) -> float:

@@ -12,7 +12,9 @@ Supported families:
                     with gamma -> 0 giving the geometric mean,
                     gamma -> -inf the min, gamma -> +inf the max
 * quasi-arithmetic: phi^{-1}(alpha*phi(a) + (1-alpha)*phi(b)) for a
-                    closed registry of generators phi in {log, power, exp}
+                    closed registry of generators phi in {log, power, exp};
+                    phi = log and phi = u**gamma give the geometric and
+                    power means, so only exp is a kind of its own
 * min / max:        the extremal "means"
 
 Pointwise application of a mean to two density vectors produces the
@@ -51,8 +53,6 @@ __all__ = [
 # power formula loses all significant digits near gamma = 0.
 _GEOMETRIC_GAMMA_EPS = 1e-8
 
-_QUASI_GENERATORS = ("log", "power", "exp")
-
 
 class MeanKind(Enum):
     ARITHMETIC = "arithmetic"
@@ -67,9 +67,11 @@ class MeanKind(Enum):
 class MeanSpec:
     """A weighted bivariate mean: family, skew weight, and family parameters.
 
-    ``gamma`` is the exponent of the power family (also the exponent of the
-    ``power`` quasi-arithmetic generator); ``phi`` names the quasi-arithmetic
-    generator.  ``alpha`` must lie strictly inside (0, 1).
+    ``gamma`` is the exponent of the power family; ``phi`` names the
+    quasi-arithmetic generator, which is ``exp``: the ``log`` and ``power``
+    generators are the geometric and power kinds, and
+    :meth:`quasi_arithmetic` returns those.  ``alpha`` must lie strictly
+    inside (0, 1).
     """
 
     kind: MeanKind
@@ -82,14 +84,12 @@ class MeanSpec:
             raise InvalidAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.kind is MeanKind.POWER and self.gamma is None:
             raise ValueError("power mean requires a gamma exponent")
-        if self.kind is MeanKind.QUASI_ARITHMETIC:
-            if self.phi not in _QUASI_GENERATORS:
-                raise ValueError(
-                    f"unknown quasi-arithmetic generator {self.phi!r}; "
-                    f"registry: {_QUASI_GENERATORS}"
-                )
-            if self.phi == "power" and self.gamma is None:
-                raise ValueError("quasi-arithmetic 'power' generator requires gamma")
+        if self.kind is MeanKind.QUASI_ARITHMETIC and self.phi != "exp":
+            raise ValueError(
+                f"quasi-arithmetic generator {self.phi!r} is not 'exp'; "
+                "MeanSpec.quasi_arithmetic builds 'log' and 'power' as the "
+                "geometric and power means, and knows no other"
+            )
 
     # -- constructors -----------------------------------------------------
 
@@ -108,6 +108,14 @@ class MeanSpec:
     @classmethod
     def quasi_arithmetic(cls, phi: str, gamma: float | None = None,
                          alpha: float = 0.5) -> "MeanSpec":
+        """The mean generated by ``phi``: ``log`` gives :meth:`geometric`,
+        ``power`` (u**gamma) gives :meth:`power`, ``exp`` its own kind."""
+        if phi == "log":
+            return cls.geometric(alpha)
+        if phi == "power":
+            if gamma is None:
+                raise ValueError("quasi-arithmetic 'power' generator requires gamma")
+            return cls.power(gamma, alpha)
         return cls(MeanKind.QUASI_ARITHMETIC, alpha,
                    gamma=None if gamma is None else float(gamma), phi=phi)
 
@@ -128,26 +136,23 @@ class MeanSpec:
         if self.kind is MeanKind.POWER:
             return f"power({self.gamma:g})"
         if self.kind is MeanKind.QUASI_ARITHMETIC:
-            return f"quasi({self.phi})" if self.phi != "power" \
-                else f"quasi(power:{self.gamma:g})"
+            return f"quasi({self.phi})"
         return self.kind.value
 
 
 def is_geometric(m: MeanSpec) -> bool:
     """True when the spec evaluates on the exact geometric branch.
 
-    Covers the geometric kind itself, power means with |gamma| below the
-    cancellation threshold, and the quasi-arithmetic log generator.
+    Covers the geometric kind itself and power means with |gamma| below the
+    cancellation threshold.
     """
     if m.kind is MeanKind.GEOMETRIC:
         return True
-    if m.kind is MeanKind.POWER and abs(m.gamma) < _GEOMETRIC_GAMMA_EPS:
-        return True
-    return m.kind is MeanKind.QUASI_ARITHMETIC and m.phi == "log"
+    return m.kind is MeanKind.POWER and abs(m.gamma) < _GEOMETRIC_GAMMA_EPS
 
 
 def _log_power_mean(m: MeanSpec, a, b, to_log: Callable) -> np.ndarray:
-    """log M_alpha(a, b) for the geometric and (quasi-)power kinds.
+    """log M_alpha(a, b) for the geometric and power kinds.
 
     ``to_log`` takes the arguments to log space: ``np.log`` from
     :func:`evaluate`, the identity from :func:`log_evaluate`.  It is called
@@ -209,9 +214,9 @@ def evaluate(m: MeanSpec, a, b):
         out = np.minimum(a_arr, b_arr)
     elif m.kind is MeanKind.MAX:
         out = np.maximum(a_arr, b_arr)
-    elif m.kind is MeanKind.QUASI_ARITHMETIC and m.phi == "exp":
+    elif m.kind is MeanKind.QUASI_ARITHMETIC:
         out = _quasi_exp(alpha, a_arr, b_arr)
-    else:  # geometric and (quasi-)power kinds, through log space
+    else:  # geometric and power kinds, through log space
         out = _log_power_mean(m, a_arr, b_arr, np.log)
         # out is a fresh array: exponentiate it in place
         out = np.exp(out, out=out if out.ndim else None)
@@ -239,7 +244,7 @@ def log_evaluate(m: MeanSpec, log_a, log_b):
         out = np.minimum(la, lb)
     elif m.kind is MeanKind.MAX:
         out = np.maximum(la, lb)
-    elif m.kind is MeanKind.QUASI_ARITHMETIC and m.phi == "exp":
+    elif m.kind is MeanKind.QUASI_ARITHMETIC:
         with np.errstate(divide="ignore"):
             out = np.log(_quasi_exp(alpha, np.exp(la), np.exp(lb)))
     else:

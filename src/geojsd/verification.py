@@ -556,8 +556,7 @@ def mc_convergence(seed: int = DEFAULT_SEED) -> list[Check]:
 
     zero_var = estimate.estimate_z(
         d1, d2, MeanSpec.arithmetic(),
-        estimate.EstimatorConfig(samples=20_000, seed=seed,
-                                 proposal=estimate.Proposal.CUSTOM),
+        estimate.EstimatorConfig(samples=20_000, seed=seed),
         proposal=estimate.arithmetic_mixture_proposal(d1, d2))
     checks.append(Check(
         "matched arithmetic proposal gives a zero-variance Z estimate",

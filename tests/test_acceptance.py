@@ -331,8 +331,7 @@ def test_criterion_11_determinism():
         runs = [fn(workers) for workers in (1, 8, 1, 8)]
         identical = identical and len(set(runs)) == 1
 
-    mc_cfg = gj.EstimatorConfig(samples=100_000, seed=1411,
-                                proposal=gj.Proposal.CUSTOM)
+    mc_cfg = gj.EstimatorConfig(samples=100_000, seed=1411)
     proposal = gj.arithmetic_mixture_proposal(d1, d2)
     mc_runs = {gj.gamma_divergence(d1, d2, 0.5, "monte_carlo", cfg=mc_cfg,
                                    proposal=proposal, workers=w)

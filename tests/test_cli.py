@@ -56,7 +56,7 @@ class TestParseMean:
     def test_descriptors(self):
         assert parse_mean("arithmetic", 0.3).kind.value == "arithmetic"
         assert parse_mean("power:-2", 0.5).gamma == -2.0
-        assert parse_mean("quasi:log", 0.5).phi == "log"
+        assert parse_mean("quasi:log", 0.5) == MeanSpec.geometric(0.5)
         assert parse_mean("quasi:power:3", 0.5).gamma == 3.0
         with pytest.raises(ValueError):
             parse_mean("median", 0.5)
@@ -100,6 +100,31 @@ class TestCompute:
         payload = json.loads(out)
         # jeffreys/4 - bhattacharyya = 1/4 - 1/8
         assert payload["value"] == pytest.approx(0.125, abs=1e-12)
+        assert payload["method"] == "closed-form"
+
+    @pytest.mark.parametrize("mean", ["geometric", "quasi:power:0",
+                                      "quasi:power:1e-12"])
+    def test_quasi_power_near_zero_is_geometric(self, capsys, tmp_path, mean):
+        a = tmp_path / "a.txt"
+        b = tmp_path / "b.txt"
+        a.write_text("0.5 0.5\n")
+        b.write_text("0.3 0.7\n")
+        code, out, _ = run_cli(capsys, "compute", "--div", "js_m", "--mean",
+                               mean, "--p1", str(a), "--p2", str(b))
+        assert code == 0
+        assert json.loads(out)["value"] == 0.02104555528851556
+
+    def test_gaussian_quasi_power_takes_the_closed_form(self, capsys, tmp_path):
+        g1 = tmp_path / "g1.json"
+        g2 = tmp_path / "g2.json"
+        g1.write_text(json.dumps({"mu": [0.0], "sigma": [[1.0]]}))
+        g2.write_text(json.dumps({"mu": [1.0], "sigma": [[2.0]]}))
+        code, out, _ = run_cli(capsys, "compute", "--gaussian", "--div", "js_m",
+                               "--mean", "quasi:power:1e-12",
+                               "--p1", str(g1), "--p2", str(g2))
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["value"] == 0.13722090775257081
         assert payload["method"] == "closed-form"
 
     def test_chernoff_reports_maximizer(self, capsys, discrete_files):

@@ -82,6 +82,10 @@ class TestDiscreteDensity:
         d = DiscreteDensity.probability([0.5, 0.5])
         assert not d.renormalized
 
+    def test_renormalized_flag_is_not_an_argument(self):
+        with pytest.raises(TypeError):
+            DiscreteDensity(np.array([0.5, 0.5]), renormalized=True)
+
     def test_near_mass_renormalized_with_flag(self):
         d = DiscreteDensity.probability([0.5, 0.5 + 5e-10])
         assert d.renormalized

@@ -13,7 +13,6 @@ from geojsd import (
     ExpFamilyDensity,
     GaussianParams,
     MeanSpec,
-    Proposal,
     ProposalSupportViolation,
     SampledDensity,
     arithmetic_mixture_proposal,
@@ -71,7 +70,7 @@ class TestEstimateZ:
 
     def test_matched_arithmetic_proposal_zero_variance(self):
         d1, d2 = gaussian_sampled(N01), gaussian_sampled(N11)
-        cfg = EstimatorConfig(samples=20_000, seed=9, proposal=Proposal.CUSTOM)
+        cfg = EstimatorConfig(samples=20_000, seed=9)
         proposal = arithmetic_mixture_proposal(d1, d2)
         assert estimate_z(d1, d2, ARITH, cfg, proposal=proposal) == (1.0, 0.0)
 
@@ -85,9 +84,8 @@ class TestEstimateZ:
 
     def test_second_argument_proposal(self):
         d1, d2 = gaussian_sampled(N01), gaussian_sampled(N11)
-        cfg = EstimatorConfig(samples=200_000, seed=4,
-                              proposal=Proposal.SECOND_ARGUMENT)
-        estimate, stderr = estimate_z(d1, d2, GEO, cfg)
+        cfg = EstimatorConfig(samples=200_000, seed=4)
+        estimate, stderr = estimate_z(d1, d2, GEO, cfg, proposal=d2)
         exact = math.exp(-0.125)
         assert abs(estimate - exact) <= 4.0 * stderr
 
@@ -101,7 +99,7 @@ class TestEstimateZ:
 
         broken = SampledDensity(broken_log_density, rng_density.sampler)
         d2 = gaussian_sampled(N11)
-        cfg = EstimatorConfig(samples=1_000, seed=0, proposal=Proposal.CUSTOM)
+        cfg = EstimatorConfig(samples=1_000, seed=0)
         with pytest.raises(ProposalSupportViolation):
             estimate_z(rng_density, d2, GEO, cfg, proposal=broken)
 
@@ -287,7 +285,7 @@ class TestGammaDivergence:
     def test_monte_carlo_route(self):
         d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
         closed = gamma_divergence(expfam_density(N01), expfam_density(N12), 0.5)
-        cfg = EstimatorConfig(samples=400_000, seed=8, proposal=Proposal.CUSTOM)
+        cfg = EstimatorConfig(samples=400_000, seed=8)
         mc = gamma_divergence(d1, d2, 0.5, "monte_carlo", cfg=cfg,
                               proposal=arithmetic_mixture_proposal(d1, d2))
         assert mc == pytest.approx(closed, abs=5e-3)
@@ -464,8 +462,7 @@ class TestStableMerge:
 
         proposal = SampledDensity(
             lambda x: base.log_density(x) + 1e-9 * np.sin(x), sampler)
-        cfg = EstimatorConfig(samples=1_000_000, seed=5, chunk_size=62_500,
-                              proposal=Proposal.CUSTOM)
+        cfg = EstimatorConfig(samples=1_000_000, seed=5, chunk_size=62_500)
         mean, stderr = estimate_z(base, base, GEO, cfg, proposal=proposal)
         x = np.concatenate(draws)
         g = np.exp(base.log_density(x) - proposal.log_density(x))

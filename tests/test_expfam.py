@@ -256,6 +256,26 @@ class TestGJSDExpFam:
         assert dual_gjsd_ef(gauss1d, t1, t2, alpha) == skew_jensen(
             gauss1d, t1, t2, alpha)
 
+    def test_cholesky_factors_per_call(self, rng, monkeypatch):
+        # d = 3: gjsd_ef and gjsd_extended_ef check each theta once, then the
+        # two gradients, the midpoint check and the three cumulants each
+        # factor theta_M again; skew_jensen is the last four plus two checks
+        fam = gaussian_family(3)
+        t1 = natural_flat(random_gaussian(rng, 3))
+        t2 = natural_flat(random_gaussian(rng, 3))
+        factor = np.linalg.cholesky
+        calls = []
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return factor(mat)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        for fn, want in ((gjsd_ef, 8), (gjsd_extended_ef, 8), (skew_jensen, 6)):
+            calls.clear()
+            fn(fam, t1, t2)
+            assert len(calls) == want, fn.__name__
+
 
 class TestIntractableFamily:
     def test_operations_refuse_missing_cumulant(self):

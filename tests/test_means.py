@@ -132,6 +132,29 @@ def test_quasi_power_matches_power(rng):
         evaluate(MeanSpec.power(2.0), a, b), rtol=1e-14)
 
 
+@pytest.mark.parametrize("gamma", [0.0, 1e-12, -1e-9, -0.5, 2.0])
+def test_quasi_power_is_the_power_spec(gamma):
+    assert MeanSpec.quasi_arithmetic("power", gamma=gamma) == MeanSpec.power(gamma)
+    assert (MeanSpec.quasi_arithmetic("power", gamma=gamma, alpha=0.3)
+            == MeanSpec.power(gamma, alpha=0.3))
+    assert MeanSpec.quasi_arithmetic("log", alpha=0.3) == MeanSpec.geometric(0.3)
+
+
+def test_quasi_power_near_zero_is_geometric():
+    # |gamma| < 1e-8 takes the exact geometric branch, as power(gamma) does
+    for gamma in (0.0, 1e-12):
+        spec = MeanSpec.quasi_arithmetic("power", gamma=gamma)
+        assert evaluate(spec, 1.0, 4.0) == 2.0
+        assert is_geometric(spec)
+
+
+def test_quasi_log_and_power_are_no_kind_of_their_own():
+    with pytest.raises(ValueError):
+        MeanSpec(MeanKind.QUASI_ARITHMETIC, phi="log")
+    with pytest.raises(ValueError):
+        MeanSpec(MeanKind.QUASI_ARITHMETIC, gamma=2.0, phi="power")
+
+
 def test_quasi_exp_value():
     # phi = exp: M = log(0.5*e^a + 0.5*e^b)
     got = evaluate(MeanSpec.quasi_arithmetic("exp"), 1.0, 3.0)
