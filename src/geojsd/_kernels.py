@@ -3,7 +3,13 @@
 ``rel_entr``, ``kl_div`` and ``logsumexp`` follow the branches and limit
 conventions of their ``scipy.special`` namesakes: ``0 log 0 = 0``,
 ``x > 0 = y`` gives ``+inf``, ``kl_div(0, y) = y``, a NaN argument gives
-NaN, and ``logsumexp`` of all ``-inf`` is ``-inf``.  The two solves take
+NaN, and ``logsumexp`` of all ``-inf`` is ``-inf``.  One block kernel
+computes ``x log(x/y)`` for 8192 entries at a time in reused scratch
+arrays.  ``rel_entr`` and ``kl_div`` write its blocks into their result;
+``sum_x_log_ratio`` and ``sum_x_log_ratio_to_midpoint`` sum each block with
+``np.sum`` and add the block sums in order, so they leave no support-sized
+array, and at or below one block they give the bits of the elementwise
+sum.  The two solves take
 the lower Cholesky factor ``L`` that :mod:`geojsd.gaussian` keeps.
 ``gauss_kronrod`` is QUADPACK's globally adaptive Gauss-Kronrod 10/21
 rule, the rule behind ``scipy.integrate.quad``, with each refinement round
@@ -28,27 +34,93 @@ _TINY = np.finfo(float).tiny
 _BLOCK = 8192
 
 
+def _scratch(size: int) -> tuple[np.ndarray, ...]:
+    """Block-sized work arrays, allocated once per call for all its blocks."""
+    size = min(size, _BLOCK)
+    return (np.empty(size), np.empty(size), np.empty(size),
+            np.empty(size, dtype=bool), np.empty(size, dtype=bool))
+
+
 def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
-                       out: np.ndarray) -> None:
-    """:func:`_x_log_ratio` of 1-D ``x`` and ``y``, written into ``out``."""
+                       scratch: tuple[np.ndarray, ...],
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_x_log_ratio` of 1-D ``x`` and ``y``, at most one block long.
+
+    The terms go into ``out``, or into the scratch when it is None; the
+    array written is returned.
+    """
+    terms, step, pick, near, below = scratch
+    k = x.size
+    if k < terms.size:
+        terms, step, pick, near, below = (a[:k] for a in scratch)
+    if out is None:
+        out = terms
     np.divide(x, y, out=out)
-    near = (out > 0.5) & (out < 2.0)
-    inside = (x > 0.0) & (y > 0.0)
-    far = inside & ((out <= _TINY) | (out == np.inf))
+    # Out-of-domain and far-ratio atoms need masks; a block whose ratios
+    # all lie in (DBL_MIN, inf), with y > 0, has none.
+    if (np.minimum.reduce(out) > _TINY and np.maximum.reduce(out) < np.inf
+            and np.minimum.reduce(y) > 0.0):
+        inside = far = None
+    else:
+        inside = (x > 0.0) & (y > 0.0)
+        far = inside & ((out <= _TINY) | (out == np.inf))
+    np.greater(out, 0.5, out=near)
+    np.less(out, 2.0, out=below)
+    near &= below
     np.log(out, out=out)
-    step = x - y
+    np.subtract(x, y, out=step)
     step /= y
-    np.copyto(out, np.log1p(step, out=step), where=near)
-    if np.count_nonzero(far):
+    # no near atom is below -1/2 (Sterbenz: x - y is exact there), and
+    # the floor keeps log1p finite on the others
+    np.maximum(step, -0.5, out=step)
+    np.log1p(step, out=step)
+    # A branch-free select of log1p where near, log elsewhere: with pick
+    # 0.0 or 1.0 each product is the value or a zero, so the sum is the
+    # chosen value exactly.  A product is NaN only where log1p is inf,
+    # a far or out-of-domain atom, which the fix-ups below overwrite.
+    np.copyto(pick, near)
+    step *= pick
+    np.subtract(1.0, pick, out=pick)
+    out *= pick
+    out += step
+    if far is not None and np.count_nonzero(far):
         out[far] = np.log(x[far]) - np.log(y[far])
     out *= x
     if extended:
         out -= x
         out += y
-    if np.count_nonzero(inside) < inside.size:
+    if inside is not None and np.count_nonzero(inside) < inside.size:
         edge = np.where((x == 0.0) & (y >= 0.0), y if extended else 0.0,
                         np.where(np.isnan(x) | np.isnan(y), np.nan, np.inf))
         np.copyto(out, edge, where=~inside)
+    return out
+
+
+def _flat_pair(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        x, y = np.broadcast_arrays(x, y)
+    return x.ravel(), y.ravel(), x.shape
+
+
+def _blocks(*arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
+    """Consecutive blocks of up to ``_BLOCK`` entries of equal-length arrays."""
+    size = arrays[0].size
+    if size <= _BLOCK:
+        return [arrays] if size else []
+    return [tuple(a[start:start + _BLOCK] for a in arrays)
+            for start in range(0, size, _BLOCK)]
+
+
+def _added_in_order(parts: list[float]) -> float:
+    """Block sums added left to right; no blocks sum to 0."""
+    if not parts:
+        return 0.0
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
@@ -59,18 +131,49 @@ def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
     elsewhere; ``0`` (``y`` when extended) where ``x == 0 <= y``, NaN where
     either is NaN, ``+inf`` elsewhere.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    shape = x.shape
-    x, y = x.ravel(), y.ravel()
+    x, y, shape = _flat_pair(x, y)
     out = np.empty(x.size)
+    scratch = _scratch(x.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, x.size, _BLOCK):
-            block = slice(start, start + _BLOCK)
-            _x_log_ratio_block(x[block], y[block], extended, out[block])
+        for a, b, o in _blocks(x, y, out):
+            _x_log_ratio_block(a, b, extended, scratch, o)
     return out.reshape(shape)
+
+
+def sum_x_log_ratio(x, y, extended: bool = False) -> float:
+    """``_x_log_ratio(x, y, extended).sum()``, without the support-sized array.
+
+    Each block of up to 8192 entries is summed by ``np.sum``, so an input of
+    at most one block gives the bits of the elementwise sum; longer inputs
+    add the block sums in order.
+    """
+    x, y, _ = _flat_pair(x, y)
+    scratch = _scratch(x.size)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _added_in_order([
+            float(np.add.reduce(_x_log_ratio_block(a, b, extended, scratch)))
+            for a, b in _blocks(x, y)])
+
+
+def sum_x_log_ratio_to_midpoint(x1, x2) -> tuple[float, float]:
+    """``rel_entr(x1, mid).sum()`` and ``rel_entr(x2, mid).sum()``, mid = (x1 + x2)/2.
+
+    The midpoint is formed a block at a time, and each sum is taken as in
+    :func:`sum_x_log_ratio`.
+    """
+    x1, x2, _ = _flat_pair(x1, x2)
+    scratch = _scratch(x1.size)
+    mid = np.empty(min(x1.size, _BLOCK))
+    parts1, parts2 = [], []
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, b in _blocks(x1, x2):
+            m = mid[:a.size]
+            np.add(a, b, out=m)
+            m *= 0.5
+            for x, parts in ((a, parts1), (b, parts2)):
+                terms = _x_log_ratio_block(x, m, False, scratch)
+                parts.append(float(np.add.reduce(terms)))
+    return _added_in_order(parts1), _added_in_order(parts2)
 
 
 def rel_entr(x, y) -> np.ndarray:

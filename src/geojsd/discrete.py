@@ -28,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import means
-from ._kernels import kl_div, rel_entr
+from ._kernels import sum_x_log_ratio, sum_x_log_ratio_to_midpoint
 from .errors import (
     DisjointSupport,
     InvalidAlpha,
@@ -91,20 +91,10 @@ class DiscreteDensity:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise InvalidDensity("weights must be a nonempty 1-D vector")
-        if (w < 0.0).any() or not np.isfinite(w).all():
-            raise InvalidDensity("weights must be finite and nonnegative")
-        if not (w > 0.0).any():
-            raise InvalidDensity("at least one weight must be positive")
+        _check_weights(w)
         renormalized = False
         if self.normalized:
-            gap = abs(float(w.sum()) - 1.0)
-            if gap > _RENORMALIZE_TOL:
-                raise InvalidDensity(
-                    f"normalized density has mass off by {gap:.3e} (> 1e-9)"
-                )
-            if gap > _NORMALIZATION_TOL:
-                w = w / w.sum()
-                renormalized = True
+            w, renormalized = _unit_mass(w)
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -127,6 +117,25 @@ class DiscreteDensity:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
+
+
+def _check_weights(w: np.ndarray) -> None:
+    if (w < 0.0).any() or not np.isfinite(w).all():
+        raise InvalidDensity("weights must be finite and nonnegative")
+    if not (w > 0.0).any():
+        raise InvalidDensity("at least one weight must be positive")
+
+
+def _unit_mass(w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``w`` as a normalized density's weights, and whether it was rescaled."""
+    gap = abs(float(w.sum()) - 1.0)
+    if gap > _RENORMALIZE_TOL:
+        raise InvalidDensity(
+            f"normalized density has mass off by {gap:.3e} (> 1e-9)"
+        )
+    if gap > _NORMALIZATION_TOL:
+        return w / w.sum(), True
+    return w, False
 
 
 def _aligned(p1: DiscreteDensity, p2: DiscreteDensity,
@@ -155,7 +164,7 @@ def kl(p1: DiscreteDensity, p2: DiscreteDensity, base: LogBase = NATS) -> float:
     Returns ``+inf`` when p1 puts mass where p2 has none.
     """
     w1, w2 = _aligned(p1, p2, require_normalized=True)
-    return float(rel_entr(w1, w2).sum()) / base.ln
+    return sum_x_log_ratio(w1, w2) / base.ln
 
 
 def kl_extended(q1: DiscreteDensity, q2: DiscreteDensity,
@@ -167,17 +176,20 @@ def kl_extended(q1: DiscreteDensity, q2: DiscreteDensity,
     rescales under a base change; the linear mass terms do not.
     """
     w1, w2 = _aligned(q1, q2)
+    return _kl_extended(w1, w2, base)
+
+
+def _kl_extended(w1: np.ndarray, w2: np.ndarray, base: LogBase) -> float:
     if base is NATS:
-        return float(kl_div(w1, w2).sum())
-    log_part = float(rel_entr(w1, w2).sum())
-    return log_part / base.ln + float((w2 - w1).sum())
+        return sum_x_log_ratio(w1, w2, extended=True)
+    return sum_x_log_ratio(w1, w2) / base.ln + float((w2 - w1).sum())
 
 
 def jeffreys(p1: DiscreteDensity, p2: DiscreteDensity,
              base: LogBase = NATS) -> float:
     """Jeffreys divergence KL(p1, p2) + KL(p2, p1) = sum((p1-p2)*log(p1/p2))."""
     w1, w2 = _aligned(p1, p2, require_normalized=True)
-    return float(rel_entr(w1, w2).sum() + rel_entr(w2, w1).sum()) / base.ln
+    return (sum_x_log_ratio(w1, w2) + sum_x_log_ratio(w2, w1)) / base.ln
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +205,27 @@ def m_mixture(p1: DiscreteDensity, p2: DiscreteDensity, m: MeanSpec,
     :class:`DisjointSupport` when Z = 0.
     """
     w1, w2 = _aligned(p1, p2)
+    mixed, z = _mixture_weights(w1, w2, m, normalize)
+    return DiscreteDensity(mixed, normalized=normalize), z
+
+
+def _mixture_weights(w1: np.ndarray, w2: np.ndarray, m: MeanSpec,
+                     normalize: bool) -> tuple[np.ndarray, float]:
+    """:func:`m_mixture`'s weights as a raw array, with its checks and errors."""
     mixed = np.asarray(means.evaluate(m, w1, w2), dtype=float)
     z = float(mixed.sum())
     if z <= 0.0:
         raise DisjointSupport("mixture normalizer is zero: disjoint supports")
     if normalize:
-        return DiscreteDensity(mixed / z, normalized=True), z
-    return DiscreteDensity(mixed, normalized=False), z
+        # evaluate returns a fresh array
+        mixed /= z
+    # With z > 0 finite and no entry negative, every entry is finite and
+    # one is positive: only another vector can fail the density checks.
+    if not (math.isfinite(z) and mixed.min() >= 0.0):
+        _check_weights(mixed)
+    if normalize:
+        mixed, _ = _unit_mass(mixed)
+    return mixed, z
 
 
 def js(p1: DiscreteDensity, p2: DiscreteDensity, base: LogBase = NATS) -> float:
@@ -208,8 +234,8 @@ def js(p1: DiscreteDensity, p2: DiscreteDensity, base: LogBase = NATS) -> float:
     Always finite (bounded by log 2), symmetric, zero iff the densities agree.
     """
     w1, w2 = _aligned(p1, p2, require_normalized=True)
-    mid = 0.5 * (w1 + w2)
-    return 0.5 * float(rel_entr(w1, mid).sum() + rel_entr(w2, mid).sum()) / base.ln
+    to_mid_1, to_mid_2 = sum_x_log_ratio_to_midpoint(w1, w2)
+    return 0.5 * (to_mid_1 + to_mid_2) / base.ln
 
 
 def js_m(p1: DiscreteDensity, p2: DiscreteDensity, m: MeanSpec,
@@ -223,10 +249,9 @@ def js_m(p1: DiscreteDensity, p2: DiscreteDensity, m: MeanSpec,
     """
     _check_beta(beta)
     w1, w2 = _aligned(p1, p2, require_normalized=True)
-    mixture, _ = m_mixture(p1, p2, m, normalize=True)
-    mw = mixture.weights
-    return (beta * float(rel_entr(w1, mw).sum())
-            + (1.0 - beta) * float(rel_entr(w2, mw).sum())) / base.ln
+    mw, _ = _mixture_weights(w1, w2, m, normalize=True)
+    return (beta * sum_x_log_ratio(w1, mw)
+            + (1.0 - beta) * sum_x_log_ratio(w2, mw)) / base.ln
 
 
 def js_m_extended(q1: DiscreteDensity, q2: DiscreteDensity, m: MeanSpec,
@@ -237,9 +262,10 @@ def js_m_extended(q1: DiscreteDensity, q2: DiscreteDensity, m: MeanSpec,
     ``Z - log(Z) - 1`` (in nats), where Z is the mixture normalizer.
     """
     _check_beta(beta)
-    mixture, _ = m_mixture(q1, q2, m, normalize=False)
-    return (beta * kl_extended(q1, mixture, base)
-            + (1.0 - beta) * kl_extended(q2, mixture, base))
+    w1, w2 = _aligned(q1, q2)
+    mw, _ = _mixture_weights(w1, w2, m, normalize=False)
+    return (beta * _kl_extended(w1, mw, base)
+            + (1.0 - beta) * _kl_extended(w2, mw, base))
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +416,27 @@ def total_variation(p1: DiscreteDensity, p2: DiscreteDensity) -> float:
 class FGenerator:
     """Generator of a separable divergence sum(p1 * f(p2/p1)).
 
-    ``f(u, ln_base)`` evaluates the generator with logarithms rescaled to
-    the requested base (algebraic terms are base-free); ``at_zero`` and
-    ``slope_at_inf`` supply the limit conventions ``f(0+)`` and
-    ``lim f(u)/u`` used on one-sided zeros.  Divergence generators satisfy
-    f(1) = 0; coefficients such as the Bhattacharyya coefficient have
-    f(1) = 1.
+    ``term(w1, w2, ln_base)`` evaluates the summand ``w1 * f(w2 / w1)`` on
+    atoms where both masses are positive, with logarithms rescaled to the
+    requested base (algebraic terms are base-free).  The built-in generators
+    write it with ``log u = log w2 - log w1`` and never form the ratio, so a
+    subnormal mass, whose ratio would overflow, gives its finite term.  Only
+    :meth:`custom` forms the ratio.  :meth:`f` is the generator itself,
+    ``term(1, u)``.  ``at_zero`` and ``slope_at_inf`` supply the limit
+    conventions ``f(0+)`` and ``lim f(u)/u`` used on one-sided zeros.
+    Divergence generators satisfy f(1) = 0; coefficients such as the
+    Bhattacharyya coefficient have f(1) = 1.
     """
 
     name: str
-    f: Callable[[np.ndarray, float], np.ndarray]
+    term: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     at_zero: Callable[[float], float]
     slope_at_inf: Callable[[float], float]
+
+    def f(self, u, ln_b: float) -> np.ndarray:
+        """The generator ``f(u)``, logarithms in the base with log ``ln_b``."""
+        u = np.asarray(u, dtype=float)
+        return self.term(np.ones_like(u), u, ln_b)
 
     @classmethod
     def custom(cls, f: Callable[[np.ndarray], np.ndarray],
@@ -416,44 +451,66 @@ class FGenerator:
         f0 = float(f(np.asarray(1e-300))) if at_zero is None else at_zero
         s_inf = (float(f(np.asarray(1e300)) / 1e300)
                  if slope_at_inf is None else slope_at_inf)
-        return cls(name, lambda u, ln_b: f(u), lambda ln_b: f0, lambda ln_b: s_inf)
+        return cls(name, lambda w1, w2, ln_b: w1 * f(w2 / w1),
+                   lambda ln_b: f0, lambda ln_b: s_inf)
 
 
-def _f_kl(u: np.ndarray, ln_b: float) -> np.ndarray:
-    return -np.log(u) / ln_b
+# The built-in summands w1 * f(w2 / w1), written with log u = log w2 - log w1
+# so that no ratio is formed: a subnormal mass has a finite log.
+def _log_ratio(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    return np.log(w2) - np.log(w1)
 
 
-def _f_js(u: np.ndarray, ln_b: float) -> np.ndarray:
-    return 0.5 * (u * np.log(u) - (1.0 + u) * np.log(0.5 * (1.0 + u))) / ln_b
+def _sqrt_product(w1: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    # sqrt(w1 * w2) without the product, which underflows near 1e-200
+    return np.sqrt(w1) * np.sqrt(w2)
 
 
-def _f_extended_gjs(u: np.ndarray, ln_b: float) -> np.ndarray:
-    return 0.25 * (u - 1.0) * np.log(u) / ln_b + np.sqrt(u) - 1.0
+def _t_kl(w1: np.ndarray, w2: np.ndarray, ln_b: float) -> np.ndarray:
+    # f(u) = -log u
+    return -w1 * _log_ratio(w1, w2) / ln_b
 
 
-def _f_jeffreys(u: np.ndarray, ln_b: float) -> np.ndarray:
-    return (u - 1.0) * np.log(u) / ln_b
+def _t_js(w1: np.ndarray, w2: np.ndarray, ln_b: float) -> np.ndarray:
+    # f(u) = (u log u - (1 + u) log((1 + u)/2)) / 2
+    log_mid = np.log(0.5 * (w1 + w2))
+    return 0.5 * (w1 * (np.log(w1) - log_mid)
+                  + w2 * (np.log(w2) - log_mid)) / ln_b
 
 
-def _f_taneja(u: np.ndarray, ln_b: float) -> np.ndarray:
-    return 0.5 * (1.0 + u) * np.log(0.5 * (1.0 + u) / np.sqrt(u)) / ln_b
+def _t_extended_gjs(w1: np.ndarray, w2: np.ndarray, ln_b: float) -> np.ndarray:
+    # f(u) = (u - 1) log(u) / 4 + sqrt(u) - 1
+    return (0.25 * (w2 - w1) * _log_ratio(w1, w2) / ln_b
+            + _sqrt_product(w1, w2) - w1)
 
 
-def _f_bc(u: np.ndarray, ln_b: float) -> np.ndarray:
-    return np.sqrt(u)
+def _t_jeffreys(w1: np.ndarray, w2: np.ndarray, ln_b: float) -> np.ndarray:
+    # f(u) = (u - 1) log u
+    return (w2 - w1) * _log_ratio(w1, w2) / ln_b
 
 
-F_KL = FGenerator("kl", _f_kl, lambda ln_b: math.inf, lambda ln_b: 0.0)
-F_JS = FGenerator("js", _f_js,
+def _t_taneja(w1: np.ndarray, w2: np.ndarray, ln_b: float) -> np.ndarray:
+    # f(u) = (1 + u)/2 log((1 + u) / (2 sqrt(u)))
+    mid = 0.5 * (w1 + w2)
+    return mid * (np.log(mid) - 0.5 * (np.log(w1) + np.log(w2))) / ln_b
+
+
+def _t_bc(w1: np.ndarray, w2: np.ndarray, ln_b: float) -> np.ndarray:
+    # f(u) = sqrt(u)
+    return _sqrt_product(w1, w2)
+
+
+F_KL = FGenerator("kl", _t_kl, lambda ln_b: math.inf, lambda ln_b: 0.0)
+F_JS = FGenerator("js", _t_js,
                   lambda ln_b: 0.5 * math.log(2.0) / ln_b,
                   lambda ln_b: 0.5 * math.log(2.0) / ln_b)
-F_EXTENDED_GJS = FGenerator("extended_gjs", _f_extended_gjs,
+F_EXTENDED_GJS = FGenerator("extended_gjs", _t_extended_gjs,
                             lambda ln_b: math.inf, lambda ln_b: math.inf)
-F_JEFFREYS = FGenerator("jeffreys", _f_jeffreys,
+F_JEFFREYS = FGenerator("jeffreys", _t_jeffreys,
                         lambda ln_b: math.inf, lambda ln_b: math.inf)
-F_TANEJA = FGenerator("taneja", _f_taneja,
+F_TANEJA = FGenerator("taneja", _t_taneja,
                       lambda ln_b: math.inf, lambda ln_b: math.inf)
-F_BHATTACHARYYA_COEFF = FGenerator("bhattacharyya_coeff", _f_bc,
+F_BHATTACHARYYA_COEFF = FGenerator("bhattacharyya_coeff", _t_bc,
                                    lambda ln_b: 0.0, lambda ln_b: 0.0)
 
 F_GENERATORS: dict[str, FGenerator] = {
@@ -472,7 +529,7 @@ def f_divergence(p1: DiscreteDensity, p2: DiscreteDensity, f: FGenerator,
     w1, w2 = _aligned(p1, p2, require_normalized=True)
     ln_b = base.ln
     both = (w1 > 0.0) & (w2 > 0.0)
-    total = float((w1[both] * f.f(w2[both] / w1[both], ln_b)).sum())
+    total = float(f.term(w1[both], w2[both], ln_b).sum())
     mass_u0 = float(w1[(w1 > 0.0) & (w2 == 0.0)].sum())
     if mass_u0 > 0.0:
         total += mass_u0 * f.at_zero(ln_b)
@@ -497,9 +554,10 @@ def kl_between_mixtures(p1: DiscreteDensity, p2: DiscreteDensity,
     """
     if m1.alpha != 0.5 or m2.alpha != 0.5:
         raise InvalidAlpha("mixture-vs-mixture KL requires balanced means")
-    mix1, _ = m_mixture(p1, p2, m1, normalize=True)
-    mix2, _ = m_mixture(p1, p2, m2, normalize=True)
-    return kl(mix1, mix2, base)
+    w1, w2 = _aligned(p1, p2)
+    mix1, _ = _mixture_weights(w1, w2, m1, normalize=True)
+    mix2, _ = _mixture_weights(w1, w2, m2, normalize=True)
+    return sum_x_log_ratio(mix1, mix2) / base.ln
 
 
 def taneja_t(p1: DiscreteDensity, p2: DiscreteDensity,
@@ -513,7 +571,7 @@ def taneja_t(p1: DiscreteDensity, p2: DiscreteDensity,
     avg = 0.5 * (w1 + w2)
     # in log space: sqrt(w1 * w2) underflows for masses near 1e-200
     geo = means.evaluate(MeanSpec.geometric(), w1, w2)
-    return float(rel_entr(avg, geo).sum()) / base.ln
+    return sum_x_log_ratio(avg, geo) / base.ln
 
 
 # ---------------------------------------------------------------------------

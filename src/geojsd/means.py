@@ -71,7 +71,10 @@ class MeanSpec:
     quasi-arithmetic generator, which is ``exp``: the ``log`` and ``power``
     generators are the geometric and power kinds, and
     :meth:`quasi_arithmetic` returns those.  ``alpha`` must lie strictly
-    inside (0, 1).
+    inside (0, 1).  A field that the kind does not read is rejected:
+    ``gamma`` off the power kind, ``phi`` off the quasi-arithmetic kind, and
+    an ``alpha`` other than 1/2 on min and max.  So two specs of one mean
+    compare and hash equal.
     """
 
     kind: MeanKind
@@ -84,6 +87,13 @@ class MeanSpec:
             raise InvalidAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.kind is MeanKind.POWER and self.gamma is None:
             raise ValueError("power mean requires a gamma exponent")
+        if self.kind is not MeanKind.POWER and self.gamma is not None:
+            raise ValueError(f"{self.kind.value} mean takes no gamma exponent")
+        if self.kind is not MeanKind.QUASI_ARITHMETIC and self.phi is not None:
+            raise ValueError(f"{self.kind.value} mean takes no generator phi")
+        if self.kind in (MeanKind.MIN, MeanKind.MAX) and self.alpha != 0.5:
+            raise ValueError(f"{self.kind.value} mean takes no skew weight; "
+                             f"alpha must be 0.5, got {self.alpha}")
         if self.kind is MeanKind.QUASI_ARITHMETIC and self.phi != "exp":
             raise ValueError(
                 f"quasi-arithmetic generator {self.phi!r} is not 'exp'; "
@@ -109,7 +119,8 @@ class MeanSpec:
     def quasi_arithmetic(cls, phi: str, gamma: float | None = None,
                          alpha: float = 0.5) -> "MeanSpec":
         """The mean generated by ``phi``: ``log`` gives :meth:`geometric`,
-        ``power`` (u**gamma) gives :meth:`power`, ``exp`` its own kind."""
+        ``power`` (u**gamma) gives :meth:`power`, ``exp`` its own kind.
+        Only ``power`` takes ``gamma``."""
         if phi == "log":
             return cls.geometric(alpha)
         if phi == "power":

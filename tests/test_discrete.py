@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from geojsd import means
 from geojsd import (
     BITS,
     DiscreteDensity,
@@ -219,6 +221,31 @@ class TestMixture:
             _, z_max = m_mixture(p1, p2, MeanSpec.maximum())
             assert z_min == pytest.approx(1.0 - tv, abs=1e-12)
             assert z_max == pytest.approx(1.0 + tv, abs=1e-12)
+
+
+class TestMixtureChecks:
+    """js_m and friends build the mixture as a raw array, with m_mixture's errors."""
+
+    def test_overflowing_normalizer(self):
+        # Z = 2e308 rounds to inf, so the normalized mixture is all zeros
+        big = DiscreteDensity.positive([1e308, 1e308])
+        message = "at least one weight must be positive"
+        with np.errstate(over="ignore"):
+            with pytest.raises(InvalidDensity, match=message):
+                m_mixture(big, big, ARITH)
+            with pytest.raises(InvalidDensity, match=message):
+                kl_between_mixtures(big, big, ARITH, GEO)
+            # unnormalized, the same mixture is a valid density
+            assert js_m_extended(big, big, ARITH) == 0.0
+
+    def test_disjoint_supports(self):
+        p = DiscreteDensity.probability([1.0, 0.0])
+        q = DiscreteDensity.probability([0.0, 1.0])
+        for call in (lambda: m_mixture(p, q, GEO), lambda: js_m(p, q, GEO),
+                     lambda: js_m_extended(p, q, GEO),
+                     lambda: kl_between_mixtures(p, q, ARITH, GEO)):
+            with pytest.raises(DisjointSupport):
+                call()
 
 
 class TestJS:
@@ -621,6 +648,34 @@ class TestFDivergence:
             total_variation(p, q), abs=1e-14)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tiny", [1e-310, 1e-320, 5e-324])
+    def test_subnormal_masses_give_the_direct_values(self, tiny):
+        # the ratio of 0.5 to a subnormal mass overflows: each generator's
+        # term is taken from the two masses, so the sum stays finite
+        p = DiscreteDensity.probability([tiny, 1.0 - tiny])
+        q = DiscreteDensity.probability([0.5, 0.5])
+        for a, b in ((p, q), (q, p)):
+            direct = {F_KL: kl(a, b), F_JS: js(a, b),
+                      F_EXTENDED_GJS: js_m_extended(a, b, GEO),
+                      F_JEFFREYS: jeffreys(a, b), F_TANEJA: taneja_t(a, b),
+                      F_BHATTACHARYYA_COEFF: bhattacharyya_coefficient(a, b)}
+            for gen, want in direct.items():
+                assert math.isfinite(want)
+                assert f_divergence(a, b, gen) == pytest.approx(
+                    want, rel=1e-14, abs=0.0), gen.name
+
+    def test_generator_is_the_term_at_unit_mass(self):
+        u = np.logspace(-6.0, 6.0, 25)
+        assert F_KL.f(u, 1.0) == pytest.approx(-np.log(u), rel=1e-15)
+        assert F_BHATTACHARYYA_COEFF.f(u, 1.0) == pytest.approx(np.sqrt(u),
+                                                                rel=1e-15)
+        assert F_JEFFREYS.f(u, LN2) == pytest.approx(
+            (u - 1.0) * np.log2(u), rel=1e-14)
+        gen = FGenerator.custom(lambda v: 0.5 * np.abs(v - 1.0), 0.5, 0.5)
+        assert gen.f(u, 1.0) == pytest.approx(0.5 * np.abs(u - 1.0), rel=1e-15)
+
+
 class TestMixtureKLAndTaneja:
     def test_identity(self, pq):
         p, _ = pq
@@ -740,3 +795,101 @@ class TestEntropy:
             rhs = cross_entropy(a_mix, m_mix) - 0.5 * (
                 shannon_entropy(p1) + shannon_entropy(p2))
             assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def pinned_pair(n, seed):
+    rng = np.random.default_rng(seed)
+    w1, w2 = rng.random(n), rng.random(n)
+    w1[::7] = w2[::7] = 0.0
+    w2[1::5] = w1[1::5] * (1.0 + rng.integers(-4, 5, w1[1::5].size) * 2.0 ** -40)
+    w1[3::11] *= 1e-200
+    return w1 / w1.sum(), w2 / w2.sum()
+
+
+# float.hex of each sum as computed when every sum was np.sum of the
+# support-sized elementwise array: at or below one 8192-entry block the
+# blocked kernel must keep these bits
+PINNED = {
+    8: {
+        "js": "0x1.3d29ad877c400p-4",
+        "kl": "0x1.36534f6025014p-2",
+        "kl_extended": "0x1.e4685d3800e0bp+1",
+        "kl_extended_bits": "0x1.a441ea342b65ap+2",
+        "jeffreys": "0x1.9d585ff71a673p+5",
+        "taneja_t": "0x1.9ade0c9c0b6eap+3",
+        "js_m_extended": "0x1.c806f869045f7p+2",
+        "kl_between_mixtures": "0x1.97a6d046478fdp+3",
+        "js_m[arithmetic]": "0x1.3d29ad877c400p-4",
+        "js_m[geometric]": "0x1.9a2123a156886p+3",
+        "js_m[power(-0.5)]": "0x1.9938c082bef9ep+4",
+        "js_m[quasi(exp)]": "0x1.3d6d89110844ap-4",
+    },
+    8192: {
+        "js": "0x1.c83659fefba2cp-4",
+        "kl": "0x1.fff42635f30ccp-2",
+        "kl_extended": "0x1.180256e417128p+2",
+        "kl_extended_bits": "0x1.dacc8b62897a2p+2",
+        "jeffreys": "0x1.544991ec63f29p+5",
+        "taneja_t": "0x1.50b9253865fb4p+3",
+        "js_m_extended": "0x1.83fb3f59e33c3p+2",
+        "kl_between_mixtures": "0x1.4c30110475d78p+3",
+        "js_m[arithmetic]": "0x1.c83659fefba2cp-4",
+        "js_m[geometric]": "0x1.4fc07db873cecp+3",
+        "js_m[power(-0.5)]": "0x1.4e5a29bf38354p+4",
+        "js_m[quasi(exp)]": "0x1.c8365a08939edp-4",
+    },
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED))
+def test_sums_keep_their_pinned_bits(n):
+    w1, w2 = pinned_pair(n, n)
+    p1, p2 = DiscreteDensity.probability(w1), DiscreteDensity.probability(w2)
+    q1, q2 = DiscreteDensity.positive(3.0 * w1), DiscreteDensity.positive(0.5 * w2)
+    got = {"js": js(p1, p2), "kl": kl(p1, p2), "kl_extended": kl_extended(q1, q2),
+           "kl_extended_bits": kl_extended(q1, q2, BITS),
+           "jeffreys": jeffreys(p1, p2), "taneja_t": taneja_t(p1, p2),
+           "js_m_extended": js_m_extended(q1, q2, GEO),
+           "kl_between_mixtures": kl_between_mixtures(p1, p2, ARITH, GEO)}
+    for m in (ARITH, GEO, MeanSpec.power(-0.5), MeanSpec.quasi_arithmetic("exp")):
+        got[f"js_m[{m.label}]"] = js_m(p1, p2, m)
+    assert {k: float(v).hex() for k, v in got.items()} == PINNED[n]
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSupportSizedAllocations:
+    """The sums work a block at a time; only a mixture is support-sized."""
+
+    N = 1_000_000
+
+    @pytest.fixture(scope="class")
+    def big_pair(self):
+        rng = np.random.default_rng(7)
+        w1, w2 = rng.random(self.N), rng.random(self.N)
+        return (DiscreteDensity.probability(w1 / w1.sum()),
+                DiscreteDensity.probability(w2 / w2.sum()))
+
+    def test_js_allocates_no_support_sized_array(self, big_pair):
+        p1, p2 = big_pair
+        for fn in (js, kl, jeffreys):
+            assert traced_peak(lambda: fn(p1, p2)) < 8 * self.N // 4, fn.__name__
+
+    @pytest.mark.parametrize("mean", [ARITH, GEO, MeanSpec.power(-0.5)],
+                             ids=lambda m: m.label)
+    def test_js_m_allocates_only_the_mixture(self, big_pair, mean):
+        # the mixture is means.evaluate's result, so the peak of evaluate
+        # alone bounds js_m's up to block-sized scratch
+        p1, p2 = big_pair
+        mixture = traced_peak(lambda: means.evaluate(mean, p1.weights, p2.weights))
+        for fn in (js_m, js_m_extended):
+            peak = traced_peak(lambda: fn(p1, p2, mean))
+            assert peak < mixture + 8 * self.N // 4, fn.__name__

@@ -156,6 +156,92 @@ class TestKlDiv:
             [1e300, sp.rel_entr(1.0, 1e-320) - 1.0 + 1e-320])
 
 
+# inputs of the sum kernel: exact zeros, the smallest subnormal, 1e-300 and
+# 1e300 masses, NaN, and pairs that agree to a few ulps
+SUM_EDGES = np.array([0.0, 5e-324, 1e-300, 1e300, np.nan])
+
+
+def edge_pair(n: int, seed: int, edge_share: float, near_share: float):
+    rng = np.random.default_rng(seed)
+    x, y = rng.random(n), rng.random(n)
+    for a in (x, y):
+        hit = rng.random(n) < edge_share
+        a[hit] = rng.choice(SUM_EDGES, int(hit.sum()))
+    near = rng.random(n) < near_share
+    y[near] = x[near] * (1.0 + rng.integers(-3, 4, int(near.sum())) * 2.0 ** -52)
+    return x, y
+
+
+def block_sums_in_order(terms: np.ndarray) -> float:
+    """np.sum of each 8192-entry block, added left to right."""
+    parts = [float(terms[i:i + 8192].sum()) for i in range(0, terms.size, 8192)]
+    total = parts[0]
+    for part in parts[1:]:
+        total += part
+    return total
+
+
+class TestSumXLogRatio:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=8192),
+           seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+           edge_share=st.sampled_from([0.0, 0.01, 0.2, 1.0]),
+           near_share=st.sampled_from([0.0, 0.5, 1.0]))
+    def test_one_block_keeps_the_bits_of_the_elementwise_sum(
+            self, n, seed, edge_share, near_share):
+        x, y = edge_pair(n, seed, edge_share, near_share)
+        assert (_kernels.sum_x_log_ratio(x, y).hex()
+                == float(_kernels.rel_entr(x, y).sum()).hex())
+        assert (_kernels.sum_x_log_ratio(x, y, extended=True).hex()
+                == float(_kernels.kl_div(x, y).sum()).hex())
+        mid = 0.5 * (x + y)
+        to_mid = _kernels.sum_x_log_ratio_to_midpoint(x, y)
+        assert [v.hex() for v in to_mid] == [
+            float(_kernels.rel_entr(x, mid).sum()).hex(),
+            float(_kernels.rel_entr(y, mid).sum()).hex()]
+
+    @pytest.mark.parametrize("n", [8193, 3 * 8192, 100_000])
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_longer_inputs_add_block_sums_in_order(self, n, extended):
+        x, y = edge_pair(n, n, 0.0, 0.3)
+        y[::9] = x[::9] * 1e-3
+        terms = _kernels._x_log_ratio(x, y, extended)
+        got = _kernels.sum_x_log_ratio(x, y, extended)
+        assert got == block_sums_in_order(terms)
+        # Higham, Accuracy and Stability of Numerical Algorithms, ch. 4:
+        # |error| <= gamma_k * sum|t|, with k the most additions a term
+        # passes through.  numpy's pairwise sum of one block has leaves of
+        # at most 128 terms in 8 accumulators (15 additions, 3 to combine
+        # them, 7 for the remainder) under 6 halvings; the block sums add
+        # one more per further block.
+        k = 25 + 6 + (-(-n // 8192) - 1)
+        unit = 2.0 ** -53
+        gamma = k * unit / (1.0 - k * unit)
+        exact = math.fsum(terms)
+        assert abs(got - exact) <= gamma * math.fsum(np.abs(terms))
+        to_mid = _kernels.sum_x_log_ratio_to_midpoint(x, y)
+        mid = 0.5 * (x + y)
+        assert to_mid == (block_sums_in_order(_kernels.rel_entr(x, mid)),
+                          block_sums_in_order(_kernels.rel_entr(y, mid)))
+
+    def test_edge_grid_sums_like_the_elementwise_terms(self):
+        x, y = (a.ravel() for a in np.meshgrid(EDGE_VALUES, EDGE_VALUES))
+        for extended in (False, True):
+            terms = _kernels._x_log_ratio(x, y, extended)
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+                total = float(terms.sum())
+            assert _kernels.sum_x_log_ratio(x, y, extended).hex() == total.hex()
+            for xi, yi, ti in zip(x, y, terms):
+                assert (_kernels.sum_x_log_ratio(np.array([xi]), np.array([yi]),
+                                                 extended).hex()
+                        == float(ti).hex())
+
+    def test_empty_input_sums_to_zero(self):
+        empty = np.array([])
+        assert _kernels.sum_x_log_ratio(empty, empty) == 0.0
+        assert _kernels.sum_x_log_ratio_to_midpoint(empty, empty) == (0.0, 0.0)
+
+
 log_values = st.one_of(
     st.sampled_from([-np.inf, np.inf, 0.0, -745.0, 709.0, -1e300, 1e300,
                      -1e-300, 1.0]),
