@@ -9,13 +9,12 @@ arrays.  ``rel_entr`` and ``kl_div`` write its blocks into their result;
 ``sum_x_log_ratio`` and ``sum_x_log_ratio_to_midpoint`` sum each block with
 ``np.sum`` and add the block sums in order, so they leave no support-sized
 array, and at or below one block they give the bits of the elementwise
-sum.  The two solves take
-the lower Cholesky factor ``L`` that :mod:`geojsd.gaussian` keeps.
-``gauss_kronrod`` is QUADPACK's globally adaptive Gauss-Kronrod 10/21
-rule, the rule behind ``scipy.integrate.quad``, with each refinement round
-evaluated in one call on a 1-D array of nodes.  Importing scipy costs a
-cold process more time than any of these calls, so the library does not
-import it.
+sum.  The two solves take the lower Cholesky factor ``L`` that
+:mod:`geojsd.gaussian` keeps.  ``gauss_kronrod`` is QUADPACK's globally
+adaptive Gauss-Kronrod 10/21 rule, the rule behind ``scipy.integrate.quad``,
+with each refinement round evaluated in one call on a 1-D array of nodes.
+Importing scipy costs a cold process more time than any of these calls, so
+the library does not import it.
 """
 
 from __future__ import annotations
@@ -113,14 +112,25 @@ def _blocks(*arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
             for start in range(0, size, _BLOCK)]
 
 
-def _added_in_order(parts: list[float]) -> float:
-    """Block sums added left to right; no blocks sum to 0."""
-    if not parts:
-        return 0.0
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
-    return total
+def _block_sums(x: np.ndarray, y: np.ndarray,
+                pairs: Callable[[np.ndarray, np.ndarray], tuple],
+                extended: bool = False) -> list[float]:
+    """Sums of ``x log(x/y)`` over the ``(x, y)`` pairs that ``pairs`` makes
+    of each block of ``x`` and ``y``, one sum per pair.
+
+    Each block's terms are summed by ``np.sum``; the block sums are added
+    in order.  Empty inputs sum to 0.
+    """
+    scratch = _scratch(x.size)
+    totals = None
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, b in _blocks(x, y):
+            sums = [float(np.add.reduce(_x_log_ratio_block(u, v, extended,
+                                                           scratch)))
+                    for u, v in pairs(a, b)]
+            totals = sums if totals is None else [
+                total + part for total, part in zip(totals, sums)]
+    return totals if totals is not None else [0.0] * len(pairs(x, y))
 
 
 def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
@@ -148,11 +158,8 @@ def sum_x_log_ratio(x, y, extended: bool = False) -> float:
     add the block sums in order.
     """
     x, y, _ = _flat_pair(x, y)
-    scratch = _scratch(x.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _added_in_order([
-            float(np.add.reduce(_x_log_ratio_block(a, b, extended, scratch)))
-            for a, b in _blocks(x, y)])
+    (total,) = _block_sums(x, y, lambda a, b: ((a, b),), extended)
+    return total
 
 
 def sum_x_log_ratio_to_midpoint(x1, x2) -> tuple[float, float]:
@@ -162,18 +169,16 @@ def sum_x_log_ratio_to_midpoint(x1, x2) -> tuple[float, float]:
     :func:`sum_x_log_ratio`.
     """
     x1, x2, _ = _flat_pair(x1, x2)
-    scratch = _scratch(x1.size)
     mid = np.empty(min(x1.size, _BLOCK))
-    parts1, parts2 = [], []
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a, b in _blocks(x1, x2):
-            m = mid[:a.size]
-            np.add(a, b, out=m)
-            m *= 0.5
-            for x, parts in ((a, parts1), (b, parts2)):
-                terms = _x_log_ratio_block(x, m, False, scratch)
-                parts.append(float(np.add.reduce(terms)))
-    return _added_in_order(parts1), _added_in_order(parts2)
+
+    def to_midpoint(a, b):
+        m = mid[:a.size]
+        np.add(a, b, out=m)
+        m *= 0.5
+        return (a, m), (b, m)
+
+    to_mid_1, to_mid_2 = _block_sums(x1, x2, to_midpoint)
+    return to_mid_1, to_mid_2
 
 
 def rel_entr(x, y) -> np.ndarray:

@@ -110,6 +110,20 @@ class DiscreteDensity:
         """An unnormalized positive density."""
         return cls(np.asarray(weights, dtype=float), normalized=False)
 
+    @classmethod
+    def _adopt(cls, w: np.ndarray, normalized: bool,
+               renormalized: bool) -> "DiscreteDensity":
+        """A density on weights that passed its checks, without a copy.
+
+        ``w`` must be a fresh float array that nothing else holds.
+        """
+        density = object.__new__(cls)
+        w.setflags(write=False)
+        object.__setattr__(density, "weights", w)
+        object.__setattr__(density, "normalized", normalized)
+        object.__setattr__(density, "renormalized", renormalized)
+        return density
+
     @property
     def size(self) -> int:
         return int(self.weights.size)
@@ -176,10 +190,6 @@ def kl_extended(q1: DiscreteDensity, q2: DiscreteDensity,
     rescales under a base change; the linear mass terms do not.
     """
     w1, w2 = _aligned(q1, q2)
-    return _kl_extended(w1, w2, base)
-
-
-def _kl_extended(w1: np.ndarray, w2: np.ndarray, base: LogBase) -> float:
     if base is NATS:
         return sum_x_log_ratio(w1, w2, extended=True)
     return sum_x_log_ratio(w1, w2) / base.ln + float((w2 - w1).sum())
@@ -205,13 +215,6 @@ def m_mixture(p1: DiscreteDensity, p2: DiscreteDensity, m: MeanSpec,
     :class:`DisjointSupport` when Z = 0.
     """
     w1, w2 = _aligned(p1, p2)
-    mixed, z = _mixture_weights(w1, w2, m, normalize)
-    return DiscreteDensity(mixed, normalized=normalize), z
-
-
-def _mixture_weights(w1: np.ndarray, w2: np.ndarray, m: MeanSpec,
-                     normalize: bool) -> tuple[np.ndarray, float]:
-    """:func:`m_mixture`'s weights as a raw array, with its checks and errors."""
     mixed = np.asarray(means.evaluate(m, w1, w2), dtype=float)
     z = float(mixed.sum())
     if z <= 0.0:
@@ -223,9 +226,10 @@ def _mixture_weights(w1: np.ndarray, w2: np.ndarray, m: MeanSpec,
     # one is positive: only another vector can fail the density checks.
     if not (math.isfinite(z) and mixed.min() >= 0.0):
         _check_weights(mixed)
+    renormalized = False
     if normalize:
-        mixed, _ = _unit_mass(mixed)
-    return mixed, z
+        mixed, renormalized = _unit_mass(mixed)
+    return DiscreteDensity._adopt(mixed, normalize, renormalized), z
 
 
 def js(p1: DiscreteDensity, p2: DiscreteDensity, base: LogBase = NATS) -> float:
@@ -249,7 +253,8 @@ def js_m(p1: DiscreteDensity, p2: DiscreteDensity, m: MeanSpec,
     """
     _check_beta(beta)
     w1, w2 = _aligned(p1, p2, require_normalized=True)
-    mw, _ = _mixture_weights(w1, w2, m, normalize=True)
+    mixture, _ = m_mixture(p1, p2, m, normalize=True)
+    mw = mixture.weights
     return (beta * sum_x_log_ratio(w1, mw)
             + (1.0 - beta) * sum_x_log_ratio(w2, mw)) / base.ln
 
@@ -262,10 +267,9 @@ def js_m_extended(q1: DiscreteDensity, q2: DiscreteDensity, m: MeanSpec,
     ``Z - log(Z) - 1`` (in nats), where Z is the mixture normalizer.
     """
     _check_beta(beta)
-    w1, w2 = _aligned(q1, q2)
-    mw, _ = _mixture_weights(w1, w2, m, normalize=False)
-    return (beta * _kl_extended(w1, mw, base)
-            + (1.0 - beta) * _kl_extended(w2, mw, base))
+    mixture, _ = m_mixture(q1, q2, m, normalize=False)
+    return (beta * kl_extended(q1, mixture, base)
+            + (1.0 - beta) * kl_extended(q2, mixture, base))
 
 
 # ---------------------------------------------------------------------------
@@ -554,10 +558,9 @@ def kl_between_mixtures(p1: DiscreteDensity, p2: DiscreteDensity,
     """
     if m1.alpha != 0.5 or m2.alpha != 0.5:
         raise InvalidAlpha("mixture-vs-mixture KL requires balanced means")
-    w1, w2 = _aligned(p1, p2)
-    mix1, _ = _mixture_weights(w1, w2, m1, normalize=True)
-    mix2, _ = _mixture_weights(w1, w2, m2, normalize=True)
-    return sum_x_log_ratio(mix1, mix2) / base.ln
+    mix1, _ = m_mixture(p1, p2, m1, normalize=True)
+    mix2, _ = m_mixture(p1, p2, m2, normalize=True)
+    return kl(mix1, mix2, base)
 
 
 def taneja_t(p1: DiscreteDensity, p2: DiscreteDensity,

@@ -13,7 +13,9 @@ against ``leggauss`` and polynomial exactness, and its integrals against
 closed forms.
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -174,11 +176,8 @@ def edge_pair(n: int, seed: int, edge_share: float, near_share: float):
 
 def block_sums_in_order(terms: np.ndarray) -> float:
     """np.sum of each 8192-entry block, added left to right."""
-    parts = [float(terms[i:i + 8192].sum()) for i in range(0, terms.size, 8192)]
-    total = parts[0]
-    for part in parts[1:]:
-        total += part
-    return total
+    return functools.reduce(operator.add, (float(terms[i:i + 8192].sum())
+                                           for i in range(0, terms.size, 8192)))
 
 
 class TestSumXLogRatio:
