@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import discrete, estimate, expfam, gaussian, means, verification
+from . import discrete, estimate, expfam, gaussian, verification
 from .discrete import DiscreteDensity
 from .errors import (
     DegenerateQuadratic,
@@ -33,7 +33,7 @@ from .errors import (
     ProposalSupportViolation,
 )
 from .logbase import NATS, LogBase
-from .means import MeanSpec
+from .means import MeanKind, MeanSpec
 
 _MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence,
                 DivergentIntegral, ProposalSupportViolation,
@@ -42,33 +42,6 @@ _MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence,
 def _default_seed() -> str:
     # a string default passes through type=int: a bad value exits 2, not a traceback
     return os.environ.get("GEOJSD_SEED", "0")
-
-
-def parse_mean(text: str, alpha: float) -> MeanSpec:
-    """Parse a mean descriptor: arithmetic | geometric | min | max |
-    power:<gamma> | quasi:log | quasi:exp | quasi:power:<gamma>."""
-    parts = text.lower().split(":")
-    name = parts[0]
-    if name == "arithmetic":
-        return MeanSpec.arithmetic(alpha)
-    if name == "geometric":
-        return MeanSpec.geometric(alpha)
-    if name == "min":
-        return MeanSpec.minimum()
-    if name == "max":
-        return MeanSpec.maximum()
-    if name == "power":
-        if len(parts) != 2:
-            raise ValueError("power mean descriptor is power:<gamma>")
-        return MeanSpec.power(float(parts[1]), alpha)
-    if name == "quasi":
-        if len(parts) == 2 and parts[1] in ("log", "exp"):
-            return MeanSpec.quasi_arithmetic(parts[1], alpha=alpha)
-        if len(parts) == 3 and parts[1] == "power":
-            return MeanSpec.quasi_arithmetic("power", gamma=float(parts[2]),
-                                             alpha=alpha)
-        raise ValueError("quasi descriptor is quasi:log|exp|power:<gamma>")
-    raise ValueError(f"unknown mean descriptor {text!r}")
 
 
 def read_discrete(path: str) -> np.ndarray:
@@ -183,7 +156,7 @@ def _tv_gaussian(g1, g2, args) -> float:
 
 
 def _gjsd_gaussian(g1, g2, args) -> float:
-    if not means.is_geometric(args.mean):
+    if args.mean.kind is not MeanKind.GEOMETRIC:
         raise ValueError(
             "normalized M-JSD has no Gaussian closed form for this mean; "
             "use js_m_plus with --samples for the extended variant"
@@ -210,7 +183,7 @@ def _monte_carlo(g1, g2, args, mean: MeanSpec, extended: bool) -> dict:
 
 
 def _js_m_plus_gaussian(g1, g2, args) -> dict:
-    if not means.is_geometric(args.mean):
+    if args.mean.kind is not MeanKind.GEOMETRIC:
         return _monte_carlo(g1, g2, args, args.mean, extended=True)
     if args.alpha != 0.5 or args.beta != 0.5:
         raise ValueError("closed-form extended geometric JSD is balanced only")
@@ -224,7 +197,7 @@ def _js_m_plus_gaussian(g1, g2, args) -> dict:
 
 
 def _js_m_gamma_gaussian(g1, g2, args) -> dict:
-    if means.is_geometric(args.mean):
+    if args.mean.kind is MeanKind.GEOMETRIC:
         value = estimate.js_m_gamma(*_expfam_pair(g1, g2), args.mean,
                                     args.gamma, "closed_form")
         return _result(args.base.from_nats(value), args.base, "closed-form")
@@ -269,7 +242,7 @@ _ROUTES = {
     "taneja": (False, _exact(lambda p, q, a: discrete.taneja_t(p, q, a.base)),
                None),
     "kl_mixtures": (False, _exact(lambda p, q, a: discrete.kl_between_mixtures(
-        p, q, a.mean, parse_mean(a.mean2, 0.5), a.base)), None),
+        p, q, a.mean, a.mean2, a.base)), None),
     "gamma": (True, _exact(lambda p, q, a: a.base.from_nats(
                   estimate.gamma_divergence(p, q, a.gamma, "exact"))),
               _closed_form(lambda g, h, a: estimate.gamma_divergence(
@@ -292,8 +265,10 @@ def _route(div: str, kind: str):
 def cmd_compute(args) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
-    # parsed before the inputs are read: a bad --mean fails on every route
-    args.mean = parse_mean(args.mean, args.alpha)
+    # parsed before the inputs are read: a bad --mean or --mean2 fails on
+    # every route
+    args.mean = MeanSpec.parse(args.mean, args.alpha)
+    args.mean2 = MeanSpec.parse(args.mean2)
     args.base = LogBase(args.base)
     kind = "gaussian" if args.gaussian else "discrete"
     p1, p2 = _load_pair(kind, (args.p1, args.p2),
@@ -358,13 +333,13 @@ def _sweep_row(spec: dict, target: str, kind: str, p1, p2, parameter: str,
                 oracle = discrete.js_m_extended(p1, p2, mean)
         else:
             d1, d2 = estimate.gaussian_sampled(p1), estimate.gaussian_sampled(p2)
-            if means.is_geometric(mean):
+            if mean.kind is MeanKind.GEOMETRIC:
                 # Z = exp(-B_alpha); each KL+ to Z m_alpha is KL + B_alpha + Z - 1
                 b = gaussian.bhattacharyya_gaussian(p1, p2, mean.alpha)
                 oracle = (math.exp(-b) if target == "estimate_z"
                           else gaussian.gjsd_gaussian(p1, p2, mean.alpha, 0.5)
                           + (math.expm1(-b) + b))
-            elif mean.kind.value == "arithmetic" and target == "estimate_z":
+            elif mean.kind is MeanKind.ARITHMETIC and target == "estimate_z":
                 oracle = 1.0
             else:
                 oracle = None
@@ -409,10 +384,10 @@ def cmd_sweep(args) -> int:
     if target == "gamma_divergence" and parameter == "alpha":
         raise ValueError("sweep target 'gamma_divergence' has no alpha")
     descriptor = spec.get("mean", "geometric")
-    fixed = parse_mean(descriptor, float(spec.get("alpha", 0.5)))
+    fixed = MeanSpec.parse(descriptor, float(spec.get("alpha", 0.5)))
     # an alpha grid reaches the mean of the estimate targets
     swept = parameter == "alpha" and target != "bhattacharyya"
-    row_means = [parse_mean(descriptor, v) if swept else fixed for v in grid]
+    row_means = [MeanSpec.parse(descriptor, v) if swept else fixed for v in grid]
     # the spec and inputs are checked before the header, so an error in
     # either leaves stdout empty
     p1, p2 = _load_pair(kind, (inputs["p1"], inputs["p2"]))

@@ -212,16 +212,24 @@ def m_mixture(p1: DiscreteDensity, p2: DiscreteDensity, m: MeanSpec,
 
     Returns ``(mixture, Z)`` with ``Z = sum_i M_alpha(p1[i], p2[i])``.  For
     normalized inputs Z always lies in ``[1 - TV, 1 + TV] <= 2``.  Raises
-    :class:`DisjointSupport` when Z = 0.
+    :class:`DisjointSupport` when Z = 0.  Z is ``+inf`` when the finite
+    mixture weights sum past the largest float (masses near 1e308); the
+    normalized mixture is then still finite.
     """
     w1, w2 = _aligned(p1, p2)
     mixed = np.asarray(means.evaluate(m, w1, w2), dtype=float)
-    z = float(mixed.sum())
+    with np.errstate(over="ignore"):
+        z = float(mixed.sum())
     if z <= 0.0:
         raise DisjointSupport("mixture normalizer is zero: disjoint supports")
     if normalize:
         # evaluate returns a fresh array
-        mixed /= z
+        if z == math.inf:
+            # over the largest, the n finite weights sum to at most n
+            mixed /= mixed.max()
+            mixed /= mixed.sum()
+        else:
+            mixed /= z
     # With z > 0 finite and no entry negative, every entry is finite and
     # one is positive: only another vector can fail the density checks.
     if not (math.isfinite(z) and mixed.min() >= 0.0):

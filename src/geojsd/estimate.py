@@ -37,7 +37,7 @@ from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
 from .expfam import ExpFamilyDensity, _cumulant_at
 from .gaussian import GaussianParams
-from .means import MeanSpec
+from .means import MeanKind, MeanSpec
 
 __all__ = [
     "EstimatorConfig",
@@ -488,7 +488,7 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
         mix, _ = m_mixture(p1, p2, m, normalize=False)
         integrator = "exact"
     elif isinstance(p1, ExpFamilyDensity):
-        if not means.is_geometric(m):
+        if m.kind is not MeanKind.GEOMETRIC:
             raise ValueError(
                 "closed-form projective M-JSD needs a geometric mean; "
                 "use sampled densities for other mixtures"

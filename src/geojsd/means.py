@@ -9,18 +9,18 @@ Supported families:
 * arithmetic:       alpha*a + (1-alpha)*b
 * geometric:        a**alpha * b**(1-alpha)
 * power(gamma):     (alpha*a**gamma + (1-alpha)*b**gamma)**(1/gamma),
-                    with gamma -> 0 giving the geometric mean,
-                    gamma -> -inf the min, gamma -> +inf the max
-* quasi-arithmetic: phi^{-1}(alpha*phi(a) + (1-alpha)*phi(b)) for a
-                    closed registry of generators phi in {log, power, exp};
-                    phi = log and phi = u**gamma give the geometric and
-                    power means, so only exp is a kind of its own
+                    with gamma -> 0 (any |gamma| < 1e-8) giving the
+                    geometric mean, gamma -> -inf the min, +inf the max
+* quasi-arithmetic: phi^{-1}(alpha*phi(a) + (1-alpha)*phi(b)) with
+                    phi = exp; phi = log and u**gamma give the geometric
+                    and power means
 * min / max:        the extremal "means"
 
-Pointwise application of a mean to two density vectors produces the
-(unnormalized) M-mixture used throughout :mod:`geojsd.discrete` and
-:mod:`geojsd.estimate`.  All functions are pure and accept scalars or
-numpy arrays.
+Each mean has one :class:`MeanSpec`, whose ``label`` ``MeanSpec.parse``
+reads back.  Pointwise application of a mean to two density vectors
+produces the (unnormalized) M-mixture used throughout
+:mod:`geojsd.discrete` and :mod:`geojsd.estimate`.  All functions are pure
+and accept scalars or numpy arrays.
 
 The geometric and power means have one implementation, in log space:
 :func:`log_evaluate` runs it directly and :func:`evaluate` exponentiates
@@ -32,7 +32,8 @@ gamma > 0 power mean, which leaves ``(1-alpha)**(1/gamma) * b`` for
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable
 
@@ -46,11 +47,10 @@ __all__ = [
     "evaluate",
     "log_evaluate",
     "power_limit_check",
-    "is_geometric",
 ]
 
-# |gamma| below this is treated as the exact geometric branch: the direct
-# power formula loses all significant digits near gamma = 0.
+# MeanSpec.power returns the geometric mean for |gamma| below this: the
+# direct power formula loses all significant digits near gamma = 0.
 _GEOMETRIC_GAMMA_EPS = 1e-8
 
 
@@ -65,41 +65,37 @@ class MeanKind(Enum):
 
 @dataclass(frozen=True)
 class MeanSpec:
-    """A weighted bivariate mean: family, skew weight, and family parameters.
+    """A weighted bivariate mean: family, skew weight and power exponent.
 
-    ``gamma`` is the exponent of the power family; ``phi`` names the
-    quasi-arithmetic generator, which is ``exp``: the ``log`` and ``power``
-    generators are the geometric and power kinds, and
-    :meth:`quasi_arithmetic` returns those.  ``alpha`` must lie strictly
-    inside (0, 1).  A field that the kind does not read is rejected:
-    ``gamma`` off the power kind, ``phi`` off the quasi-arithmetic kind, and
-    an ``alpha`` other than 1/2 on min and max.  So two specs of one mean
-    compare and hash equal.
+    ``gamma`` is the exponent of the power family: finite, and at least 1e-8
+    in size, since :meth:`power` returns the geometric mean below that.  The
+    quasi-arithmetic kind is the one generated by exp; :meth:`quasi_arithmetic`
+    builds the generators log and u**gamma as the geometric and power kinds.
+    ``alpha`` must lie strictly inside (0, 1).  A field that the kind does
+    not read is rejected: ``gamma`` off the power kind, and an ``alpha``
+    other than 1/2 on min and max.  So two specs of one mean compare and
+    hash equal, and :meth:`parse` reads :attr:`label` back to the spec.
     """
 
     kind: MeanKind
     alpha: float = 0.5
     gamma: float | None = None
-    phi: str | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise InvalidAlpha(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.kind is MeanKind.POWER and self.gamma is None:
-            raise ValueError("power mean requires a gamma exponent")
-        if self.kind is not MeanKind.POWER and self.gamma is not None:
+        if self.kind is MeanKind.POWER:
+            if self.gamma is None or not math.isfinite(self.gamma):
+                raise ValueError(
+                    f"power mean exponent gamma must be finite, got {self.gamma}")
+            if abs(self.gamma) < _GEOMETRIC_GAMMA_EPS:
+                raise ValueError(f"power mean exponent {self.gamma} is below "
+                                 "1e-8 in size: that is MeanSpec.geometric")
+        elif self.gamma is not None:
             raise ValueError(f"{self.kind.value} mean takes no gamma exponent")
-        if self.kind is not MeanKind.QUASI_ARITHMETIC and self.phi is not None:
-            raise ValueError(f"{self.kind.value} mean takes no generator phi")
         if self.kind in (MeanKind.MIN, MeanKind.MAX) and self.alpha != 0.5:
             raise ValueError(f"{self.kind.value} mean takes no skew weight; "
                              f"alpha must be 0.5, got {self.alpha}")
-        if self.kind is MeanKind.QUASI_ARITHMETIC and self.phi != "exp":
-            raise ValueError(
-                f"quasi-arithmetic generator {self.phi!r} is not 'exp'; "
-                "MeanSpec.quasi_arithmetic builds 'log' and 'power' as the "
-                "geometric and power means, and knows no other"
-            )
 
     # -- constructors -----------------------------------------------------
 
@@ -113,7 +109,12 @@ class MeanSpec:
 
     @classmethod
     def power(cls, gamma: float, alpha: float = 0.5) -> "MeanSpec":
-        return cls(MeanKind.POWER, alpha, gamma=float(gamma))
+        """The power mean of exponent ``gamma``; for |gamma| < 1e-8, where
+        the power formula loses its digits, the geometric mean."""
+        gamma = float(gamma)
+        if abs(gamma) < _GEOMETRIC_GAMMA_EPS:
+            return cls.geometric(alpha)
+        return cls(MeanKind.POWER, alpha, gamma=gamma)
 
     @classmethod
     def quasi_arithmetic(cls, phi: str, gamma: float | None = None,
@@ -121,14 +122,14 @@ class MeanSpec:
         """The mean generated by ``phi``: ``log`` gives :meth:`geometric`,
         ``power`` (u**gamma) gives :meth:`power`, ``exp`` its own kind.
         Only ``power`` takes ``gamma``."""
-        if phi == "log":
-            return cls.geometric(alpha)
-        if phi == "power":
-            if gamma is None:
-                raise ValueError("quasi-arithmetic 'power' generator requires gamma")
+        if phi == "power" and gamma is not None:
             return cls.power(gamma, alpha)
-        return cls(MeanKind.QUASI_ARITHMETIC, alpha,
-                   gamma=None if gamma is None else float(gamma), phi=phi)
+        if phi == "log" and gamma is None:
+            return cls.geometric(alpha)
+        if phi == "exp" and gamma is None:
+            return cls(MeanKind.QUASI_ARITHMETIC, alpha)
+        raise ValueError(f"no quasi-arithmetic generator {phi!r} with gamma "
+                         f"{gamma}: 'power' requires gamma, 'log' and 'exp' take none")
 
     @classmethod
     def minimum(cls) -> "MeanSpec":
@@ -138,28 +139,41 @@ class MeanSpec:
     def maximum(cls) -> "MeanSpec":
         return cls(MeanKind.MAX)
 
+    @classmethod
+    def parse(cls, text: str, alpha: float = 0.5) -> "MeanSpec":
+        """The mean a descriptor names, of skew ``alpha`` (not on min and
+        max): arithmetic | geometric | min | max | power:<gamma> | quasi:log
+        | quasi:exp | quasi:power:<gamma>.  The inverse of :attr:`label`."""
+        name, *rest = text.lower().split(":")
+        if name in ("min", "max"):
+            return cls(MeanKind(name))
+        if name in ("arithmetic", "geometric"):
+            return cls(MeanKind(name), alpha)
+        if name == "power":
+            if len(rest) != 1:
+                raise ValueError("power mean descriptor is power:<gamma>")
+            return cls.power(float(rest[0]), alpha)
+        if name == "quasi":
+            if rest in (["log"], ["exp"]):
+                return cls.quasi_arithmetic(rest[0], alpha=alpha)
+            if len(rest) == 2 and rest[0] == "power":
+                return cls.power(float(rest[1]), alpha)
+            raise ValueError("quasi descriptor is quasi:log|exp|power:<gamma>")
+        raise ValueError(f"unknown mean descriptor {text!r}")
+
     def swapped(self) -> "MeanSpec":
         """The same mean with its arguments exchanged: M_a(x, y) = M'_a(y, x)."""
-        return MeanSpec(self.kind, 1.0 - self.alpha, self.gamma, self.phi)
+        return replace(self, alpha=1.0 - self.alpha)
 
     @property
     def label(self) -> str:
+        """The descriptor :meth:`parse` reads: ``power:-0.5`` (gamma by
+        ``repr``, so it reads back exactly), ``quasi:exp`` or the kind."""
         if self.kind is MeanKind.POWER:
-            return f"power({self.gamma:g})"
+            return f"power:{float(self.gamma)!r}"
         if self.kind is MeanKind.QUASI_ARITHMETIC:
-            return f"quasi({self.phi})"
+            return "quasi:exp"
         return self.kind.value
-
-
-def is_geometric(m: MeanSpec) -> bool:
-    """True when the spec evaluates on the exact geometric branch.
-
-    Covers the geometric kind itself and power means with |gamma| below the
-    cancellation threshold.
-    """
-    if m.kind is MeanKind.GEOMETRIC:
-        return True
-    return m.kind is MeanKind.POWER and abs(m.gamma) < _GEOMETRIC_GAMMA_EPS
 
 
 def _log_power_mean(m: MeanSpec, a, b, to_log: Callable) -> np.ndarray:
@@ -176,7 +190,7 @@ def _log_power_mean(m: MeanSpec, a, b, to_log: Callable) -> np.ndarray:
     argument is ``+inf`` or NaN; only there is the limit imposed.
     """
     alpha = m.alpha
-    geometric = is_geometric(m)
+    geometric = m.kind is MeanKind.GEOMETRIC
     with np.errstate(divide="ignore", invalid="ignore"):
         if geometric:
             out = alpha * to_log(a) + (1.0 - alpha) * to_log(b)

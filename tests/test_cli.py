@@ -25,7 +25,7 @@ from geojsd import (
     kl_gaussian,
     natural_flat,
 )
-from geojsd.cli import _ROUTES, main, parse_mean
+from geojsd.cli import _ROUTES, main
 
 
 @pytest.fixture
@@ -54,12 +54,32 @@ def run_cli(capsys, *argv):
 
 class TestParseMean:
     def test_descriptors(self):
-        assert parse_mean("arithmetic", 0.3).kind.value == "arithmetic"
-        assert parse_mean("power:-2", 0.5).gamma == -2.0
-        assert parse_mean("quasi:log", 0.5) == MeanSpec.geometric(0.5)
-        assert parse_mean("quasi:power:3", 0.5).gamma == 3.0
+        assert MeanSpec.parse("arithmetic", 0.3) == MeanSpec.arithmetic(0.3)
+        assert MeanSpec.parse("power:-2", 0.5).gamma == -2.0
+        assert MeanSpec.parse("quasi:log", 0.5) == MeanSpec.geometric(0.5)
+        assert MeanSpec.parse("quasi:power:3", 0.5).gamma == 3.0
         with pytest.raises(ValueError):
-            parse_mean("median", 0.5)
+            MeanSpec.parse("median", 0.5)
+
+    def test_non_finite_power_exponent_is_usage_error(self, capsys,
+                                                      discrete_files):
+        p1, p2 = discrete_files
+        code, out, err = run_cli(capsys, "compute", "--div", "js_m",
+                                 "--mean", "power:nan", "--p1", p1, "--p2", p2)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: power mean exponent gamma must be finite, got nan"]
+
+    @pytest.mark.parametrize("div", ["js", "kl_mixtures"])
+    def test_bad_mean2_is_usage_error_on_every_route(self, capsys,
+                                                     discrete_files, div):
+        p1, p2 = discrete_files
+        code, out, err = run_cli(capsys, "compute", "--div", div,
+                                 "--mean2", "median", "--p1", p1, "--p2", p2)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: unknown mean descriptor 'median'"]
 
 
 class TestCompute:

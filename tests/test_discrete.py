@@ -226,13 +226,11 @@ class TestMixture:
 class TestMixtureChecks:
     """The mixture JSDs raise what m_mixture raises."""
 
-    @pytest.mark.xfail(strict=True, raises=(InvalidDensity, RuntimeWarning),
-                       reason="Z = 2e308 overflows to inf, so the normalized "
-                              "mixture is all zeros")
     def test_overflowing_normalizer(self):
         # every mixture weight is finite, only their sum is not
         big = DiscreteDensity.positive([1e308, 1e308])
-        mixture, _ = m_mixture(big, big, ARITH)
+        mixture, z = m_mixture(big, big, ARITH)
+        assert z == math.inf
         assert list(mixture.weights) == [0.5, 0.5]
         assert kl_between_mixtures(big, big, ARITH, GEO) == 0.0
         assert js_m_extended(big, big, ARITH) == 0.0
@@ -820,8 +818,8 @@ PINNED = {
         "kl_between_mixtures": "0x1.97a6d046478fdp+3",
         "js_m[arithmetic]": "0x1.3d29ad877c400p-4",
         "js_m[geometric]": "0x1.9a2123a156886p+3",
-        "js_m[power(-0.5)]": "0x1.9938c082bef9ep+4",
-        "js_m[quasi(exp)]": "0x1.3d6d89110844ap-4",
+        "js_m[power:-0.5]": "0x1.9938c082bef9ep+4",
+        "js_m[quasi:exp]": "0x1.3d6d89110844ap-4",
     },
     8192: {
         "js": "0x1.c83659fefba2cp-4",
@@ -834,8 +832,8 @@ PINNED = {
         "kl_between_mixtures": "0x1.4c30110475d78p+3",
         "js_m[arithmetic]": "0x1.c83659fefba2cp-4",
         "js_m[geometric]": "0x1.4fc07db873cecp+3",
-        "js_m[power(-0.5)]": "0x1.4e5a29bf38354p+4",
-        "js_m[quasi(exp)]": "0x1.c8365a08939edp-4",
+        "js_m[power:-0.5]": "0x1.4e5a29bf38354p+4",
+        "js_m[quasi:exp]": "0x1.c8365a08939edp-4",
     },
 }
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath as mp
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from geojsd import InvalidAlpha, MeanKind, MeanSpec, NonPositiveInput
-from geojsd.means import evaluate, is_geometric, log_evaluate, power_limit_check
+from geojsd.means import evaluate, log_evaluate, power_limit_check
 
 GEO = MeanSpec.geometric()
 ARITH = MeanSpec.arithmetic()
@@ -117,9 +118,7 @@ def test_power_zero_matches_geometric(rng):
 def test_quasi_log_is_geometric():
     # the constructor returns the canonical spec, not an equivalent one
     assert MeanSpec.quasi_arithmetic("log") == GEO
-    assert is_geometric(MeanSpec.quasi_arithmetic("log"))
-    assert is_geometric(MeanSpec.power(1e-9))
-    assert not is_geometric(ARITH)
+    assert MeanSpec.quasi_arithmetic("log").kind is MeanKind.GEOMETRIC
 
 
 def test_quasi_power_matches_power():
@@ -140,14 +139,25 @@ def test_quasi_power_near_zero_is_geometric():
     for gamma in (0.0, 1e-12):
         spec = MeanSpec.quasi_arithmetic("power", gamma=gamma)
         assert evaluate(spec, 1.0, 4.0) == 2.0
-        assert is_geometric(spec)
+        assert spec == GEO
 
 
 def test_quasi_log_and_power_are_no_kind_of_their_own():
-    with pytest.raises(ValueError):
-        MeanSpec(MeanKind.QUASI_ARITHMETIC, phi="log")
-    with pytest.raises(ValueError):
-        MeanSpec(MeanKind.QUASI_ARITHMETIC, gamma=2.0, phi="power")
+    # the quasi-arithmetic kind is the exp generator alone
+    assert MeanSpec(MeanKind.QUASI_ARITHMETIC) == MeanSpec.quasi_arithmetic("exp")
+    assert MeanSpec.quasi_arithmetic("log").kind is MeanKind.GEOMETRIC
+    assert MeanSpec.quasi_arithmetic("power", gamma=2.0).kind is MeanKind.POWER
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.0, 5e-324, 1e-9, -9.99e-9])
+def test_power_near_zero_is_the_geometric_spec(gamma):
+    spec = MeanSpec.power(gamma, 0.3)
+    assert spec == MeanSpec.geometric(0.3)
+    assert hash(spec) == hash(MeanSpec.geometric(0.3))
+    assert spec.label == "geometric"
+    # the smallest exponents that remain power means
+    assert MeanSpec.power(1e-8).kind is MeanKind.POWER
+    assert MeanSpec.power(-1e-8).kind is MeanKind.POWER
 
 
 def test_quasi_exp_value():
@@ -178,7 +188,7 @@ LIMIT_SPECS = [GEO, MeanSpec.geometric(0.3), MeanSpec.power(-1.0),
 def _expected_mean(spec, a, b):
     """M_alpha(a, b) on GRID: the limit rules at 0, inf and NaN, else mpmath."""
     alpha = spec.alpha
-    gamma = 0.0 if is_geometric(spec) else spec.gamma
+    gamma = 0.0 if spec.kind is MeanKind.GEOMETRIC else spec.gamma
     if a == b:
         return a
     if gamma <= 0.0 and 0.0 in (a, b):
@@ -262,15 +272,19 @@ def test_spec_validation():
     lambda: MeanSpec(MeanKind.GEOMETRIC, gamma=5.0),
     lambda: MeanSpec(MeanKind.ARITHMETIC, gamma=1.0),
     lambda: MeanSpec(MeanKind.MIN, gamma=-1.0),
-    lambda: MeanSpec(MeanKind.POWER, gamma=2.0, phi="exp"),
-    lambda: MeanSpec(MeanKind.GEOMETRIC, phi="exp"),
-    lambda: MeanSpec(MeanKind.MAX, phi="exp"),
     lambda: MeanSpec(MeanKind.MIN, 0.3),
     lambda: MeanSpec(MeanKind.MAX, 0.7),
+    lambda: MeanSpec(MeanKind.POWER, gamma=1e-9),
+    lambda: MeanSpec(MeanKind.POWER, gamma=0.0),
+    lambda: MeanSpec.power(math.nan),
+    lambda: MeanSpec.power(math.inf),
+    lambda: MeanSpec.power(-math.inf),
 ], ids=["exp-gamma", "geometric-gamma", "arithmetic-gamma", "min-gamma",
-        "power-phi", "geometric-phi", "max-phi", "min-alpha", "max-alpha"])
+        "min-alpha", "max-alpha", "power-near-zero", "power-zero",
+        "power-nan", "power-inf", "power-neg-inf"])
 def test_spec_rejects_fields_its_kind_does_not_read(build):
-    # a field no code reads would split one mean into unequal specs
+    # a field no code reads would split one mean into unequal specs, and a
+    # near-zero power spec would be a second spec of the geometric mean
     with pytest.raises(ValueError):
         build()
 
@@ -279,7 +293,7 @@ EQUAL_SPECS = [
     (MeanSpec.geometric(0.3), MeanSpec(MeanKind.GEOMETRIC, 0.3)),
     (MeanSpec.quasi_arithmetic("log", alpha=0.3), MeanSpec.geometric(0.3)),
     (MeanSpec.quasi_arithmetic("power", gamma=2.0), MeanSpec.power(2)),
-    (MeanSpec.quasi_arithmetic("exp"), MeanSpec(MeanKind.QUASI_ARITHMETIC, phi="exp")),
+    (MeanSpec.quasi_arithmetic("exp"), MeanSpec(MeanKind.QUASI_ARITHMETIC)),
     (MeanSpec.minimum(), MeanSpec(MeanKind.MIN, 0.5)),
     (MeanSpec.maximum(), MeanSpec.maximum().swapped()),
     (MeanSpec.power(-0.5, 0.7), MeanSpec.power(-0.5, 0.3).swapped()),
@@ -292,6 +306,59 @@ def test_equal_means_have_equal_hashes(first, second):
     assert first == second
     assert hash(first) == hash(second)
     assert len({first, second}) == 1
+
+
+open_unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True,
+                      exclude_max=True)
+finite = st.floats(allow_nan=False, allow_infinity=False)
+any_spec = st.one_of(
+    st.builds(MeanSpec.arithmetic, open_unit),
+    st.builds(MeanSpec.geometric, open_unit),
+    st.builds(MeanSpec.power, st.one_of(finite, st.floats(-1e-8, 1e-8)),
+              open_unit),
+    st.builds(lambda alpha: MeanSpec.quasi_arithmetic("exp", alpha=alpha),
+              open_unit),
+    st.sampled_from([MeanSpec.minimum(), MeanSpec.maximum()]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=any_spec)
+@example(spec=MeanSpec.power(1e-8, 0.3))
+@example(spec=MeanSpec.power(-5e-324, 0.3))
+@example(spec=MeanSpec.power(1.7976931348623157e308, 1e-300))
+def test_label_parses_back_to_the_spec(spec):
+    back = MeanSpec.parse(spec.label, spec.alpha)
+    assert back == spec
+    assert hash(back) == hash(spec)
+
+
+def test_labels_are_the_descriptors():
+    assert MeanSpec.power(-0.5).label == "power:-0.5"
+    assert MeanSpec.power(2).label == "power:2.0"
+    assert MeanSpec.quasi_arithmetic("exp").label == "quasi:exp"
+    assert [MeanSpec.parse(text).label for text in
+            ("arithmetic", "GEOMETRIC", "min", "max", "quasi:log",
+             "quasi:power:3", "power:1e-12")] == [
+        "arithmetic", "geometric", "min", "max", "geometric", "power:3.0",
+        "geometric"]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("median", "unknown mean descriptor 'median'"),
+    ("power", "power mean descriptor is power:<gamma>"),
+    ("power:1:2", "power mean descriptor is power:<gamma>"),
+    ("quasi:sinh", "quasi descriptor is quasi:log|exp|power:<gamma>"),
+    ("quasi:power", "quasi descriptor is quasi:log|exp|power:<gamma>"),
+    ("power:nan", "gamma must be finite, got nan"),
+    ("power:inf", "gamma must be finite, got inf"),
+    ("quasi:power:-inf", "gamma must be finite, got -inf"),
+    ("power:x", "could not convert string to float"),
+], ids=["median", "power", "power:1:2", "quasi:sinh", "quasi:power",
+        "power:nan", "power:inf", "quasi:power:-inf", "power:x"])
+def test_parse_rejects_bad_descriptors(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MeanSpec.parse(text, 0.5)
 
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label)
