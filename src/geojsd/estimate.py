@@ -25,7 +25,6 @@ Everything runs in log space: mixture means of density values are taken via
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -85,7 +84,12 @@ class SampledDensity:
 
 
 def gaussian_sampled(g: GaussianParams) -> SampledDensity:
-    """A multivariate Gaussian as a samplable density (1-D draws stay flat)."""
+    """A multivariate Gaussian as a samplable density (1-D draws stay flat).
+
+    At d > 1 the inverse Cholesky factor ``L^-1`` is computed once, here, so
+    ``log_density`` whitens a batch of points with one matmul,
+    ``(x - mu) @ L^-T``, and takes the quadratic form as a row dot.
+    """
     mu = g.mu
     d = g.dim
     chol = g._chol
@@ -104,10 +108,11 @@ def gaussian_sampled(g: GaussianParams) -> SampledDensity:
 
         return SampledDensity(log_density, sampler)
 
+    inv_chol_t = solve_lower(chol, np.eye(d)).T
+
     def log_density(x: np.ndarray) -> np.ndarray:
-        diff = np.atleast_2d(np.asarray(x, dtype=float)) - mu
-        z = solve_lower(chol, diff.T).T
-        return log_norm - 0.5 * (z * z).sum(axis=1)
+        z = (np.atleast_2d(np.asarray(x, dtype=float)) - mu) @ inv_chol_t
+        return log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.standard_normal((n, d)) @ chol.T + mu
@@ -188,6 +193,9 @@ def _map_chunks(cfg: EstimatorConfig, r: SampledDensity,
     plan = _chunks(cfg)
     if workers <= 1 or len(plan) == 1:
         return [one_chunk(k, n) for k, n in plan]
+    # imported here: serial runs, the default, never load the thread pool
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda kn: one_chunk(*kn), plan))
 
@@ -240,11 +248,12 @@ def estimate_z(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     ``(estimate, std_error)``.
     """
     r = _resolve_proposal(p1, proposal)
+    self_proposal = r is p1
 
     def one_chunk(x: np.ndarray) -> tuple[int, float, float]:
-        log_mix = np.asarray(means.log_evaluate(m, p1.log_density(x),
-                                                p2.log_density(x)))
-        log_r = np.asarray(r.log_density(x), dtype=float)
+        l1 = np.asarray(p1.log_density(x), dtype=float)
+        log_mix = np.asarray(means.log_evaluate(m, l1, p2.log_density(x)))
+        log_r = l1 if self_proposal else np.asarray(r.log_density(x), dtype=float)
         bad = np.isneginf(log_r) & (log_mix > -np.inf)
         if np.any(bad):
             raise ProposalSupportViolation(
@@ -404,10 +413,12 @@ def _log_i_route(integrator: str, gamma: float,
 def _log_i_mc_triplet(q1: SampledDensity, q2: SampledDensity, gamma: float,
                       proposal: SampledDensity, cfg: EstimatorConfig,
                       workers: int) -> tuple[float, float, float]:
+    self_proposal = proposal is q1
+
     def one_chunk(x: np.ndarray) -> tuple[float, float, float]:
         l1 = np.asarray(q1.log_density(x), dtype=float)
         l2 = np.asarray(q2.log_density(x), dtype=float)
-        lr = np.asarray(proposal.log_density(x), dtype=float)
+        lr = l1 if self_proposal else np.asarray(proposal.log_density(x), dtype=float)
         return (float(logsumexp((1.0 + gamma) * l1 - lr)),
                 float(logsumexp(l1 + gamma * l2 - lr)),
                 float(logsumexp((1.0 + gamma) * l2 - lr)))
@@ -478,9 +489,12 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
     Input types follow :func:`gamma_divergence`; exponential-family inputs
     support geometric means only (the geometric mixture stays in-family).
     On the Monte Carlo route each half draws from ``proposal``, or from its
-    own first argument (``p1``, then ``p2``) when it is ``None``.  Outside
-    that route the moment ``I(M~, M~)`` that both halves share is computed
-    once.
+    own first argument (``p1``, then ``p2``) when it is ``None``.  Both
+    halves run with the same ``cfg``, so they draw the same chunk streams
+    (common random numbers): chunk k of each half is drawn from the same
+    generator state, by its own sampler.  :func:`estimate_js_m_extended`,
+    by contrast, seeds its second half apart.  Outside the Monte Carlo
+    route the moment ``I(M~, M~)`` that both halves share is computed once.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")

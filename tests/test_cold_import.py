@@ -1,4 +1,6 @@
 """No route loads scipy: not ``import geojsd``, nor ``compute`` on any route.
+Nor, at the default one worker, does any route load the thread pool
+(``concurrent.futures``, which brings ``logging`` with it).
 
 Runs in a fresh interpreter, since this test process has scipy loaded
 already (the kernel tests use it as an oracle).
@@ -15,8 +17,11 @@ import geojsd
 PROBE = r"""
 import contextlib, io, json, os, sys, tempfile
 
+def loaded(package):
+    return sorted(m for m in sys.modules if m == package or m.startswith(package + "."))
+
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return loaded("scipy")
 
 import geojsd, geojsd.cli
 from geojsd import GaussianParams, MeanSpec, estimate
@@ -48,7 +53,7 @@ value = estimate.js_m_gamma(g1, g2, MeanSpec.power(0.5), 1e-3, "quadrature",
                             support=(-12.0, 13.0))
 print(json.dumps({"after_import": after_import, "after_compute": after_compute,
                   "methods": sorted(methods), "after_quad": scipy_modules(),
-                  "value": value}))
+                  "thread_pool": loaded("concurrent.futures"), "value": value}))
 """
 
 
@@ -65,4 +70,5 @@ def test_no_route_loads_scipy():
     assert report["methods"] == ["closed-form", "exact", "monte-carlo", "quadrature"]
     assert report["after_compute"] == []
     assert report["after_quad"] == []
+    assert report["thread_pool"] == []
     assert report["value"] > 0.0

@@ -52,6 +52,30 @@ def expfam_density(g: GaussianParams, log_scale: float = 0.0) -> ExpFamilyDensit
     return ExpFamilyDensity(gaussian_family(g.dim), natural_flat(g), log_scale)
 
 
+def random_gaussian(rng: np.random.Generator, d: int,
+                    cond: float | None = None) -> GaussianParams:
+    """A d-dimensional Gaussian; with ``cond``, its covariance has that
+    condition number (eigenvalues log-spaced from 1 down to 1/cond)."""
+    mu = rng.uniform(-0.5, 0.5, d)
+    if cond is None:
+        a = rng.normal(size=(d, d)) * (0.3 / math.sqrt(d))
+        return GaussianParams(mu, a @ a.T + rng.uniform(0.7, 1.3) * np.eye(d))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    sigma = (q * np.logspace(0.0, -math.log10(cond), d)) @ q.T
+    return GaussianParams(mu, 0.5 * (sigma + sigma.T))
+
+
+def d8_pair() -> tuple[SampledDensity, SampledDensity]:
+    rng = np.random.default_rng(8)
+    return (gaussian_sampled(random_gaussian(rng, 8)),
+            gaussian_sampled(random_gaussian(rng, 8)))
+
+
+def hexes(result) -> tuple[str, ...]:
+    values = result if isinstance(result, tuple) else (result,)
+    return tuple(float(v).hex() for v in values)
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -188,6 +212,30 @@ class TestDeterminism:
         repeat = estimate_js_m_extended(d1, d2, GEO, cfg, workers=8)
         assert serial == threaded == repeat
 
+    @pytest.mark.parametrize("estimator", ["estimate_z", "estimate_js_m_extended",
+                                           "gamma_divergence"])
+    def test_bit_identical_across_workers_at_d8(self, estimator):
+        # d > 1 densities whiten each chunk with a matmul: the bits must
+        # still not depend on how many threads share the chunks
+        d1, d2 = d8_pair()
+        cfg = EstimatorConfig(samples=20_000, seed=41, chunk_size=2048)
+        if estimator == "gamma_divergence":
+            proposal = arithmetic_mixture_proposal(d1, d2)
+
+            def run(workers):
+                return gamma_divergence(d1, d2, 0.5, "monte_carlo", cfg=cfg,
+                                        proposal=proposal, workers=workers)
+        else:
+            fn = getattr(estimate_module, estimator)
+
+            def run(workers):
+                return fn(d1, d2, MeanSpec.power(-0.5), cfg, workers=workers)
+
+        serial = hexes(run(1))
+        assert all(math.isfinite(float.fromhex(h)) for h in serial)
+        assert hexes(run(2)) == serial
+        assert hexes(run(8)) == serial
+
     def test_seed_changes_stream(self):
         d1, d2 = gaussian_sampled(N01), gaussian_sampled(N11)
         a = estimate_z(d1, d2, GEO, EstimatorConfig(samples=10_000, seed=1))
@@ -223,6 +271,84 @@ class TestDeterminism:
         both = [c.tobytes() for c in draws(0, estimate_js_m_extended)]
         assert both[:4] == chunks[:4]
         assert len(set(both)) == 8
+
+
+def lu_log_density(g: GaussianParams, x: np.ndarray) -> np.ndarray:
+    """The former d > 1 log-density: an LU solve of every batch against L."""
+    chol = g._chol
+    log_norm = -0.5 * g.dim * math.log(2.0 * math.pi) - float(np.log(np.diag(chol)).sum())
+    z = np.linalg.solve(chol, (np.atleast_2d(x) - g.mu).T).T
+    return log_norm - 0.5 * (z * z).sum(axis=1)
+
+
+class TestGaussianWhitening:
+    # One tolerance for every case.  The well-conditioned cases land near
+    # 3e-16.  At condition number 1e12 (1e6 for L) both routes lose up to
+    # about cond(L) * eps: here 2.8e-11 with the inverse factor and 2.7e-11
+    # with the LU solve, and on other seeds the inverse up to 1e-11 where the
+    # LU solve gave a few times less.
+    RTOL = 1e-10
+    CASES = {"d2": (2, None), "d8": (8, None), "d64": (64, None),
+             "d8-cond1e12": (8, 1e12)}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_log_density_matches_mpmath(self, case):
+        d, cond = self.CASES[case]
+        rng = np.random.default_rng([13, d])
+        g = random_gaussian(rng, d, cond)
+        if cond is not None:
+            assert np.linalg.cond(g.sigma) == pytest.approx(cond, rel=0.05)
+        density = gaussian_sampled(g)
+        x = density.sampler(rng, 16)
+        x[8:] = g.mu + 4.0 * (x[8:] - g.mu)      # half of them far in the tails
+        expected = np.array(oracles.gaussian_log_density_oracle(g.mu, g._chol, x))
+        # the same tolerance holds for the LU route it replaced
+        for got in (density.log_density(x), lu_log_density(g, x)):
+            np.testing.assert_allclose(got, expected, rtol=self.RTOL, atol=0.0)
+
+
+class TestLogDensityReuse:
+    """A chunk evaluates each distinct density once: the default proposal's
+    log-density is the first argument's, already in hand."""
+
+    @staticmethod
+    def counted(density: SampledDensity, calls: list) -> tuple:
+        def log_density(x):
+            calls.append(len(x))
+            return density.log_density(x)
+
+        return log_density, density.sampler
+
+    def test_estimate_z_calls_p1_once_per_chunk(self):
+        d1, d2 = d8_pair()
+        calls = []
+        log_density, sampler = self.counted(d1, calls)
+        cfg = EstimatorConfig(samples=10_000, seed=6, chunk_size=1024)
+        reused = estimate_z(SampledDensity(log_density, sampler), d2,
+                            MeanSpec.power(-0.5), cfg)
+        assert calls == [1024] * 9 + [784]
+        # a distinct proposal on the same callables is evaluated apart
+        calls.clear()
+        apart = estimate_z(SampledDensity(log_density, sampler), d2,
+                           MeanSpec.power(-0.5), cfg,
+                           proposal=SampledDensity(log_density, sampler))
+        assert len(calls) == 20
+        assert hexes(reused) == hexes(apart)
+
+    def test_gamma_monte_carlo_calls_q1_once_per_chunk(self):
+        d1, d2 = d8_pair()
+        calls = []
+        log_density, sampler = self.counted(d1, calls)
+        cfg = EstimatorConfig(samples=10_000, seed=6, chunk_size=2500)
+        reused = gamma_divergence(SampledDensity(log_density, sampler), d2, 0.5,
+                                  "monte_carlo", cfg=cfg)
+        assert len(calls) == 4
+        calls.clear()
+        apart = gamma_divergence(SampledDensity(log_density, sampler), d2, 0.5,
+                                 "monte_carlo", cfg=cfg,
+                                 proposal=SampledDensity(log_density, sampler))
+        assert len(calls) == 8
+        assert hexes(reused) == hexes(apart)
 
 
 class TestGammaDivergence:
