@@ -58,8 +58,6 @@ print()
 # so the family carries cumulant=None and every query goes through sampled
 # densities and Monte Carlo moment integrals.
 quartic = ExpFamily(dim=4, cumulant=None, cumulant_gradient=None,
-                    domain_check=lambda t: bool(np.isfinite(t).all()
-                                                and t[-1] < 0.0),
                     name="polynomial_quartic")
 try:
     skew_jensen(quartic, np.zeros(4), np.zeros(4))

@@ -34,7 +34,7 @@ from . import means
 from ._kernels import gauss_kronrod, logsumexp, solve_lower
 from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
-from .expfam import ExpFamilyDensity, _cumulant_at
+from .expfam import ExpFamilyDensity, _as_theta, _cumulant_at
 from .gaussian import GaussianParams
 from .means import MeanKind, MeanSpec
 
@@ -352,15 +352,10 @@ def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
     fam = e1.family
     if not _same_family(fam, e2.family):
         raise ValueError("closed-form route needs densities of one family")
-    t1 = np.asarray(e1.theta, dtype=float)
-    t2 = np.asarray(e2.theta, dtype=float)
-    mixed = t1 + gamma * t2
-    if not fam.domain_check(mixed):
-        raise DivergentIntegral(
-            "theta1 + gamma*theta2 left the natural parameter space"
-        )
+    t1 = _as_theta(fam, e1.theta)
+    t2 = _as_theta(fam, e2.theta)
     try:
-        f_mixed = _cumulant_at(fam, mixed, "gamma_divergence")
+        f_mixed = _cumulant_at(fam, t1 + gamma * t2, "gamma_divergence")
         f1 = _cumulant_at(fam, t1, "gamma_divergence")
         f2 = _cumulant_at(fam, t2, "gamma_divergence")
     except DomainViolation as exc:
@@ -507,8 +502,8 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
                 "closed-form projective M-JSD needs a geometric mean; "
                 "use sampled densities for other mixtures"
             )
-        t1 = np.asarray(p1.theta, dtype=float)
-        t2 = np.asarray(p2.theta, dtype=float)
+        t1 = _as_theta(p1.family, p1.theta)
+        t2 = _as_theta(p2.family, p2.theta)
         # the geometric mixture is in-family; its scale drops by projectivity
         mix = ExpFamilyDensity(p1.family, m.alpha * t1 + (1.0 - m.alpha) * t2)
         integrator = "closed_form"

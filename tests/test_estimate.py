@@ -9,6 +9,7 @@ from geojsd import estimate as estimate_module
 from geojsd import (
     DiscreteDensity,
     DivergentIntegral,
+    DomainViolation,
     EstimatorConfig,
     ExpFamilyDensity,
     GaussianParams,
@@ -17,6 +18,7 @@ from geojsd import (
     SampledDensity,
     arithmetic_mixture_proposal,
     bhattacharyya_gaussian,
+    categorical_family,
     categorical_sampled,
     estimate_js_m_extended,
     estimate_kl_extended,
@@ -71,6 +73,14 @@ def d8_pair() -> tuple[SampledDensity, SampledDensity]:
             gaussian_sampled(random_gaussian(rng, 8)))
 
 
+def broken_proposal(density: SampledDensity) -> SampledDensity:
+    """``density``'s sampler with zero claimed density on half its draws."""
+    def broken_log_density(x):
+        return np.where(np.asarray(x) < 0.0, -np.inf, density.log_density(x))
+
+    return SampledDensity(broken_log_density, density.sampler)
+
+
 def hexes(result) -> tuple[str, ...]:
     values = result if isinstance(result, tuple) else (result,)
     return tuple(float(v).hex() for v in values)
@@ -114,18 +124,12 @@ class TestEstimateZ:
         assert abs(estimate - exact) <= 4.0 * stderr
 
     def test_proposal_support_violation(self):
-        # proposal claims zero density on half its own sample range
         rng_density = gaussian_sampled(N01)
-
-        def broken_log_density(x):
-            return np.where(np.asarray(x) < 0.0, -np.inf,
-                            rng_density.log_density(x))
-
-        broken = SampledDensity(broken_log_density, rng_density.sampler)
         d2 = gaussian_sampled(N11)
         cfg = EstimatorConfig(samples=1_000, seed=0)
         with pytest.raises(ProposalSupportViolation):
-            estimate_z(rng_density, d2, GEO, cfg, proposal=broken)
+            estimate_z(rng_density, d2, GEO, cfg,
+                       proposal=broken_proposal(rng_density))
 
     def test_missing_sampler_rejected(self):
         no_sampler = SampledDensity(gaussian_sampled(N01).log_density)
@@ -158,6 +162,25 @@ class TestEstimateKLExtended:
                                      EstimatorConfig(samples=200_000, seed=5))
         ratio = large[1] / small[1]
         assert ratio == pytest.approx(0.5, rel=0.2)
+
+    def test_proposal_matches_closed_form(self):
+        # the importance-weighted branch: draws from another density
+        d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
+        cfg = EstimatorConfig(samples=1_000_000, seed=77)
+        z = math.exp(-bhattacharyya_gaussian(N01, N12))
+        mix = geometric_mixture_params(N01, N12)
+        closed = kl_gaussian(N01, mix) - math.log(z) + z - 1.0
+        for proposal in (d2, arithmetic_mixture_proposal(d1, d2)):
+            estimate, stderr = estimate_kl_extended(d1, d2, GEO, cfg,
+                                                    proposal=proposal)
+            assert 0.0 < stderr < 1e-4
+            assert abs(estimate - closed) <= 4.0 * stderr
+
+    def test_proposal_support_violation(self):
+        d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
+        cfg = EstimatorConfig(samples=1_000, seed=0)
+        with pytest.raises(ProposalSupportViolation):
+            estimate_kl_extended(d1, d2, GEO, cfg, proposal=broken_proposal(d1))
 
 
 class TestEstimateJSMExtended:
@@ -430,6 +453,28 @@ class TestGammaDivergence:
         with pytest.raises(ValueError):
             gamma_divergence(p, p, 0.0)
 
+    def test_closed_form_rejects_wrong_size_theta(self):
+        # categorical_family(3) has dim 2: a 3-entry theta must not be read
+        c = ExpFamilyDensity(categorical_family(3), [0.1, 0.2, 0.3])
+        with pytest.raises(DomainViolation, match="size 3, family expects 2"):
+            gamma_divergence(c, c, 0.5)
+
+    def test_closed_form_rejects_mixed_sizes(self):
+        fam = categorical_family(3)
+        good = ExpFamilyDensity(fam, [0.1, 0.2])
+        bad = ExpFamilyDensity(fam, [0.1, 0.2, 0.3])
+        with pytest.raises(DomainViolation, match="size 3, family expects 2"):
+            gamma_divergence(good, bad, 0.5)
+        with pytest.raises(DomainViolation, match="size 3, family expects 2"):
+            js_m_gamma(good, bad, GEO, 0.5)
+
+    def test_closed_form_rejects_wrong_size_gaussian_theta(self):
+        # gaussian_family(1) has dim 2 (theta_v and theta_M)
+        good = expfam_density(N01)
+        bad = ExpFamilyDensity(good.family, [0.0, 0.5, 0.5])
+        with pytest.raises(DomainViolation, match="size 3, family expects 2"):
+            gamma_divergence(good, bad, 0.5, "closed_form")
+
     def test_closed_form_needs_a_cumulant(self):
         # the same error skew_jensen and bregman raise, not a TypeError
         fam = dataclasses.replace(gaussian_family(1), cumulant=None)
@@ -460,6 +505,43 @@ class TestJsMGamma:
         approx = js_m_gamma(d1, d2, GEO, 1e-3, "quadrature",
                             support=(-14.0, 15.0))
         assert approx == pytest.approx(gjsd_gaussian(N01, N11), abs=5e-3)
+
+    @pytest.mark.parametrize("mean", ["power", "geometric"])
+    def test_monte_carlo_route(self, mean):
+        # the other routes' values; over seeds 1-5 the estimates spread by
+        # about 1.7e-4 (power) and 1e-4 (geometric)
+        d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
+        if mean == "power":
+            spec = MeanSpec.power(0.5)
+            reference = js_m_gamma(d1, d2, spec, 0.5, "quadrature",
+                                   support=(-14.0, 16.0))
+        else:
+            spec = GEO
+            reference = js_m_gamma(expfam_density(N01), expfam_density(N12),
+                                   spec, 0.5)
+        cfg = EstimatorConfig(samples=400_000, seed=8)
+        mc = js_m_gamma(d1, d2, spec, 0.5, "monte_carlo", cfg=cfg)
+        assert mc == pytest.approx(reference, abs=6e-4)
+
+    def test_monte_carlo_halves_share_chunk_streams(self):
+        # common random numbers: chunk k of each half is drawn, by that
+        # half's own sampler, from the same generator state
+        d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
+        states = {"p1": [], "p2": []}
+
+        def recording(density, key):
+            def sampler(rng, n):
+                states[key].append(rng.bit_generator.state)
+                return density.sampler(rng, n)
+
+            return SampledDensity(density.log_density, sampler)
+
+        cfg = EstimatorConfig(samples=10_000, seed=3, chunk_size=2500)
+        js_m_gamma(recording(d1, "p1"), recording(d2, "p2"),
+                   MeanSpec.power(0.5), 0.5, "monte_carlo", cfg=cfg)
+        assert len(states["p1"]) == 4
+        assert states["p1"] == states["p2"]
+        assert states["p1"][0] != states["p1"][1]
 
     def test_expfam_rejects_non_geometric(self):
         e1, e2 = expfam_density(N01), expfam_density(N11)

@@ -10,6 +10,7 @@ from geojsd import (
     DomainViolation,
     ExpFamily,
     GaussianParams,
+    InvalidAlpha,
     MeanSpec,
     bhattacharyya,
     bhattacharyya_gaussian,
@@ -38,7 +39,6 @@ def quadratic_family():
         dim=2,
         cumulant=lambda t: 0.5 * float(t @ t),
         cumulant_gradient=lambda t: t.copy(),
-        domain_check=lambda t: bool(np.all(np.isfinite(t))),
         name="quadratic",
     )
 
@@ -85,19 +85,17 @@ class TestGaussianDomain:
 
     INDEFINITE = pack_gaussian_theta([0.3, -0.2], np.diag([1.0, -0.1]))
 
-    def test_domain_check_is_false_without_raising(self):
-        fam = gaussian_family(2)
-        nan_theta = pack_gaussian_theta([np.nan, 0.0], np.eye(2))
-        assert fam.domain_check(nan_theta) is False
-        assert fam.domain_check(self.INDEFINITE) is False
-        assert fam.domain_check(pack_gaussian_theta([0.3, -0.2], np.eye(2)))
-
     def test_cumulant_and_gradient_raise_domain_violation(self):
         fam = gaussian_family(2)
-        with pytest.raises(DomainViolation):
-            fam.cumulant(self.INDEFINITE)
-        with pytest.raises(DomainViolation):
-            fam.cumulant_gradient(self.INDEFINITE)
+        nan_theta = pack_gaussian_theta([np.nan, 0.0], np.eye(2))
+        for theta in (nan_theta, self.INDEFINITE):
+            with pytest.raises(DomainViolation):
+                fam.cumulant(theta)
+            with pytest.raises(DomainViolation):
+                fam.cumulant_gradient(theta)
+        valid = pack_gaussian_theta([0.3, -0.2], np.eye(2))
+        assert math.isfinite(fam.cumulant(valid))
+        assert np.all(np.isfinite(fam.cumulant_gradient(valid)))
 
     def test_gamma_route_reports_divergent_integral(self):
         # theta1 + gamma theta2 is inside the domain, so the cumulant at
@@ -150,6 +148,21 @@ class TestSkewJensen:
         with pytest.raises(DomainViolation):
             skew_jensen(gauss1d, np.array([0.0, 0.5, 0.5]),
                         np.array([0.0, 0.5]), 0.5)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_alpha_outside_unit_interval_raises(self, gauss1d, alpha):
+        # outside (0, 1) the skew Jensen gap turns negative: -0.4276 on this
+        # categorical pair at alpha = 1.5, -1.1035 on this Gaussian pair at 3
+        cat = categorical_family(3)
+        c1 = categorical_theta([0.2, 0.3, 0.5])
+        c2 = categorical_theta([0.6, 0.3, 0.1])
+        g1 = natural_flat(GaussianParams.univariate(0.0, 1.0))
+        g2 = natural_flat(GaussianParams.univariate(1.0, 3.0))
+        for fam, t1, t2 in ((cat, c1, c2), (gauss1d, g1, g2)):
+            with pytest.raises(InvalidAlpha):
+                skew_jensen(fam, t1, t2, alpha)
+            with pytest.raises(InvalidAlpha):
+                dual_gjsd_ef(fam, t1, t2, alpha)
 
 
 class TestBregman:
@@ -257,12 +270,14 @@ class TestGJSDExpFam:
             gauss1d, t1, t2, alpha)
 
     def test_cholesky_factors_per_call(self, rng, monkeypatch):
-        # d = 3: gjsd_ef and gjsd_extended_ef check each theta once, then the
-        # two gradients, the midpoint check and the three cumulants each
-        # factor theta_M again; skew_jensen is the last four plus two checks
+        # d = 3: each cumulant or gradient evaluation factors theta_M once.
+        # gjsd_ef takes two gradients and three cumulants (theta1, theta2
+        # and their midpoint); a gamma-divergence takes three cumulants per
+        # moment integral, three integrals alone and five in js_m_gamma
         fam = gaussian_family(3)
         t1 = natural_flat(random_gaussian(rng, 3))
         t2 = natural_flat(random_gaussian(rng, 3))
+        e1, e2 = ExpFamilyDensity(fam, t1), ExpFamilyDensity(fam, t2)
         factor = np.linalg.cholesky
         calls = []
 
@@ -271,10 +286,20 @@ class TestGJSDExpFam:
             return factor(mat)
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
-        for fn, want in ((gjsd_ef, 8), (gjsd_extended_ef, 8), (skew_jensen, 6)):
+        table = {
+            "gjsd_ef": (lambda: gjsd_ef(fam, t1, t2), 5),
+            "gjsd_extended_ef": (lambda: gjsd_extended_ef(fam, t1, t2), 5),
+            "skew_jensen": (lambda: skew_jensen(fam, t1, t2), 3),
+            "bregman": (lambda: bregman(fam, t1, t2), 3),
+            "gamma_divergence": (lambda: estimate.gamma_divergence(
+                e1, e2, 0.5, "closed_form"), 9),
+            "js_m_gamma": (lambda: estimate.js_m_gamma(
+                e1, e2, MeanSpec.geometric(), 0.5, "closed_form"), 15),
+        }
+        for name, (call, want) in table.items():
             calls.clear()
-            fn(fam, t1, t2)
-            assert len(calls) == want, fn.__name__
+            call()
+            assert len(calls) == want, name
 
 
 class TestIntractableFamily:
@@ -283,7 +308,6 @@ class TestIntractableFamily:
             dim=4,
             cumulant=None,
             cumulant_gradient=None,
-            domain_check=lambda t: bool(np.isfinite(t).all() and t[-1] < 0),
             name="polynomial_quartic",
         )
         t = np.array([0.1, 0.2, 0.0, -1.0])
@@ -291,6 +315,10 @@ class TestIntractableFamily:
             skew_jensen(quartic, t, t, 0.5)
         with pytest.raises(ValueError):
             gjsd_ef(quartic, t, t)
+        # the demo's input: with no cumulant to read it, zeros are not
+        # refused as outside the domain
+        with pytest.raises(ValueError, match="needs a closed-form cumulant"):
+            skew_jensen(quartic, np.zeros(4), np.zeros(4))
 
 
 class TestCategoricalTheta:
@@ -304,3 +332,12 @@ class TestCategoricalTheta:
         fam = categorical_family(6)
         probs = fam.cumulant_gradient(categorical_theta(w))
         np.testing.assert_allclose(probs, w[:-1], rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_cumulant_and_gradient_reject_non_finite(self, bad):
+        fam = categorical_family(3)
+        theta = np.array([0.4, bad])
+        with pytest.raises(DomainViolation):
+            fam.cumulant(theta)
+        with pytest.raises(DomainViolation):
+            fam.cumulant_gradient(theta)
