@@ -1,20 +1,20 @@
 """numpy forms of the scipy routines the library's sums, solves and integrals need.
 
-``rel_entr``, ``kl_div`` and ``logsumexp`` follow the branches and limit
-conventions of their ``scipy.special`` namesakes: ``0 log 0 = 0``,
-``x > 0 = y`` gives ``+inf``, ``kl_div(0, y) = y``, a NaN argument gives
-NaN, and ``logsumexp`` of all ``-inf`` is ``-inf``.  One block kernel
-computes ``x log(x/y)`` for 8192 entries at a time in reused scratch
-arrays.  ``rel_entr`` and ``kl_div`` write its blocks into their result;
-``sum_x_log_ratio`` and ``sum_x_log_ratio_to_midpoint`` sum each block with
-``np.sum`` and add the block sums in order, so they leave no support-sized
-array, and at or below one block they give the bits of the elementwise
-sum.  The two solves take the lower Cholesky factor ``L`` that
-:mod:`geojsd.gaussian` keeps.  ``gauss_kronrod`` is QUADPACK's globally
-adaptive Gauss-Kronrod 10/21 rule, the rule behind ``scipy.integrate.quad``,
-with each refinement round evaluated in one call on a 1-D array of nodes.
-Importing scipy costs a cold process more time than any of these calls, so
-the library does not import it.
+``sum_x_log_ratio`` and ``logsumexp`` follow the branches and limit
+conventions of ``scipy.special``'s ``rel_entr``, ``kl_div`` and
+``logsumexp``: ``0 log 0 = 0``, ``x > 0 = y`` gives ``+inf``, the extended
+term at ``(0, y)`` is ``y``, a NaN argument gives NaN, and ``logsumexp`` of
+all ``-inf`` is ``-inf``.  One block kernel computes ``x log(x/y)`` for 8192
+entries at a time in reused scratch arrays; ``sum_x_log_ratio`` and
+``sum_x_log_ratio_to_midpoint`` sum each block with ``np.sum`` and add the
+block sums in order, so they leave no support-sized array, and at or below
+one block they give the bits of one ``np.sum`` of all the terms.  The two
+solves take the lower Cholesky factor ``L`` that :mod:`geojsd.gaussian`
+keeps.  ``gauss_kronrod`` is QUADPACK's globally adaptive Gauss-Kronrod
+10/21 rule, the rule behind ``scipy.integrate.quad``, with each refinement
+round evaluated in one call on a 1-D array of nodes.  Importing scipy costs
+a cold process more time than any of these calls, so the library does not
+import it.
 """
 
 from __future__ import annotations
@@ -41,19 +41,19 @@ def _scratch(size: int) -> tuple[np.ndarray, ...]:
 
 
 def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
-                       scratch: tuple[np.ndarray, ...],
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`_x_log_ratio` of 1-D ``x`` and ``y``, at most one block long.
+                       scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``x log(x/y)``, plus ``y - x`` when ``extended``, with scipy's limits,
+    for 1-D ``x`` and ``y`` at most one block long; written into the scratch.
 
-    The terms go into ``out``, or into the scratch when it is None; the
-    array written is returned.
+    scipy's branches: ``log1p((x - y)/y)`` for ``x/y`` in (1/2, 2),
+    ``log(x) - log(y)`` where ``x/y`` under- or overflows, ``log(x/y)``
+    elsewhere; ``0`` (``y`` when extended) where ``x == 0 <= y``, NaN where
+    either is NaN, ``+inf`` elsewhere.
     """
-    terms, step, pick, near, below = scratch
+    out, step, pick, near, below = scratch
     k = x.size
-    if k < terms.size:
-        terms, step, pick, near, below = (a[:k] for a in scratch)
-    if out is None:
-        out = terms
+    if k < out.size:
+        out, step, pick, near, below = (a[:k] for a in scratch)
     np.divide(x, y, out=out)
     # Out-of-domain and far-ratio atoms need masks; a block whose ratios
     # all lie in (DBL_MIN, inf), with y > 0, has none.
@@ -95,12 +95,12 @@ def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
     return out
 
 
-def _flat_pair(x, y) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+def _flat_pair(x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
-        x, y = np.broadcast_arrays(x, y)
-    return x.ravel(), y.ravel(), x.shape
+        raise ValueError(f"arrays of shapes {x.shape} and {y.shape}")
+    return x.ravel(), y.ravel()
 
 
 def _blocks(*arrays: np.ndarray) -> list[tuple[np.ndarray, ...]]:
@@ -133,42 +133,27 @@ def _block_sums(x: np.ndarray, y: np.ndarray,
     return totals if totals is not None else [0.0] * len(pairs(x, y))
 
 
-def _x_log_ratio(x, y, extended: bool) -> np.ndarray:
-    """``x log(x/y)``, plus ``y - x`` when ``extended``, with scipy's limits.
-
-    scipy's branches: ``log1p((x - y)/y)`` for ``x/y`` in (1/2, 2),
-    ``log(x) - log(y)`` where ``x/y`` under- or overflows, ``log(x/y)``
-    elsewhere; ``0`` (``y`` when extended) where ``x == 0 <= y``, NaN where
-    either is NaN, ``+inf`` elsewhere.
-    """
-    x, y, shape = _flat_pair(x, y)
-    out = np.empty(x.size)
-    scratch = _scratch(x.size)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for a, b, o in _blocks(x, y, out):
-            _x_log_ratio_block(a, b, extended, scratch, o)
-    return out.reshape(shape)
-
-
 def sum_x_log_ratio(x, y, extended: bool = False) -> float:
-    """``_x_log_ratio(x, y, extended).sum()``, without the support-sized array.
+    """The sum of ``x log(x/y)``, plus ``y - x`` when ``extended``, over
+    equal-shaped ``x`` and ``y``, without a support-sized array of terms.
 
     Each block of up to 8192 entries is summed by ``np.sum``, so an input of
-    at most one block gives the bits of the elementwise sum; longer inputs
-    add the block sums in order.
+    at most one block gives the bits of one ``np.sum`` of its terms; longer
+    inputs add the block sums in order.  Shapes that differ raise
+    ``ValueError``.
     """
-    x, y, _ = _flat_pair(x, y)
+    x, y = _flat_pair(x, y)
     (total,) = _block_sums(x, y, lambda a, b: ((a, b),), extended)
     return total
 
 
 def sum_x_log_ratio_to_midpoint(x1, x2) -> tuple[float, float]:
-    """``rel_entr(x1, mid).sum()`` and ``rel_entr(x2, mid).sum()``, mid = (x1 + x2)/2.
+    """:func:`sum_x_log_ratio` of ``(x1, mid)`` and ``(x2, mid)``, mid = (x1 + x2)/2.
 
     The midpoint is formed a block at a time, and each sum is taken as in
     :func:`sum_x_log_ratio`.
     """
-    x1, x2, _ = _flat_pair(x1, x2)
+    x1, x2 = _flat_pair(x1, x2)
     mid = np.empty(min(x1.size, _BLOCK))
 
     def to_midpoint(a, b):
@@ -179,20 +164,6 @@ def sum_x_log_ratio_to_midpoint(x1, x2) -> tuple[float, float]:
 
     to_mid_1, to_mid_2 = _block_sums(x1, x2, to_midpoint)
     return to_mid_1, to_mid_2
-
-
-def rel_entr(x, y) -> np.ndarray:
-    """Elementwise ``x log(x/y)``: 0 where ``x == 0 <= y``, +inf where ``x > 0 = y``."""
-    return _x_log_ratio(x, y, extended=False)
-
-
-def kl_div(x, y) -> np.ndarray:
-    """Elementwise extended KL ``x log(x / y) - x + y``; ``y`` where ``x == 0 <= y``.
-
-    The log term is :func:`rel_entr`'s, so a ratio that under- or overflows
-    still gives the finite value (scipy returns -inf for ``(1e-300, 1e300)``).
-    """
-    return _x_log_ratio(x, y, extended=True)
 
 
 def logsumexp(a, axis: int | None = None):

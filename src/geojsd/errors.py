@@ -34,7 +34,7 @@ class NotPositiveDefinite(GeoJSDError, ValueError):
 
 
 class ProposalSupportViolation(GeoJSDError, RuntimeError):
-    """Importance-sampling proposal assigns zero density to a needed point."""
+    """Importance-sampling proposal's log-density is not finite at one of its draws."""
 
 
 class DivergentIntegral(GeoJSDError, ValueError):

@@ -17,6 +17,11 @@ chunk's count, mean and centred sum of squares are merged in chunk order
 bit-identical results and a spread far below the mean is not lost to
 cancellation.
 
+Proposal contract: every Monte Carlo estimator, the gamma route included,
+runs one chunk body, which raises :class:`ProposalSupportViolation` where
+the proposal (``proposal=``, or else the first density) has a log-density
+that is not finite at one of its own draws.
+
 Everything runs in log space: mixture means of density values are taken via
 :func:`geojsd.means.log_evaluate` and the gamma-divergence moment integrals
 ``I_gamma`` via log-sum-exp, so widely separated densities do not underflow.
@@ -34,7 +39,7 @@ from . import means
 from ._kernels import gauss_kronrod, logsumexp, solve_lower
 from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
-from .expfam import ExpFamilyDensity, _as_theta, _cumulant_at
+from .expfam import ExpFamily, ExpFamilyDensity, _as_theta, _cumulant_at
 from .gaussian import GaussianParams
 from .means import MeanKind, MeanSpec
 
@@ -177,18 +182,38 @@ def _chunks(cfg: EstimatorConfig) -> list[tuple[int, int]]:
     return out
 
 
-def _map_chunks(cfg: EstimatorConfig, r: SampledDensity,
-                fn: Callable[[np.ndarray], tuple], workers: int) -> list[tuple]:
-    """``fn`` of each chunk's draws from ``r``, in order.
+def _map_chunks(cfg: EstimatorConfig, p1: SampledDensity, p2: SampledDensity,
+                proposal: SampledDensity | None, term: Callable[..., tuple],
+                workers: int) -> list[tuple]:
+    """``term(l1, l2, log_r)`` of each chunk, in chunk order.
+
+    Each chunk draws from the proposal r: ``proposal``, or ``p1`` when it is
+    ``None``.  ``l1``, ``l2`` and ``log_r`` are the log-densities of ``p1``,
+    ``p2`` and r at the draws.
+    Each is evaluated once per chunk: when r is ``p1``, ``log_r`` is ``l1``
+    itself, the same array.  This is the one place the proposal is checked:
+    a ``log_r`` that is not finite at one of r's own draws raises
+    :class:`ProposalSupportViolation`.
 
     Chunk k draws from ``SeedSequence(seed, spawn_key=(k,))``, the k-th
     child that ``SeedSequence(seed).spawn`` hands out, so the streams of
     all chunks of all seeds are independent.
     """
+    r = p1 if proposal is None else proposal
+    if r.sampler is None:
+        raise ValueError("proposal density has no sampler")
 
     def one_chunk(k: int, n: int) -> tuple:
         stream = np.random.SeedSequence(cfg.seed, spawn_key=(k,))
-        return fn(r.sampler(np.random.default_rng(stream), n))
+        x = r.sampler(np.random.default_rng(stream), n)
+        l1 = np.asarray(p1.log_density(x), dtype=float)
+        l2 = np.asarray(p2.log_density(x), dtype=float)
+        log_r = l1 if r is p1 else np.asarray(r.log_density(x), dtype=float)
+        if not np.isfinite(log_r).all():
+            raise ProposalSupportViolation(
+                "proposal log-density is not finite at one of its own draws"
+            )
+        return term(l1, l2, log_r)
 
     plan = _chunks(cfg)
     if workers <= 1 or len(plan) == 1:
@@ -203,6 +228,9 @@ def _map_chunks(cfg: EstimatorConfig, r: SampledDensity,
 def _moments(g: np.ndarray) -> tuple[int, float, float]:
     """``(n, mean, M2)`` of one chunk's terms, ``M2`` the centred sum of squares."""
     mean = float(g.mean())
+    if not math.isfinite(mean):
+        # an infinite or NaN term: the merge falls back to the plain sum
+        return g.size, mean, math.inf
     return g.size, mean, float(np.square(g - mean).sum())
 
 
@@ -224,15 +252,6 @@ def _mean_and_stderr(partials: Sequence[tuple[int, float, float]],
     return mean, math.sqrt(m2 / (samples - 1) / samples)
 
 
-def _resolve_proposal(p1: SampledDensity,
-                      proposal: SampledDensity | None) -> SampledDensity:
-    """The given proposal, or the first argument when none is given."""
-    chosen = p1 if proposal is None else proposal
-    if chosen.sampler is None:
-        raise ValueError("proposal density has no sampler")
-    return chosen
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimators
 # ---------------------------------------------------------------------------
@@ -247,23 +266,11 @@ def estimate_z(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     ``proposal`` argument, or ``p1`` when it is ``None``.  Unbiased; returns
     ``(estimate, std_error)``.
     """
-    r = _resolve_proposal(p1, proposal)
-    self_proposal = r is p1
+    def term(l1: np.ndarray, l2: np.ndarray, log_r: np.ndarray) -> tuple:
+        return _moments(np.exp(np.asarray(means.log_evaluate(m, l1, l2)) - log_r))
 
-    def one_chunk(x: np.ndarray) -> tuple[int, float, float]:
-        l1 = np.asarray(p1.log_density(x), dtype=float)
-        log_mix = np.asarray(means.log_evaluate(m, l1, p2.log_density(x)))
-        log_r = l1 if self_proposal else np.asarray(r.log_density(x), dtype=float)
-        bad = np.isneginf(log_r) & (log_mix > -np.inf)
-        if np.any(bad):
-            raise ProposalSupportViolation(
-                "proposal has zero density where the mixture is positive"
-            )
-        with np.errstate(invalid="ignore"):
-            g = np.exp(log_mix - log_r)
-        return _moments(np.where(np.isneginf(log_mix), 0.0, g))
-
-    return _mean_and_stderr(_map_chunks(cfg, r, one_chunk, workers), cfg.samples)
+    return _mean_and_stderr(_map_chunks(cfg, p1, p2, proposal, term, workers),
+                            cfg.samples)
 
 
 def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
@@ -275,30 +282,23 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
     Estimates ``KL+(p1, M~) = integral of p1 log(p1/M~) + M~ - p1`` with
     ``M~(x) = M_alpha(p1(x), p2(x))``, over draws from the ``proposal``
     argument.  With the default proposal r = p1 (``proposal=None``) the
-    per-sample term is ``log(p1/M~) + M~/p1 - 1``.  The estimand is
+    per-sample term is ``log(p1/M~) + M~/p1 - 1``.  A draw where p1 is 0
+    adds ``M~/r`` alone (``0 log(0/M~) = 0``).  The estimand is
     nonnegative but finite-sample estimates may dip below zero; they are
     reported as-is (clamping would bias the estimator).
     """
-    r = _resolve_proposal(p1, proposal)
-    self_proposal = r is p1
+    def term(l1: np.ndarray, l2: np.ndarray, log_r: np.ndarray) -> tuple:
+        log_mix = np.asarray(means.log_evaluate(m, l1, l2))
+        if log_r is l1:  # r is p1: every weight p1/r is 1
+            return _moments((l1 - log_mix) + np.exp(log_mix - l1) - 1.0)
+        weight = np.exp(l1 - log_r)
+        # 0 log(0/M) = 0: where p1 is 0 only the M term is left
+        log_ratio = np.subtract(l1, log_mix, out=np.zeros_like(weight),
+                                where=weight > 0.0)
+        return _moments(weight * log_ratio + np.exp(log_mix - log_r) - weight)
 
-    def one_chunk(x: np.ndarray) -> tuple[int, float, float]:
-        l1 = np.asarray(p1.log_density(x), dtype=float)
-        log_mix = np.asarray(means.log_evaluate(m, l1, p2.log_density(x)))
-        if self_proposal:
-            g = (l1 - log_mix) + np.exp(log_mix - l1) - 1.0
-        else:
-            log_r = np.asarray(r.log_density(x), dtype=float)
-            bad = np.isneginf(log_r) & ((l1 > -np.inf) | (log_mix > -np.inf))
-            if np.any(bad):
-                raise ProposalSupportViolation(
-                    "proposal has zero density on the integrand's support"
-                )
-            weight = np.exp(l1 - log_r)
-            g = weight * (l1 - log_mix) + np.exp(log_mix - log_r) - weight
-        return _moments(g)
-
-    return _mean_and_stderr(_map_chunks(cfg, r, one_chunk, workers), cfg.samples)
+    return _mean_and_stderr(_map_chunks(cfg, p1, p2, proposal, term, workers),
+                            cfg.samples)
 
 
 def estimate_js_m_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
@@ -343,17 +343,19 @@ def _log_i_discrete(w1: np.ndarray, w2: np.ndarray, gamma: float) -> float:
     return float(logsumexp(terms))
 
 
-def _same_family(a, b) -> bool:
-    return a is b or (a.name != "" and a.name == b.name and a.dim == b.dim)
+def _family_thetas(e1: ExpFamilyDensity,
+                   e2: ExpFamilyDensity) -> tuple[ExpFamily, np.ndarray, np.ndarray]:
+    """The family two densities share, then each one's checked theta."""
+    fam, other = e1.family, e2.family
+    if not (fam is other
+            or (fam.name != "" and fam.name == other.name and fam.dim == other.dim)):
+        raise ValueError("closed-form route needs densities of one family")
+    return fam, _as_theta(fam, e1.theta), _as_theta(fam, e2.theta)
 
 
 def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
                   gamma: float) -> float:
-    fam = e1.family
-    if not _same_family(fam, e2.family):
-        raise ValueError("closed-form route needs densities of one family")
-    t1 = _as_theta(fam, e1.theta)
-    t2 = _as_theta(fam, e2.theta)
+    fam, t1, t2 = _family_thetas(e1, e2)
     try:
         f_mixed = _cumulant_at(fam, t1 + gamma * t2, "gamma_divergence")
         f1 = _cumulant_at(fam, t1, "gamma_divergence")
@@ -406,19 +408,14 @@ def _log_i_route(integrator: str, gamma: float,
 
 
 def _log_i_mc_triplet(q1: SampledDensity, q2: SampledDensity, gamma: float,
-                      proposal: SampledDensity, cfg: EstimatorConfig,
+                      proposal: SampledDensity | None, cfg: EstimatorConfig,
                       workers: int) -> tuple[float, float, float]:
-    self_proposal = proposal is q1
+    def term(l1: np.ndarray, l2: np.ndarray, log_r: np.ndarray) -> tuple:
+        return (float(logsumexp((1.0 + gamma) * l1 - log_r)),
+                float(logsumexp(l1 + gamma * l2 - log_r)),
+                float(logsumexp((1.0 + gamma) * l2 - log_r)))
 
-    def one_chunk(x: np.ndarray) -> tuple[float, float, float]:
-        l1 = np.asarray(q1.log_density(x), dtype=float)
-        l2 = np.asarray(q2.log_density(x), dtype=float)
-        lr = l1 if self_proposal else np.asarray(proposal.log_density(x), dtype=float)
-        return (float(logsumexp((1.0 + gamma) * l1 - lr)),
-                float(logsumexp(l1 + gamma * l2 - lr)),
-                float(logsumexp((1.0 + gamma) * l2 - lr)))
-
-    partials = _map_chunks(cfg, proposal, one_chunk, workers)
+    partials = _map_chunks(cfg, q1, q2, proposal, term, workers)
     log_s = math.log(cfg.samples)
     lses = [np.logaddexp.reduce([p[i] for p in partials]) for i in range(3)]
     return tuple(float(v) - log_s for v in lses)  # type: ignore[return-value]
@@ -463,9 +460,8 @@ def gamma_divergence(q1, q2, gamma: float, integrator: str = "auto", *,
     if integrator == "monte_carlo":
         if cfg is None:
             raise ValueError("Monte Carlo route requires an EstimatorConfig")
-        r = _resolve_proposal(q1, proposal)
-        return _combine_gamma(*_log_i_mc_triplet(q1, q2, gamma, r, cfg, workers),
-                              gamma)
+        return _combine_gamma(*_log_i_mc_triplet(q1, q2, gamma, proposal, cfg,
+                                                 workers), gamma)
     log_i = _log_i_route(integrator, gamma, support)
     return _combine_gamma(log_i(q1, q1), log_i(q1, q2), log_i(q2, q2), gamma)
 
@@ -502,10 +498,9 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
                 "closed-form projective M-JSD needs a geometric mean; "
                 "use sampled densities for other mixtures"
             )
-        t1 = _as_theta(p1.family, p1.theta)
-        t2 = _as_theta(p2.family, p2.theta)
+        fam, t1, t2 = _family_thetas(p1, p2)
         # the geometric mixture is in-family; its scale drops by projectivity
-        mix = ExpFamilyDensity(p1.family, m.alpha * t1 + (1.0 - m.alpha) * t2)
+        mix = ExpFamilyDensity(fam, m.alpha * t1 + (1.0 - m.alpha) * t2)
         integrator = "closed_form"
     else:
         def mix_log_density(x: np.ndarray) -> np.ndarray:

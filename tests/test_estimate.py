@@ -33,6 +33,7 @@ from geojsd import (
     js_m_extended,
     js_m_gamma,
     kl,
+    kl_extended,
     kl_gaussian,
     m_mixture,
     natural_flat,
@@ -181,6 +182,31 @@ class TestEstimateKLExtended:
         cfg = EstimatorConfig(samples=1_000, seed=0)
         with pytest.raises(ProposalSupportViolation):
             estimate_kl_extended(d1, d2, GEO, cfg, proposal=broken_proposal(d1))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mean", ["geometric", "arithmetic", "power:-0.5", "min"])
+    def test_draws_where_p1_is_zero_add_no_log_term(self, mean):
+        # draws from p2 land on the atom p1 leaves empty: there the weight
+        # p1/r is 0 and 0 log(0/M) = 0, as in the exact sum
+        q1 = DiscreteDensity.probability([0.0, 0.3, 0.3, 0.4])
+        q2 = DiscreteDensity.probability([0.25] * 4)
+        spec = MeanSpec.parse(mean)
+        exact = kl_extended(q1, m_mixture(q1, q2, spec, normalize=False)[0])
+        estimate, stderr = estimate_kl_extended(
+            categorical_sampled(q1), categorical_sampled(q2), spec,
+            EstimatorConfig(samples=200_000, seed=3),
+            proposal=categorical_sampled(q2))
+        assert 0.0 < stderr < 1e-3
+        assert abs(estimate - exact) <= 4.0 * stderr
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_mixture_zero_where_p1_has_mass_is_infinite(self):
+        # the min-mixture is 0 on the atom p2 leaves empty, where p1 is not
+        q1 = categorical_sampled(DiscreteDensity.probability([0.25] * 4))
+        q2 = categorical_sampled(DiscreteDensity.probability([0.0, 0.3, 0.3, 0.4]))
+        cfg = EstimatorConfig(samples=4_096, seed=3, chunk_size=1_024)
+        assert estimate_kl_extended(q1, q2, MeanSpec.minimum(), cfg) == (math.inf,
+                                                                          math.inf)
 
 
 class TestEstimateJSMExtended:
@@ -332,46 +358,82 @@ class TestGaussianWhitening:
 
 class TestLogDensityReuse:
     """A chunk evaluates each distinct density once: the default proposal's
-    log-density is the first argument's, already in hand."""
+    log-density is the first argument's, already in hand, and a distinct
+    proposal object is evaluated apart, even for the same density."""
+
+    SIZES = [1024] * 9 + [784]      # 10,000 samples in chunks of 1,024
+    # log-density calls per chunk of the first argument, the second and a
+    # distinct proposal built on the first argument's density
+    PER_CHUNK = {"default": (1, 1, 0), "distinct": (1, 1, 1)}
 
     @staticmethod
-    def counted(density: SampledDensity, calls: list) -> tuple:
+    def counted(density: SampledDensity, calls: list) -> SampledDensity:
         def log_density(x):
             calls.append(len(x))
             return density.log_density(x)
 
-        return log_density, density.sampler
+        return SampledDensity(log_density, density.sampler)
 
-    def test_estimate_z_calls_p1_once_per_chunk(self):
+    @pytest.mark.parametrize("estimator", ["estimate_z", "estimate_kl_extended",
+                                           "gamma_divergence"])
+    @pytest.mark.parametrize("proposal", ["default", "distinct"])
+    def test_log_density_calls_per_chunk(self, estimator, proposal):
         d1, d2 = d8_pair()
-        calls = []
-        log_density, sampler = self.counted(d1, calls)
         cfg = EstimatorConfig(samples=10_000, seed=6, chunk_size=1024)
-        reused = estimate_z(SampledDensity(log_density, sampler), d2,
-                            MeanSpec.power(-0.5), cfg)
-        assert calls == [1024] * 9 + [784]
-        # a distinct proposal on the same callables is evaluated apart
-        calls.clear()
-        apart = estimate_z(SampledDensity(log_density, sampler), d2,
-                           MeanSpec.power(-0.5), cfg,
-                           proposal=SampledDensity(log_density, sampler))
-        assert len(calls) == 20
-        assert hexes(reused) == hexes(apart)
+        if estimator == "gamma_divergence":
+            def run(p1, p2, r):
+                return gamma_divergence(p1, p2, 0.5, "monte_carlo", cfg=cfg,
+                                        proposal=r)
+        else:
+            fn = getattr(estimate_module, estimator)
 
-    def test_gamma_monte_carlo_calls_q1_once_per_chunk(self):
-        d1, d2 = d8_pair()
-        calls = []
-        log_density, sampler = self.counted(d1, calls)
-        cfg = EstimatorConfig(samples=10_000, seed=6, chunk_size=2500)
-        reused = gamma_divergence(SampledDensity(log_density, sampler), d2, 0.5,
-                                  "monte_carlo", cfg=cfg)
-        assert len(calls) == 4
-        calls.clear()
-        apart = gamma_divergence(SampledDensity(log_density, sampler), d2, 0.5,
-                                 "monte_carlo", cfg=cfg,
-                                 proposal=SampledDensity(log_density, sampler))
-        assert len(calls) == 8
-        assert hexes(reused) == hexes(apart)
+            def run(p1, p2, r):
+                return fn(p1, p2, MeanSpec.power(-0.5), cfg, proposal=r)
+
+        calls = ([], [], [])
+        first, second, apart = (self.counted(d, c)
+                                for d, c in zip((d1, d2, d1), calls))
+        got = run(first, second, apart if proposal == "distinct" else None)
+        assert list(calls) == [[n for n in self.SIZES for _ in range(k)]
+                               for k in self.PER_CHUNK[proposal]]
+        assert hexes(got) == hexes(run(d1, d2, None))
+
+
+class TestProposalContract:
+    """One rule, checked in one chunk body for every estimator: the
+    proposal's log-density is finite at each of its own draws."""
+
+    CFG = EstimatorConfig(samples=4_096, seed=0, chunk_size=1_024)
+
+    @classmethod
+    def run(cls, estimator, p1, p2, proposal=None, workers=1):
+        cfg = cls.CFG
+        if estimator == "gamma_divergence":
+            return gamma_divergence(p1, p2, 0.5, "monte_carlo", cfg=cfg,
+                                    proposal=proposal, workers=workers)
+        if estimator == "js_m_gamma":
+            return js_m_gamma(p1, p2, GEO, 0.5, "monte_carlo", cfg=cfg,
+                              proposal=proposal, workers=workers)
+        return getattr(estimate_module, estimator)(p1, p2, GEO, cfg,
+                                                   proposal=proposal,
+                                                   workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("estimator", ["gamma_divergence", "js_m_gamma"])
+    def test_gamma_route_rejects_broken_proposal(self, estimator, workers):
+        d1, d2 = gaussian_sampled(N01), gaussian_sampled(N12)
+        with pytest.raises(ProposalSupportViolation):
+            self.run(estimator, d1, d2, broken_proposal(d1), workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("estimator", ["estimate_z", "estimate_kl_extended",
+                                           "gamma_divergence"])
+    def test_first_density_as_proposal_keeps_the_contract(self, estimator, workers):
+        # with no proposal= the first density is the proposal, so its
+        # log-density must be finite at its own draws too
+        broken = broken_proposal(gaussian_sampled(N01))
+        with pytest.raises(ProposalSupportViolation):
+            self.run(estimator, broken, gaussian_sampled(N12), workers=workers)
 
 
 class TestGammaDivergence:
@@ -467,6 +529,15 @@ class TestGammaDivergence:
             gamma_divergence(good, bad, 0.5)
         with pytest.raises(DomainViolation, match="size 3, family expects 2"):
             js_m_gamma(good, bad, GEO, 0.5)
+
+    def test_closed_form_rejects_mixed_families(self):
+        # the family is checked before either theta is read or mixed
+        one, two = expfam_density(N01), expfam_density(GaussianParams(np.zeros(2),
+                                                                      np.eye(2)))
+        with pytest.raises(ValueError, match="densities of one family"):
+            gamma_divergence(one, two, 0.5)
+        with pytest.raises(ValueError, match="densities of one family"):
+            js_m_gamma(one, two, GEO, 0.5)
 
     def test_closed_form_rejects_wrong_size_gaussian_theta(self):
         # gaussian_family(1) has dim 2 (theta_v and theta_M)

@@ -1,16 +1,20 @@
 """The numpy kernels of ``geojsd._kernels`` against ``scipy.special``.
 
-scipy is the oracle: NaN, +-inf and exact-zero patterns must be identical,
-and finite values must agree to 1e-15 relative.  ``kl_div`` sums three
-terms that cancel near ``x = y``, so it is held to 1e-15 of their scale and
-its zeros are not compared; where scipy's ``x/y`` under- or overflows, its
-``kl_div`` is off (``-inf`` for ``(1e-300, 1e300)``) and its ``rel_entr``
-stands in.  Inputs mix exact zeros, subnormals, 1e-300 and 1e300 masses and
-near-equal pairs into arrays of up to 1e4 entries; a grid of edge values,
-inf, NaN and negatives included, is checked whole and pair by pair.
-``gauss_kronrod`` has no scipy namesake to mirror; its rule is checked
-against ``leggauss`` and polynomial exactness, and its integrals against
-closed forms.
+scipy is the oracle.  ``sum_x_log_ratio`` is checked against ``math.fsum``
+of ``rel_entr``'s terms, or of ``kl_div``'s when extended: a sum that is NaN
+or infinite must be so on both sides, and a finite one must agree to 1e-15
+of the terms' scale plus the summation's own error bound.  A one-element
+sum is the kernel's term, so edge values are also checked entry by entry,
+where NaN, +-inf and exact-zero patterns must be identical.  The extended
+term sums three parts that cancel near ``x = y``, so it is held to 1e-15 of
+their scale and its zeros are not compared; where scipy's ``x/y`` under- or
+overflows, its ``kl_div`` is off (``-inf`` for ``(1e-300, 1e300)``) and its
+``rel_entr`` stands in.  Inputs mix exact zeros, subnormals, 1e-300 and
+1e300 masses and near-equal pairs into arrays of up to 1e4 entries; a grid
+of edge values, inf, NaN and negatives included, is checked whole and pair
+by pair.  ``gauss_kronrod`` has no scipy namesake to mirror; its rule is
+checked against ``leggauss`` and polynomial exactness, and its integrals
+against closed forms.
 """
 
 import functools
@@ -76,86 +80,72 @@ def assert_close(ours, ref, scale):
     assert np.all(err <= bound), float(np.max(err / np.maximum(bound, SUBNORMAL)))
 
 
-def check_rel_entr(x, y):
-    ours = _kernels.rel_entr(x, y)
-    ref = sp.rel_entr(x, y)
-    assert_patterns_equal(ours, ref)
-    assert_close(ours, ref, np.abs(ref))
+def scipy_terms(x, y, extended):
+    """scipy's elementwise ``rel_entr``, or for ``extended`` its ``kl_div``.
 
-
-def check_kl_div(x, y):
-    ours = _kernels.kl_div(x, y)
+    scipy's ``kl_div`` takes ``log(x/y)`` directly: where ``x/y`` under- or
+    overflows it returns ``-inf`` or ``+inf`` for a finite value.  There the
+    oracle is its ``rel_entr``, which takes that branch with
+    ``log(x) - log(y)``, plus ``y - x``.
+    """
     rel = sp.rel_entr(x, y)
-    # scipy's kl_div takes log(x/y) directly: where x/y under- or overflows
-    # it returns -inf or +inf for a finite value.  There the oracle is its
-    # rel_entr, which takes that branch with log(x) - log(y).
+    if not extended:
+        return rel
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = x / y
-        ref = np.where((x > 0) & (y > 0) & ~((ratio > np.finfo(float).tiny)
-                                            & (ratio < np.inf)),
-                       rel - x + y, sp.kl_div(x, y))
-    # a cancellation residue near x = y may round to 0 on one side only
-    assert_patterns_equal(ours, ref, zeros=False)
-    # x log(x/y), x and y cancel near x = y: scale by the terms, not the sum
+        return np.where((x > 0) & (y > 0) & ~((ratio > np.finfo(float).tiny)
+                                             & (ratio < np.inf)),
+                        rel - x + y, sp.kl_div(x, y))
+
+
+def term_scale(x, y, extended):
+    """What a term's rounding is relative to: ``x log(x/y)``, ``x`` and
+    ``y`` cancel near ``x = y``, so the extended term is held to the sum of
+    their sizes, not to its own."""
     with np.errstate(invalid="ignore", over="ignore"):
-        assert_close(ours, ref, np.abs(rel) + np.abs(x) + np.abs(y))
+        rel = np.abs(sp.rel_entr(x, y))
+        return rel + np.abs(x) + np.abs(y) if extended else rel
 
 
-class TestRelEntr:
-    @settings(max_examples=60, deadline=None)
-    @given(mass_pairs())
-    def test_matches_scipy(self, pair):
-        check_rel_entr(*pair)
+def summation_gamma(n: int) -> float:
+    """Higham's ``gamma_k`` for the sum of ``n`` terms as the kernel adds them.
 
-    def test_zero_limits(self):
-        x = np.array([0.0, 0.0, 1.0, 0.0])
-        y = np.array([0.0, 1.0, 0.0, np.inf])
-        np.testing.assert_array_equal(_kernels.rel_entr(x, y),
-                                      [0.0, 0.0, np.inf, 0.0])
-
-    def test_edge_grid_matches_scipy(self):
-        # every pair of edge values, including the ones outside the library's
-        # domain (negative, NaN, inf): as one array, then each pair alone, so
-        # that the far-ratio and out-of-domain fix-ups run on inputs where
-        # they touch every entry, some entries and none
-        x, y = (a.ravel() for a in np.meshgrid(EDGE_VALUES, EDGE_VALUES))
-        check_rel_entr(x, y)
-        check_kl_div(x, y)
-        for xi, yi in zip(x, y):
-            check_rel_entr(np.array([xi]), np.array([yi]))
-            check_kl_div(np.array([xi]), np.array([yi]))
-
-    def test_near_equal_uses_log1p(self):
-        # log(x/y) loses digits when x/y rounds near 1; log1p((x - y)/y) does not
-        x = np.full(100, 1.0)
-        y = 1.0 + np.arange(1, 101) * 1e-13
-        exact = np.array([-float(math.log1p(v - 1.0)) for v in y])
-        np.testing.assert_allclose(_kernels.rel_entr(x, y), exact, rtol=1e-15)
-
-    def test_scalar_and_broadcast(self):
-        scalar = _kernels.rel_entr(0.5, 0.25)
-        assert np.ndim(scalar) == 0
-        assert scalar == pytest.approx(sp.rel_entr(0.5, 0.25), rel=REL)
-        # numpy's log1p and libm's may differ in the last bit
-        check_rel_entr(np.array([[0.2, 0.8], [0.5, 0.5]]), np.array([0.5, 0.5]))
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 4:
+    ``|error| <= gamma_k * sum|t|``, with k the most additions a term passes
+    through.  numpy's pairwise sum of one block has leaves of at most 128
+    terms in 8 accumulators (15 additions, 3 to combine them, 7 for the
+    remainder) under 6 halvings; the block sums add one more per further
+    block.
+    """
+    k = 25 + 6 + (-(-n // 8192) - 1)
+    unit = 2.0 ** -53
+    return k * unit / (1.0 - k * unit)
 
 
-class TestKlDiv:
-    @settings(max_examples=60, deadline=None)
-    @given(mass_pairs())
-    def test_matches_scipy(self, pair):
-        check_kl_div(*pair)
+def check_sum(x, y, extended):
+    """``sum_x_log_ratio`` against ``math.fsum`` of scipy's terms.
 
-    def test_zero_limits(self):
-        x = np.array([0.0, 0.0, 1.0])
-        y = np.array([0.0, 2.5, 0.0])
-        np.testing.assert_array_equal(_kernels.kl_div(x, y), [0.0, 2.5, np.inf])
+    A sum that is NaN or infinite must be so on both sides, with the same
+    sign.  A finite one may differ by 1e-15 of each term's scale (the
+    terms' own rounding) plus the summation's bound.
+    """
+    ours = _kernels.sum_x_log_ratio(x, y, extended)
+    terms = scipy_terms(x, y, extended)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
+        pattern = float(terms.sum())
+    if not (math.isfinite(ours) and math.isfinite(pattern)):
+        assert math.isnan(ours) == math.isnan(pattern)
+        if not math.isnan(ours):
+            assert ours == pattern
+        return
+    scale = math.fsum(term_scale(x, y, extended))
+    bound = (REL + summation_gamma(x.size)) * scale + x.size * SUBNORMAL
+    assert abs(ours - math.fsum(terms)) <= bound
 
-    def test_extreme_ratio_stays_finite(self):
-        # scipy.special.kl_div gives -inf and +inf here
-        np.testing.assert_array_equal(
-            _kernels.kl_div(np.array([1e-300, 1.0]), np.array([1e300, 1e-320])),
-            [1e300, sp.rel_entr(1.0, 1e-320) - 1.0 + 1e-320])
+
+def term(x, y, extended=False):
+    """The kernel's term at ``(x, y)``: a one-element sum is that term."""
+    return _kernels.sum_x_log_ratio(np.array([x]), np.array([y]), extended)
 
 
 # inputs of the sum kernel: exact zeros, the smallest subnormal, 1e-300 and
@@ -174,13 +164,66 @@ def edge_pair(n: int, seed: int, edge_share: float, near_share: float):
     return x, y
 
 
-def block_sums_in_order(terms: np.ndarray) -> float:
-    """np.sum of each 8192-entry block, added left to right."""
-    return functools.reduce(operator.add, (float(terms[i:i + 8192].sum())
-                                           for i in range(0, terms.size, 8192)))
+def block_kernel_terms(x, y, extended=False):
+    """The block kernel's terms of at most one block, in a scratch of their own."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _kernels._x_log_ratio_block(x, y, extended, _kernels._scratch(x.size))
+
+
+def sliced_sums_in_order(x, y, extended=False) -> float:
+    """``sum_x_log_ratio`` of each 8192-entry slice, added left to right."""
+    return functools.reduce(operator.add, (
+        _kernels.sum_x_log_ratio(x[i:i + 8192], y[i:i + 8192], extended)
+        for i in range(0, x.size, 8192)))
 
 
 class TestSumXLogRatio:
+    @settings(max_examples=60, deadline=None)
+    @given(mass_pairs(), st.booleans())
+    def test_matches_scipy(self, pair, extended):
+        check_sum(*pair, extended)
+
+    def test_zero_limits(self):
+        assert [term(x, y) for x, y in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0),
+                                        (0.0, np.inf)]] == [0.0, 0.0, np.inf, 0.0]
+        assert [term(x, y, True) for x, y in [(0.0, 0.0), (0.0, 2.5),
+                                              (1.0, 0.0)]] == [0.0, 2.5, np.inf]
+
+    def test_edge_grid_matches_scipy(self):
+        # every pair of edge values, including the ones outside the library's
+        # domain (negative, NaN, inf): as one array, then each pair alone, so
+        # that the far-ratio and out-of-domain fix-ups run on inputs where
+        # they touch every entry, some entries and none
+        x, y = (a.ravel() for a in np.meshgrid(EDGE_VALUES, EDGE_VALUES))
+        for extended in (False, True):
+            check_sum(x, y, extended)
+            ours = np.array([term(xi, yi, extended) for xi, yi in zip(x, y)])
+            ref = scipy_terms(x, y, extended)
+            # a cancellation residue near x = y may round to 0 on one side only
+            assert_patterns_equal(ours, ref, zeros=not extended)
+            assert_close(ours, ref, term_scale(x, y, extended))
+
+    def test_near_equal_uses_log1p(self):
+        # log(x/y) loses digits when x/y rounds near 1; log1p((x - y)/y) does not
+        y = 1.0 + np.arange(1, 101) * 1e-13
+        got = [term(1.0, v) for v in y]
+        exact = [-float(math.log1p(v - 1.0)) for v in y]
+        np.testing.assert_allclose(got, exact, rtol=1e-15)
+
+    def test_extreme_ratio_stays_finite(self):
+        # scipy.special.kl_div gives -inf and +inf here
+        assert term(1e-300, 1e300, True) == 1e300
+        assert term(1.0, 1e-320, True) == sp.rel_entr(1.0, 1e-320) - 1.0 + 1e-320
+
+    def test_shapes_must_match(self):
+        # no broadcast and no truncation: every library caller aligns first
+        with pytest.raises(ValueError, match="shapes"):
+            _kernels.sum_x_log_ratio(np.ones(3), np.ones(2))
+        with pytest.raises(ValueError, match="shapes"):
+            _kernels.sum_x_log_ratio(np.ones(3), 1.0)
+        with pytest.raises(ValueError, match="shapes"):
+            _kernels.sum_x_log_ratio_to_midpoint(np.ones(8193), np.ones(8192))
+
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(min_value=1, max_value=8192),
            seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
@@ -189,51 +232,39 @@ class TestSumXLogRatio:
     def test_one_block_keeps_the_bits_of_the_elementwise_sum(
             self, n, seed, edge_share, near_share):
         x, y = edge_pair(n, seed, edge_share, near_share)
-        assert (_kernels.sum_x_log_ratio(x, y).hex()
-                == float(_kernels.rel_entr(x, y).sum()).hex())
-        assert (_kernels.sum_x_log_ratio(x, y, extended=True).hex()
-                == float(_kernels.kl_div(x, y).sum()).hex())
+        for extended in (False, True):
+            assert (_kernels.sum_x_log_ratio(x, y, extended).hex()
+                    == float(block_kernel_terms(x, y, extended).sum()).hex())
         mid = 0.5 * (x + y)
         to_mid = _kernels.sum_x_log_ratio_to_midpoint(x, y)
         assert [v.hex() for v in to_mid] == [
-            float(_kernels.rel_entr(x, mid).sum()).hex(),
-            float(_kernels.rel_entr(y, mid).sum()).hex()]
+            float(block_kernel_terms(x, mid).sum()).hex(),
+            float(block_kernel_terms(y, mid).sum()).hex()]
 
     @pytest.mark.parametrize("n", [8193, 3 * 8192, 100_000])
     @pytest.mark.parametrize("extended", [False, True])
     def test_longer_inputs_add_block_sums_in_order(self, n, extended):
         x, y = edge_pair(n, n, 0.0, 0.3)
         y[::9] = x[::9] * 1e-3
-        terms = _kernels._x_log_ratio(x, y, extended)
         got = _kernels.sum_x_log_ratio(x, y, extended)
-        assert got == block_sums_in_order(terms)
-        # Higham, Accuracy and Stability of Numerical Algorithms, ch. 4:
-        # |error| <= gamma_k * sum|t|, with k the most additions a term
-        # passes through.  numpy's pairwise sum of one block has leaves of
-        # at most 128 terms in 8 accumulators (15 additions, 3 to combine
-        # them, 7 for the remainder) under 6 halvings; the block sums add
-        # one more per further block.
-        k = 25 + 6 + (-(-n // 8192) - 1)
-        unit = 2.0 ** -53
-        gamma = k * unit / (1.0 - k * unit)
-        exact = math.fsum(terms)
-        assert abs(got - exact) <= gamma * math.fsum(np.abs(terms))
+        assert got == sliced_sums_in_order(x, y, extended)
+        # the terms are scipy's, so the bound also holds the kernel's terms
+        # to theirs, to 1e-15 of their scale
+        terms = scipy_terms(x, y, extended)
+        assert (abs(got - math.fsum(terms))
+                <= summation_gamma(n) * math.fsum(np.abs(terms))
+                + REL * math.fsum(term_scale(x, y, extended)))
         to_mid = _kernels.sum_x_log_ratio_to_midpoint(x, y)
         mid = 0.5 * (x + y)
-        assert to_mid == (block_sums_in_order(_kernels.rel_entr(x, mid)),
-                          block_sums_in_order(_kernels.rel_entr(y, mid)))
+        assert to_mid == (sliced_sums_in_order(x, mid), sliced_sums_in_order(y, mid))
 
     def test_edge_grid_sums_like_the_elementwise_terms(self):
         x, y = (a.ravel() for a in np.meshgrid(EDGE_VALUES, EDGE_VALUES))
         for extended in (False, True):
-            terms = _kernels._x_log_ratio(x, y, extended)
+            terms = np.array([term(xi, yi, extended) for xi, yi in zip(x, y)])
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf
                 total = float(terms.sum())
             assert _kernels.sum_x_log_ratio(x, y, extended).hex() == total.hex()
-            for xi, yi, ti in zip(x, y, terms):
-                assert (_kernels.sum_x_log_ratio(np.array([xi]), np.array([yi]),
-                                                 extended).hex()
-                        == float(ti).hex())
 
     def test_empty_input_sums_to_zero(self):
         empty = np.array([])
