@@ -294,7 +294,7 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
         weight = np.exp(l1 - log_r)
         # 0 log(0/M) = 0: where p1 is 0 only the M term is left
         log_ratio = np.subtract(l1, log_mix, out=np.zeros_like(weight),
-                                where=weight > 0.0)
+                                where=l1 > -np.inf)
         return _moments(weight * log_ratio + np.exp(log_mix - log_r) - weight)
 
     return _mean_and_stderr(_map_chunks(cfg, p1, p2, proposal, term, workers),

@@ -209,6 +209,19 @@ class TestEstimateKLExtended:
                                                                           math.inf)
 
 
+    def test_underflowed_weight_is_not_a_zero_of_p1(self):
+        # p1 is positive left of 0, where p1/r underflows to 0 and the
+        # min-mixture is 0: the term there is 0 * log(p1/0), undefined, and
+        # must not take the 0 log 0 convention of a true zero of p1
+        p1 = SampledDensity(lambda x: np.where(x < 0.0, -800.0, 0.0))
+        p2 = SampledDensity(lambda x: np.where(x < 0.0, -np.inf, 0.0))
+        with pytest.warns(RuntimeWarning):
+            estimate, _ = estimate_kl_extended(
+                p1, p2, MeanSpec.minimum(), EstimatorConfig(samples=64, seed=0),
+                proposal=gaussian_sampled(N01))
+        assert math.isnan(estimate)
+
+
 class TestEstimateJSMExtended:
     def test_identical_densities_exact_zero(self):
         d = gaussian_sampled(N01)
