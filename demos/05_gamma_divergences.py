@@ -57,8 +57,7 @@ print()
 # A quartic polynomial exponential family: the cumulant has no closed form,
 # so the family carries cumulant=None and every query goes through sampled
 # densities and Monte Carlo moment integrals.
-quartic = ExpFamily(dim=4, cumulant=None, cumulant_gradient=None,
-                    name="polynomial_quartic")
+quartic = ExpFamily(dim=4, cumulant=None, name="polynomial_quartic")
 try:
     skew_jensen(quartic, np.zeros(4), np.zeros(4))
 except ValueError as exc:

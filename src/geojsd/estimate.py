@@ -190,10 +190,10 @@ def _map_chunks(cfg: EstimatorConfig, p1: SampledDensity, p2: SampledDensity,
     Each chunk draws from the proposal r: ``proposal``, or ``p1`` when it is
     ``None``.  ``l1``, ``l2`` and ``log_r`` are the log-densities of ``p1``,
     ``p2`` and r at the draws.
-    Each is evaluated once per chunk: when r is ``p1``, ``log_r`` is ``l1``
-    itself, the same array.  This is the one place the proposal is checked:
-    a ``log_r`` that is not finite at one of r's own draws raises
-    :class:`ProposalSupportViolation`.
+    Each is evaluated once per chunk: when r is ``p1`` (or ``p2``),
+    ``log_r`` is ``l1`` (or ``l2``) itself, the same array.  This is the one
+    place the proposal is checked: a ``log_r`` that is not finite at one of
+    r's own draws raises :class:`ProposalSupportViolation`.
 
     Chunk k draws from ``SeedSequence(seed, spawn_key=(k,))``, the k-th
     child that ``SeedSequence(seed).spawn`` hands out, so the streams of
@@ -208,7 +208,8 @@ def _map_chunks(cfg: EstimatorConfig, p1: SampledDensity, p2: SampledDensity,
         x = r.sampler(np.random.default_rng(stream), n)
         l1 = np.asarray(p1.log_density(x), dtype=float)
         l2 = np.asarray(p2.log_density(x), dtype=float)
-        log_r = l1 if r is p1 else np.asarray(r.log_density(x), dtype=float)
+        log_r = (l1 if r is p1 else l2 if r is p2
+                 else np.asarray(r.log_density(x), dtype=float))
         if not np.isfinite(log_r).all():
             raise ProposalSupportViolation(
                 "proposal log-density is not finite at one of its own draws"

@@ -59,17 +59,17 @@ __all__ = [
 class ExpFamily:
     """An exponential family through its cumulant over flat natural parameters.
 
-    The natural parameter space is convex.  ``cumulant`` and
-    ``cumulant_gradient`` read a flat vector of size ``dim`` and raise
-    :class:`DomainViolation` for one outside that space.  Both may be
-    ``None`` for families whose log-normalizer is intractable; the
-    closed-form operations below then refuse to run and the Monte Carlo /
-    gamma-divergence estimators apply.
+    The natural parameter space is convex.  ``cumulant(theta)`` reads a flat
+    vector of size ``dim`` and returns F(theta);
+    ``cumulant(theta, gradient=True)`` returns ``(F, grad F)`` from the same
+    single read.  Either call raises :class:`DomainViolation` for a theta
+    outside the space.  ``cumulant`` is ``None`` for families whose
+    log-normalizer is intractable; the closed-form operations below then
+    refuse to run and the Monte Carlo / gamma-divergence estimators apply.
     """
 
     dim: int
-    cumulant: Callable[[np.ndarray], float] | None
-    cumulant_gradient: Callable[[np.ndarray], np.ndarray] | None
+    cumulant: Callable[..., float | tuple[float, np.ndarray]] | None
     name: str = ""
 
 
@@ -91,13 +91,18 @@ def _as_theta(fam: ExpFamily, theta) -> np.ndarray:
     return t
 
 
-def _cumulant_at(fam: ExpFamily, theta: np.ndarray, what: str) -> float:
+def _cumulant_at(fam: ExpFamily, theta: np.ndarray, what: str,
+                 gradient: bool = False):
+    """F(theta), or ``(F, grad F)`` with ``gradient``; refuses ``cumulant=None``."""
     if fam.cumulant is None:
         raise ValueError(
             f"{what} needs a closed-form cumulant; family {fam.name!r} has none "
             "(use the Monte Carlo / gamma-divergence estimators instead)"
         )
-    return float(fam.cumulant(theta))
+    if not gradient:
+        return float(fam.cumulant(theta))
+    f, grad = fam.cumulant(theta, gradient=True)
+    return float(f), np.asarray(grad, dtype=float)
 
 
 def skew_jensen(fam: ExpFamily, theta1, theta2, alpha: float = 0.5) -> float:
@@ -108,17 +113,16 @@ def skew_jensen(fam: ExpFamily, theta1, theta2, alpha: float = 0.5) -> float:
     between the family densities.
     """
     gaussian._check_alpha(alpha)
-    return _skew_jensen(fam, _as_theta(fam, theta1), _as_theta(fam, theta2),
-                        alpha)
+    t1, t2 = _as_theta(fam, theta1), _as_theta(fam, theta2)
+    return _skew_jensen(fam, t1, t2, alpha, _cumulant_at(fam, t1, "skew_jensen"),
+                        _cumulant_at(fam, t2, "skew_jensen"))
 
 
-def _skew_jensen(fam: ExpFamily, t1: np.ndarray, t2: np.ndarray,
-                 alpha: float) -> float:
-    """:func:`skew_jensen` on parameters :func:`_as_theta` already checked."""
+def _skew_jensen(fam: ExpFamily, t1: np.ndarray, t2: np.ndarray, alpha: float,
+                 f1: float, f2: float) -> float:
+    """:func:`skew_jensen` from checked parameters and their cumulants f1, f2."""
     mix = alpha * t1 + (1.0 - alpha) * t2
-    return (alpha * _cumulant_at(fam, t1, "skew_jensen")
-            + (1.0 - alpha) * _cumulant_at(fam, t2, "skew_jensen")
-            - _cumulant_at(fam, mix, "skew_jensen"))
+    return alpha * f1 + (1.0 - alpha) * f2 - float(fam.cumulant(mix))
 
 
 def bregman(fam: ExpFamily, theta1, theta2) -> float:
@@ -126,30 +130,21 @@ def bregman(fam: ExpFamily, theta1, theta2) -> float:
 
     Equals ``KL(p_t2, p_t1)`` for densities of the family.
     """
-    t1 = _as_theta(fam, theta1)
-    t2 = _as_theta(fam, theta2)
-    if fam.cumulant_gradient is None:
-        raise ValueError(
-            f"bregman needs a cumulant gradient; family {fam.name!r} has none"
-        )
-    grad2 = np.asarray(fam.cumulant_gradient(t2), dtype=float)
-    return (_cumulant_at(fam, t1, "bregman") - _cumulant_at(fam, t2, "bregman")
-            - float(grad2 @ (t1 - t2)))
+    t1, t2 = _as_theta(fam, theta1), _as_theta(fam, theta2)
+    f2, grad2 = _cumulant_at(fam, t2, "bregman", gradient=True)
+    return _cumulant_at(fam, t1, "bregman") - f2 - float(grad2 @ (t1 - t2))
 
 
 def _gjsd_terms(fam: ExpFamily, theta1, theta2,
                 what: str) -> tuple[float, float]:
     """``(J/4, B)``: a quarter of the Jeffreys divergence (the symmetrized
     Bregman divergence) and the Bhattacharyya distance ``J_{F,1/2}``, with
-    each parameter checked once."""
-    t1 = _as_theta(fam, theta1)
-    t2 = _as_theta(fam, theta2)
-    if fam.cumulant_gradient is None:
-        raise ValueError(f"{what} needs a cumulant gradient; {fam.name!r} has none")
-    grad1 = np.asarray(fam.cumulant_gradient(t1), dtype=float)
-    grad2 = np.asarray(fam.cumulant_gradient(t2), dtype=float)
+    each parameter checked and read once."""
+    t1, t2 = _as_theta(fam, theta1), _as_theta(fam, theta2)
+    f1, grad1 = _cumulant_at(fam, t1, what, gradient=True)
+    f2, grad2 = _cumulant_at(fam, t2, what, gradient=True)
     quarter_j = 0.25 * float((t2 - t1) @ (grad2 - grad1))
-    return quarter_j, _skew_jensen(fam, t1, t2, 0.5)
+    return quarter_j, _skew_jensen(fam, t1, t2, 0.5, f1, f2)
 
 
 def gjsd_ef(fam: ExpFamily, theta1, theta2, base: LogBase = NATS) -> float:
@@ -187,21 +182,19 @@ def gaussian_family(d: int) -> ExpFamily:
 
     Parameters are packed by :func:`geojsd.gaussian.pack_gaussian_theta`;
     the cumulant and its gradient (the packed mean parameters) are those of
-    :mod:`geojsd.gaussian`, which validates and factors theta_M.
+    :mod:`geojsd.gaussian`, from one validated and factored
+    :class:`geojsd.gaussian.GaussianNatural` per call.
     """
 
-    def natural(theta: np.ndarray) -> gaussian.GaussianNatural:
+    def cumulant(theta: np.ndarray, gradient: bool = False):
         try:
-            return gaussian.GaussianNatural(*unpack_gaussian_theta(theta, d))
+            n = gaussian.GaussianNatural(*unpack_gaussian_theta(theta, d))
         except (InvalidDensity, NotPositiveDefinite) as exc:
             raise DomainViolation(str(exc)) from exc
+        f = gaussian.cumulant(n)
+        return (f, gaussian._packed_gradient(n)) if gradient else f
 
-    return ExpFamily(
-        dim=d + d * (d + 1) // 2,
-        cumulant=lambda theta: gaussian.cumulant(natural(theta)),
-        cumulant_gradient=lambda t: gaussian._cumulant_gradient(natural(t)),
-        name=f"gaussian_{d}d",
-    )
+    return ExpFamily(d + d * (d + 1) // 2, cumulant, f"gaussian_{d}d")
 
 
 # ---------------------------------------------------------------------------
@@ -213,32 +206,21 @@ def categorical_family(k: int) -> ExpFamily:
     if k < 2:
         raise ValueError("categorical family needs at least two atoms")
 
-    def padded(theta: np.ndarray) -> np.ndarray:
+    def cumulant(theta: np.ndarray, gradient: bool = False):
         if not np.all(np.isfinite(theta)):
             raise DomainViolation("categorical natural parameter is not finite")
-        return np.concatenate([theta, [0.0]])
+        full = np.concatenate([theta, [0.0]])
+        f = logsumexp(full)
+        # the gradient is the probabilities of the first k - 1 atoms
+        return (float(f), np.exp(full - f)[:-1]) if gradient else float(f)
 
-    def cumulant(theta: np.ndarray) -> float:
-        return float(logsumexp(padded(theta)))
-
-    def cumulant_gradient(theta: np.ndarray) -> np.ndarray:
-        full = padded(theta)
-        probs = np.exp(full - logsumexp(full))
-        return probs[:-1]
-
-    return ExpFamily(
-        dim=k - 1,
-        cumulant=cumulant,
-        cumulant_gradient=cumulant_gradient,
-        name=f"categorical_{k}",
-    )
+    return ExpFamily(k - 1, cumulant, f"categorical_{k}")
 
 
 def categorical_theta(weights) -> np.ndarray:
     """Natural parameter of a strictly positive normalized weight vector."""
     w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0.0):
-        raise DomainViolation(
-            "categorical embedding requires strictly positive weights"
-        )
+    if w.ndim != 1 or w.size < 2 or not np.all((w > 0.0) & (w < np.inf)):
+        raise DomainViolation("categorical embedding requires a vector of "
+                              "two or more finite, strictly positive weights")
     return np.log(w[:-1] / w[-1])

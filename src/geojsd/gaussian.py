@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -132,11 +133,16 @@ class GaussianNatural:
         return int(self.theta_v.size)
 
 
-def to_natural(g: GaussianParams) -> GaussianNatural:
-    """(mu, Sigma) -> (Sigma^-1 mu, Sigma^-1 / 2)."""
+def _natural_arrays(g: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
+    """(Sigma^-1 mu, Sigma^-1 / 2) from the Cholesky factor ``g`` keeps."""
     theta_v = cho_solve(g._chol, g.mu)
     precision = cho_solve(g._chol, np.eye(g.dim))
-    return GaussianNatural(theta_v, 0.25 * (precision + precision.T))
+    return theta_v, 0.25 * (precision + precision.T)
+
+
+def to_natural(g: GaussianParams) -> GaussianNatural:
+    """(mu, Sigma) -> (Sigma^-1 mu, Sigma^-1 / 2)."""
+    return GaussianNatural(*_natural_arrays(g))
 
 
 def _moments(n: GaussianNatural) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +157,17 @@ def from_natural(n: GaussianNatural) -> GaussianParams:
     return GaussianParams(mu, 0.5 * (sigma + sigma.T))
 
 
+@lru_cache(maxsize=None)
+def _triangle(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the packed upper triangle of a d x d matrix, and the
+    weights (2 off the diagonal) that make flat dot products matrix ones."""
+    rows, cols = np.triu_indices(d)
+    twice = np.where(rows == cols, 1.0, 2.0)
+    for a in (rows, cols, twice):
+        a.setflags(write=False)
+    return rows, cols, twice
+
+
 def pack_gaussian_theta(theta_v: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
     """Flatten (theta_v, theta_M) into the vector of :func:`expfam.gaussian_family`.
 
@@ -159,7 +176,7 @@ def pack_gaussian_theta(theta_v: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
     """
     theta_v = np.asarray(theta_v, dtype=float).reshape(-1)
     theta_m = np.asarray(theta_m, dtype=float)
-    rows, cols = np.triu_indices(theta_v.size)
+    rows, cols, _ = _triangle(theta_v.size)
     sym = 0.5 * (theta_m + theta_m.T)
     return np.concatenate([theta_v, sym[rows, cols]])
 
@@ -167,7 +184,7 @@ def pack_gaussian_theta(theta_v: np.ndarray, theta_m: np.ndarray) -> np.ndarray:
 def unpack_gaussian_theta(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverse of :func:`pack_gaussian_theta`."""
     theta = np.asarray(theta, dtype=float).reshape(-1)
-    rows, cols = np.triu_indices(d)
+    rows, cols, _ = _triangle(d)
     mat = np.zeros((d, d))
     mat[rows, cols] = theta[d:]
     mat[cols, rows] = theta[d:]
@@ -176,8 +193,7 @@ def unpack_gaussian_theta(theta: np.ndarray, d: int) -> tuple[np.ndarray, np.nda
 
 def natural_flat(g: GaussianParams) -> np.ndarray:
     """Flat natural parameter in the packing of :func:`pack_gaussian_theta`."""
-    n = to_natural(g)
-    return pack_gaussian_theta(n.theta_v, n.theta_m)
+    return pack_gaussian_theta(*_natural_arrays(g))
 
 
 def cumulant(n: GaussianNatural) -> float:
@@ -188,15 +204,14 @@ def cumulant(n: GaussianNatural) -> float:
     return 0.5 * (n.dim * math.log(math.pi) - logdet + 0.5 * quad)
 
 
-def _cumulant_gradient(n: GaussianNatural) -> np.ndarray:
+def _packed_gradient(n: GaussianNatural) -> np.ndarray:
     """Packed gradient of :func:`cumulant`: the mean parameters (mu, -(Sigma + mu mu')).
 
     Off-diagonals are doubled, so flat dot products are matrix inner products."""
     mu, sigma = _moments(n)
     grad_m = -(sigma + np.outer(mu, mu))
-    rows, cols = np.triu_indices(n.dim)
-    packed_m = grad_m[rows, cols] * np.where(rows == cols, 1.0, 2.0)
-    return np.concatenate([mu, packed_m])
+    rows, cols, twice = _triangle(n.dim)
+    return np.concatenate([mu, grad_m[rows, cols] * twice])
 
 
 def cumulant_ordinary(g: GaussianParams) -> float:
@@ -238,7 +253,7 @@ def _bhattacharyya(lam: np.ndarray, delta: np.ndarray, alpha: float) -> float:
     # is written as alpha phi(lam/a) + (1 - alpha) phi(1/a)
     t = lam - 1.0
     a = alpha * lam + (1.0 - alpha)
-    terms = (alpha * (1.0 - alpha) * delta * delta / a
+    terms = (alpha * (1.0 - alpha) * delta * (delta / a)
              + alpha * _phi(lam / a, (1.0 - alpha) * t / a)
              + (1.0 - alpha) * _phi(1.0 / a, -alpha * t / a))
     return 0.5 * float(terms.sum())
@@ -246,20 +261,22 @@ def _bhattacharyya(lam: np.ndarray, delta: np.ndarray, alpha: float) -> float:
 
 def _gjsd(lam: np.ndarray, delta: np.ndarray, alpha: float, beta: float) -> float:
     # the mixture is N((1 - alpha) delta / a, diag(lam / a)) in the pair basis;
-    # beta 2KL(N1, mix) + (1 - beta) 2KL(N2, mix), term by term
+    # beta 2KL(N1, mix) + (1 - beta) 2KL(N2, mix), term by term, with each
+    # product ordered so that no intermediate overflows before the term does
     t = lam - 1.0
     a = alpha * lam + (1.0 - alpha)
     terms = (beta * (_phi(a / lam, -(1.0 - alpha) * t / lam)
-                     + (1.0 - alpha) ** 2 * delta * delta / (a * lam))
+                     + (1.0 - alpha) ** 2 * delta * (delta / a / lam))
              + (1.0 - beta) * (_phi(a, alpha * t)
-                               + alpha * alpha * lam * delta * delta / a))
+                               + alpha * alpha * (lam / a) * delta * delta))
     return 0.5 * float(terms.sum())
 
 
 def kl_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
     """KL(N1, N2) = (tr(S2^-1 S1) + (m2-m1)' S2^-1 (m2-m1) - d + log|S2|/|S1|) / 2."""
     lam, delta, _ = _pair(g1, g2)
-    return 0.5 * float((_phi(1.0 / lam, (1.0 - lam) / lam) + delta * delta / lam).sum())
+    return 0.5 * float((_phi(1.0 / lam, (1.0 - lam) / lam)
+                        + delta * (delta / lam)).sum())
 
 
 def jeffreys_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
@@ -270,7 +287,8 @@ def jeffreys_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
     """
     lam, delta, _ = _pair(g1, g2)
     t = lam - 1.0
-    return 0.5 * float(((t * t + (lam + 1.0) * delta * delta) / lam).sum())
+    # t^2 / lam and (lam + 1) / lam without forming t^2 or lam delta^2
+    return 0.5 * float((t * (t / lam) + (1.0 + 1.0 / lam) * delta * delta).sum())
 
 
 def geometric_mixture_params(g1: GaussianParams, g2: GaussianParams,

@@ -451,7 +451,7 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
         checks.append(_check_residual(
             f"closed-form {key} matches quadrature (d=1)", value, 1e-6))
 
-    cross = {"two_route_gjsd": 0.0, "skew_jensen_route": 0.0,
+    cross = {"two_route_gjsd": 0.0, "expfam_gjsd": 0.0, "skew_jensen_route": 0.0,
              "cumulant_routes": 0.0, "round_trip": 0.0}
     for d in (2, 3):
         for _ in range(cases // 2):
@@ -466,8 +466,13 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
                                           max(routes) - min(routes))
             alpha = float(rng.uniform(0.1, 0.9))
             fam = expfam.gaussian_family(d)
-            jensen = expfam.skew_jensen(fam, gaussian.natural_flat(g1),
-                                        gaussian.natural_flat(g2), alpha)
+            t1, t2 = gaussian.natural_flat(g1), gaussian.natural_flat(g2)
+            jensen = expfam.skew_jensen(fam, t1, t2, alpha)
+            cross["expfam_gjsd"] = max(
+                cross["expfam_gjsd"],
+                abs(expfam.gjsd_ef(fam, t1, t2) - gaussian.gjsd_gaussian(g1, g2)),
+                abs(expfam.gjsd_extended_ef(fam, t1, t2)
+                    - gaussian.gjsd_extended_gaussian(g1, g2)))
             cross["skew_jensen_route"] = max(cross["skew_jensen_route"], abs(
                 gaussian.bhattacharyya_gaussian(g1, g2, alpha) - jensen))
             n1 = gaussian.to_natural(g1)
@@ -481,6 +486,9 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
     checks.append(_check_residual(
         "geometric JSD: KL-to-mixture route matches jeffreys/4 - bhattacharyya",
         cross["two_route_gjsd"], 1e-10))
+    checks.append(_check_residual(
+        "gjsd_ef and gjsd_extended_ef match the Gaussian closed forms",
+        cross["expfam_gjsd"], 1e-10))
     checks.append(_check_residual(
         "skew bhattacharyya matches the skew Jensen divergence route",
         cross["skew_jensen_route"], 1e-10))

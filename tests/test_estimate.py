@@ -370,14 +370,15 @@ class TestGaussianWhitening:
 
 
 class TestLogDensityReuse:
-    """A chunk evaluates each distinct density once: the default proposal's
-    log-density is the first argument's, already in hand, and a distinct
-    proposal object is evaluated apart, even for the same density."""
+    """A chunk evaluates each distinct density once: the log-density of a
+    proposal that is the first argument (the default) or the second is
+    already in hand, and a distinct proposal object is evaluated apart, even
+    for the same density."""
 
     SIZES = [1024] * 9 + [784]      # 10,000 samples in chunks of 1,024
     # log-density calls per chunk of the first argument, the second and a
     # distinct proposal built on the first argument's density
-    PER_CHUNK = {"default": (1, 1, 0), "distinct": (1, 1, 1)}
+    PER_CHUNK = {"default": (1, 1, 0), "distinct": (1, 1, 1), "second": (1, 1, 0)}
 
     @staticmethod
     def counted(density: SampledDensity, calls: list) -> SampledDensity:
@@ -389,7 +390,7 @@ class TestLogDensityReuse:
 
     @pytest.mark.parametrize("estimator", ["estimate_z", "estimate_kl_extended",
                                            "gamma_divergence"])
-    @pytest.mark.parametrize("proposal", ["default", "distinct"])
+    @pytest.mark.parametrize("proposal", ["default", "distinct", "second"])
     def test_log_density_calls_per_chunk(self, estimator, proposal):
         d1, d2 = d8_pair()
         cfg = EstimatorConfig(samples=10_000, seed=6, chunk_size=1024)
@@ -406,10 +407,12 @@ class TestLogDensityReuse:
         calls = ([], [], [])
         first, second, apart = (self.counted(d, c)
                                 for d, c in zip((d1, d2, d1), calls))
-        got = run(first, second, apart if proposal == "distinct" else None)
+        r = {"default": None, "distinct": apart, "second": second}[proposal]
+        got = run(first, second, r)
         assert list(calls) == [[n for n in self.SIZES for _ in range(k)]
                                for k in self.PER_CHUNK[proposal]]
-        assert hexes(got) == hexes(run(d1, d2, None))
+        # the uncounted run draws from the same proposal density
+        assert hexes(got) == hexes(run(d1, d2, d2 if proposal == "second" else None))
 
 
 class TestProposalContract:

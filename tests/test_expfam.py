@@ -35,12 +35,12 @@ from geojsd.expfam import (ExpFamilyDensity, pack_gaussian_theta,
 @pytest.fixture
 def quadratic_family():
     """F(theta) = ||theta||^2 / 2, the squared-Euclidean Bregman case."""
-    return ExpFamily(
-        dim=2,
-        cumulant=lambda t: 0.5 * float(t @ t),
-        cumulant_gradient=lambda t: t.copy(),
-        name="quadratic",
-    )
+
+    def cumulant(t, gradient=False):
+        f = 0.5 * float(t @ t)
+        return (f, t.copy()) if gradient else f
+
+    return ExpFamily(dim=2, cumulant=cumulant, name="quadratic")
 
 
 @pytest.fixture
@@ -73,9 +73,8 @@ class TestPacking:
         fam = gaussian_family(d)
         g1 = random_gaussian(rng, d)
         theta = natural_flat(g1)
-        grad = fam.cumulant_gradient(theta)
+        f0, grad = fam.cumulant(theta, gradient=True)
         direction = rng.normal(size=theta.size) * 1e-6
-        f0 = fam.cumulant(theta)
         f1 = fam.cumulant(theta + direction)
         assert f1 - f0 == pytest.approx(float(grad @ direction), rel=5e-4)
 
@@ -92,10 +91,11 @@ class TestGaussianDomain:
             with pytest.raises(DomainViolation):
                 fam.cumulant(theta)
             with pytest.raises(DomainViolation):
-                fam.cumulant_gradient(theta)
+                fam.cumulant(theta, gradient=True)
         valid = pack_gaussian_theta([0.3, -0.2], np.eye(2))
-        assert math.isfinite(fam.cumulant(valid))
-        assert np.all(np.isfinite(fam.cumulant_gradient(valid)))
+        f, grad = fam.cumulant(valid, gradient=True)
+        assert math.isfinite(f) and f.hex() == fam.cumulant(valid).hex()
+        assert np.all(np.isfinite(grad))
 
     def test_gamma_route_reports_divergent_integral(self):
         # theta1 + gamma theta2 is inside the domain, so the cumulant at
@@ -108,8 +108,12 @@ class TestGaussianDomain:
 
     def test_family_cumulant_is_gaussian_cumulant(self, rng):
         g = random_gaussian(rng, 2)
+        n = to_natural(g)
         assert (gaussian_family(2).cumulant(natural_flat(g))
-                == gaussian.cumulant(to_natural(g)))
+                == gaussian.cumulant(n))
+        # natural_flat packs the same arrays to_natural validates
+        assert (natural_flat(g).tobytes()
+                == pack_gaussian_theta(n.theta_v, n.theta_m).tobytes())
 
 
 class TestSkewJensen:
@@ -192,7 +196,7 @@ class TestGradients:
         fam = gaussian_family(d)
         for _ in range(10):
             theta = natural_flat(random_gaussian(rng, d))
-            grad = fam.cumulant_gradient(theta)
+            _, grad = fam.cumulant(theta, gradient=True)
             fd = np.empty_like(grad)
             step = 1e-5
             for i in range(theta.size):
@@ -270,12 +274,15 @@ class TestGJSDExpFam:
             gauss1d, t1, t2, alpha)
 
     def test_cholesky_factors_per_call(self, rng, monkeypatch):
-        # d = 3: each cumulant or gradient evaluation factors theta_M once.
-        # gjsd_ef takes two gradients and three cumulants (theta1, theta2
-        # and their midpoint); a gamma-divergence takes three cumulants per
-        # moment integral, three integrals alone and five in js_m_gamma
+        # d = 3: each cumulant call factors theta_M once, with or without its
+        # gradient.  gjsd_ef reads theta1 and theta2 with their gradients and
+        # the midpoint without; bregman reads theta2 with its gradient and
+        # theta1 without; a gamma-divergence takes three cumulants per moment
+        # integral, three integrals alone and five in js_m_gamma.
+        # natural_flat packs from the moment factor the params already keep
         fam = gaussian_family(3)
-        t1 = natural_flat(random_gaussian(rng, 3))
+        g1 = random_gaussian(rng, 3)
+        t1 = natural_flat(g1)
         t2 = natural_flat(random_gaussian(rng, 3))
         e1, e2 = ExpFamilyDensity(fam, t1), ExpFamilyDensity(fam, t2)
         factor = np.linalg.cholesky
@@ -287,10 +294,11 @@ class TestGJSDExpFam:
 
         monkeypatch.setattr(np.linalg, "cholesky", counting)
         table = {
-            "gjsd_ef": (lambda: gjsd_ef(fam, t1, t2), 5),
-            "gjsd_extended_ef": (lambda: gjsd_extended_ef(fam, t1, t2), 5),
+            "gjsd_ef": (lambda: gjsd_ef(fam, t1, t2), 3),
+            "gjsd_extended_ef": (lambda: gjsd_extended_ef(fam, t1, t2), 3),
             "skew_jensen": (lambda: skew_jensen(fam, t1, t2), 3),
-            "bregman": (lambda: bregman(fam, t1, t2), 3),
+            "bregman": (lambda: bregman(fam, t1, t2), 2),
+            "natural_flat": (lambda: natural_flat(g1), 0),
             "gamma_divergence": (lambda: estimate.gamma_divergence(
                 e1, e2, 0.5, "closed_form"), 9),
             "js_m_gamma": (lambda: estimate.js_m_gamma(
@@ -307,7 +315,6 @@ class TestIntractableFamily:
         quartic = ExpFamily(
             dim=4,
             cumulant=None,
-            cumulant_gradient=None,
             name="polynomial_quartic",
         )
         t = np.array([0.1, 0.2, 0.0, -1.0])
@@ -323,15 +330,20 @@ class TestIntractableFamily:
 
 class TestCategoricalTheta:
     def test_rejects_zero_weight(self):
-        with pytest.raises(DomainViolation):
-            categorical_theta(np.array([0.5, 0.5, 0.0]))
+        # also NaN and infinite weights, a single atom and a 2-D input
+        for weights in ([0.5, 0.5, 0.0], [math.nan, 0.5, 0.5], [math.inf, 1.0],
+                        [1.0], [[0.5, 0.5], [0.5, 0.5]]):
+            with pytest.raises(DomainViolation):
+                categorical_theta(np.array(weights))
 
     def test_round_trip_probabilities(self, rng):
         w = rng.uniform(0.05, 1.0, 6)
         w = w / w.sum()
         fam = categorical_family(6)
-        probs = fam.cumulant_gradient(categorical_theta(w))
+        theta = categorical_theta(w)
+        f, probs = fam.cumulant(theta, gradient=True)
         np.testing.assert_allclose(probs, w[:-1], rtol=1e-12)
+        assert f.hex() == fam.cumulant(theta).hex()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_cumulant_and_gradient_reject_non_finite(self, bad):
@@ -340,4 +352,4 @@ class TestCategoricalTheta:
         with pytest.raises(DomainViolation):
             fam.cumulant(theta)
         with pytest.raises(DomainViolation):
-            fam.cumulant_gradient(theta)
+            fam.cumulant(theta, gradient=True)

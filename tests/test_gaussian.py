@@ -399,7 +399,8 @@ class TestExactZerosAndSign:
 
     # variance ratios far from 1: each closed form against the moment-form
     # values at 50 digits (no cancellation to hide behind)
-    @pytest.mark.parametrize("ratio", [1e12, 1e-12, 1e17, 1e-17])
+    @pytest.mark.parametrize("ratio", [1e12, 1e-12, 1e17, 1e-17, 1e160, 1e-160,
+                                       1e300, 1e-300])
     @pytest.mark.parametrize("dm", [0.0, 0.7])
     @pytest.mark.parametrize("alpha,beta", [(0.5, 0.5), (0.3, 0.8)])
     def test_wide_variance_ratio_matches_moment_form(self, ratio, dm, alpha, beta):
@@ -416,3 +417,13 @@ class TestExactZerosAndSign:
         }
         for name, value in got.items():
             assert value == pytest.approx(want[name], rel=1e-12), name
+
+    def test_wide_mean_shift_matches_moment_form(self):
+        # the shift is 1e155 first-variance units, so delta^2 in the pair
+        # basis overflows although KL and B are finite
+        g1 = GaussianParams.univariate(0.0, 1e-300)
+        g2 = GaussianParams.univariate(1e5, 1.0)
+        want = oracles.gaussian_closed_forms_oracle(0.0, 1e-300, 1e5, 1.0)
+        assert kl_gaussian(g1, g2) == pytest.approx(want["kl"], rel=1e-12)
+        assert bhattacharyya_gaussian(g1, g2) == pytest.approx(
+            want["bhattacharyya"], rel=1e-12)
