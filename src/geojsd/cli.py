@@ -365,6 +365,10 @@ def _sweep_row(spec: dict, target: str, kind: str, p1, p2, parameter: str,
 def cmd_sweep(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = json.load(handle)
+    if not isinstance(spec, dict):
+        raise ValueError("sweep spec must be a JSON object")
+    if not isinstance(spec.get("estimator", {}), dict):
+        raise ValueError("sweep spec 'estimator' must be a JSON object")
     parameter = spec.get("parameter")
     if parameter not in ("gamma", "samples", "alpha"):
         raise ValueError("sweep spec needs parameter: gamma | samples | alpha")
@@ -373,6 +377,8 @@ def cmd_sweep(args) -> int:
             and all(isinstance(v, (int, float)) for v in values)):
         raise ValueError("sweep spec 'values' must be a list of numbers")
     grid = [float(v) for v in values]
+    if not all(map(math.isfinite, grid)):
+        raise ValueError("sweep spec 'values' must be finite")
 
     inputs = spec.get("inputs")
     if not isinstance(inputs, dict) or "kind" not in inputs:

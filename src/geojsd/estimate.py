@@ -356,15 +356,12 @@ def _family_thetas(e1: ExpFamilyDensity,
 
 def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
                   gamma: float) -> float:
+    """``F(t1 + g*t2)``, the unnormalized moment of :func:`gamma_divergence`."""
     fam, t1, t2 = _family_thetas(e1, e2)
     try:
-        f_mixed = _cumulant_at(fam, t1 + gamma * t2, "gamma_divergence")
-        f1 = _cumulant_at(fam, t1, "gamma_divergence")
-        f2 = _cumulant_at(fam, t2, "gamma_divergence")
+        return _cumulant_at(fam, t1 + gamma * t2, "gamma_divergence")
     except DomainViolation as exc:
         raise DivergentIntegral(str(exc)) from exc
-    return (f_mixed - f1 - gamma * f2
-            + e1.log_scale + gamma * e2.log_scale)
 
 
 def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
@@ -393,19 +390,35 @@ def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
     return shift + math.log(value)
 
 
-def _log_i_route(integrator: str, gamma: float,
-                 support: tuple[float, float] | None) -> Callable:
-    """``log I(f, h)`` on the exact, closed-form or quadrature route."""
-    if integrator == "exact":
-        return lambda f, h: _log_i_discrete(*_aligned(f, h), gamma)
-    if integrator == "closed_form":
-        return lambda f, h: _log_i_expfam(f, h, gamma)
-    if integrator == "quadrature":
-        if support is None:
-            raise ValueError("quadrature route requires an integration support")
-        return lambda f, h: _log_i_quadrature(f.log_density, h.log_density,
-                                              gamma, support)
-    raise ValueError(f"unknown integrator {integrator!r}")
+def _gamma_route(q1, q2, gamma: float, route: str,
+                 cfg: EstimatorConfig | None,
+                 support: tuple[float, float] | None) -> tuple[str, Callable | None]:
+    """The route of :func:`gamma_divergence` for ``q1`` and ``q2``, and its
+    ``log I(f, h)``: ``None`` on Monte Carlo, which takes the three at once."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    taken, other = (("exact",) if isinstance(q, DiscreteDensity)
+                    else ("closed_form",) if isinstance(q, ExpFamilyDensity)
+                    else ("quadrature", "monte_carlo") for q in (q1, q2))
+    if other != taken:
+        raise ValueError("gamma-divergence inputs must be of one kind")
+    if route == "auto":  # a cfg asks for Monte Carlo where the inputs allow it
+        route = taken[-1] if cfg is not None else taken[0]
+    if route not in taken:
+        raise ValueError(f"{type(q1).__name__} inputs take integrator "
+                         f"{' or '.join(map(repr, taken))}, not {route!r}")
+    if route == "exact":
+        return route, lambda f, h: _log_i_discrete(*_aligned(f, h), gamma)
+    if route == "closed_form":
+        return route, lambda f, h: _log_i_expfam(f, h, gamma)
+    if route == "monte_carlo":
+        if cfg is None:
+            raise ValueError("Monte Carlo route requires an EstimatorConfig")
+        return route, None
+    if support is None:
+        raise ValueError("quadrature route requires an integration support")
+    return route, lambda f, h: _log_i_quadrature(f.log_density, h.log_density,
+                                                 gamma, support)
 
 
 def _log_i_mc_triplet(q1: SampledDensity, q2: SampledDensity, gamma: float,
@@ -435,11 +448,16 @@ def gamma_divergence(q1, q2, gamma: float, integrator: str = "auto", *,
     positive rescaling of either argument, and converging to ``KL(p1, p2)``
     as gamma -> 0 for normalized inputs.
 
-    Routes (``integrator="auto"`` picks by input type):
+    Routes (``integrator="auto"`` picks by input type; one the inputs
+    cannot take raises ``ValueError``, as does a gamma that is not positive
+    and finite):
 
     * ``"exact"``: two :class:`DiscreteDensity` inputs, exact sums.
-    * ``"closed_form"``: two :class:`ExpFamilyDensity` of one family, using
-      ``log I = F(t1 + g*t2) - F(t1) - g*F(t2)`` (plus scale terms).
+    * ``"closed_form"``: two :class:`ExpFamilyDensity` of one family, with
+      ``log I = F(t1 + g*t2)``, the moment of the unnormalized
+      ``exp<theta, t(x)>``.  The terms that drops, ``w(f) + g*w(h)`` with
+      ``w = log_scale - F(theta)``, cancel in ``D_gamma`` (projectivity),
+      so neither ``F(t1)``, ``F(t2)`` nor ``log_scale`` is read.
     * ``"quadrature"``: two 1-D :class:`SampledDensity`, log-shifted
       adaptive Gauss-Kronrod quadrature over the finite ``support`` to a
       relative or absolute error of 1.49e-8 per integral; each
@@ -448,22 +466,10 @@ def gamma_divergence(q1, q2, gamma: float, integrator: str = "auto", *,
       :class:`EstimatorConfig`; draws come from the samplable ``proposal``
       argument, or from ``q1`` when it is ``None``.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if integrator == "auto":
-        if isinstance(q1, DiscreteDensity):
-            integrator = "exact"
-        elif isinstance(q1, ExpFamilyDensity):
-            integrator = "closed_form"
-        else:
-            integrator = "monte_carlo" if cfg is not None else "quadrature"
-
-    if integrator == "monte_carlo":
-        if cfg is None:
-            raise ValueError("Monte Carlo route requires an EstimatorConfig")
+    _, log_i = _gamma_route(q1, q2, gamma, integrator, cfg, support)
+    if log_i is None:
         return _combine_gamma(*_log_i_mc_triplet(q1, q2, gamma, proposal, cfg,
                                                  workers), gamma)
-    log_i = _log_i_route(integrator, gamma, support)
     return _combine_gamma(log_i(q1, q1), log_i(q1, q2), log_i(q2, q2), gamma)
 
 
@@ -488,12 +494,10 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
     by contrast, seeds its second half apart.  Outside the Monte Carlo
     route the moment ``I(M~, M~)`` that both halves share is computed once.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if isinstance(p1, DiscreteDensity):
+    route, log_i = _gamma_route(p1, p2, gamma, integrator, cfg, support)
+    if route == "exact":
         mix, _ = m_mixture(p1, p2, m, normalize=False)
-        integrator = "exact"
-    elif isinstance(p1, ExpFamilyDensity):
+    elif route == "closed_form":
         if m.kind is not MeanKind.GEOMETRIC:
             raise ValueError(
                 "closed-form projective M-JSD needs a geometric mean; "
@@ -502,23 +506,19 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
         fam, t1, t2 = _family_thetas(p1, p2)
         # the geometric mixture is in-family; its scale drops by projectivity
         mix = ExpFamilyDensity(fam, m.alpha * t1 + (1.0 - m.alpha) * t2)
-        integrator = "closed_form"
     else:
         def mix_log_density(x: np.ndarray) -> np.ndarray:
             return np.asarray(means.log_evaluate(m, p1.log_density(x),
                                                  p2.log_density(x)))
 
         mix = SampledDensity(mix_log_density)
-        if integrator == "auto":
-            integrator = "monte_carlo" if cfg is not None else "quadrature"
-        if integrator == "monte_carlo":
-            first = gamma_divergence(p1, mix, gamma, integrator, cfg=cfg,
+        if route == "monte_carlo":
+            first = gamma_divergence(p1, mix, gamma, route, cfg=cfg,
                                      proposal=proposal, workers=workers)
-            second = gamma_divergence(p2, mix, gamma, integrator, cfg=cfg,
+            second = gamma_divergence(p2, mix, gamma, route, cfg=cfg,
                                       proposal=proposal, workers=workers)
             return 0.5 * (first + second)
 
-    log_i = _log_i_route(integrator, gamma, support)
     log_i_mix = log_i(mix, mix)
     first = _combine_gamma(log_i(p1, p1), log_i(p1, mix), log_i_mix, gamma)
     second = _combine_gamma(log_i(p2, p2), log_i(p2, mix), log_i_mix, gamma)

@@ -75,7 +75,12 @@ class ExpFamily:
 
 @dataclass(frozen=True, eq=False)
 class ExpFamilyDensity:
-    """A (possibly rescaled) family density: log q(x) = log p_theta(x) + log_scale."""
+    """A (possibly rescaled) family density: log q(x) = log p_theta(x) + log_scale.
+
+    ``log_scale`` states a positive, unnormalized density.  The projective
+    gamma-divergence (:func:`geojsd.estimate.gamma_divergence`) does not see
+    the scale of either argument, so its closed-form route reads only theta.
+    """
 
     family: ExpFamily
     theta: np.ndarray

@@ -144,6 +144,8 @@ class MeanSpec:
         """The mean a descriptor names, of skew ``alpha`` (not on min and
         max): arithmetic | geometric | min | max | power:<gamma> | quasi:log
         | quasi:exp | quasi:power:<gamma>.  The inverse of :attr:`label`."""
+        if not isinstance(text, str):
+            raise ValueError(f"mean descriptor must be a string, got {text!r}")
         name, *rest = text.lower().split(":")
         if name in ("min", "max"):
             return cls(MeanKind(name))

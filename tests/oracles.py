@@ -289,6 +289,43 @@ def power_mixture_log_moments_oracle(m1, v1, m2, v2, power, gamma, support,
                 "mm": log_moment(lmix, lmix)}
 
 
+def _gauss_log_moment(mf, vf, mh, vh, gamma):
+    """``log I(f, h) = log integral of f h^gamma`` for f = N(mf, vf), h = N(mh, vh).
+
+    ``h^gamma`` is ``(2 pi vh)^(-gamma/2) sqrt(2 pi vh / gamma)`` times the
+    density of N(mh, vh / gamma), and the integral of a product of two
+    Gaussian densities is a Gaussian density in the difference of means.
+    """
+    return (-gamma * mp.log(2 * mp.pi * vh) / 2 - mp.log(1 + gamma * vf / vh) / 2
+            - gamma * (mf - mh) ** 2 / (2 * (vh + gamma * vf)))
+
+
+def gaussian_gamma_oracle(m1, v1, m2, v2, gamma, alpha=0.5):
+    """Projective gamma-divergence of N(m1, v1), N(m2, v2) and their geometric JSD.
+
+    ``D_gamma(f, h) = log I(f,f)/(g(1+g)) - log I(f,h)/g + log I(h,h)/(1+g)``
+    from the log moment integrals of normalized Gaussians; ``"js_m_gamma"``
+    is the mean of ``D_gamma`` from each argument to the geometric mixture
+    ``p1^alpha p2^(1-alpha)``, normalized (projectivity makes its scale
+    irrelevant) to the Gaussian with the harmonic-barycenter variance.
+    """
+    m1, v1, m2, v2 = (mp.mpf(repr(float(x))) for x in (m1, v1, m2, v2))
+    gamma, alpha = mp.mpf(repr(float(gamma))), mp.mpf(repr(float(alpha)))
+
+    def divergence(mf, vf, mh, vh):
+        return (_gauss_log_moment(mf, vf, mf, vf, gamma) / (gamma * (1 + gamma))
+                - _gauss_log_moment(mf, vf, mh, vh, gamma) / gamma
+                + _gauss_log_moment(mh, vh, mh, vh, gamma) / (1 + gamma))
+
+    va = 1 / (alpha / v1 + (1 - alpha) / v2)
+    ma = va * (alpha * m1 / v1 + (1 - alpha) * m2 / v2)
+    return {
+        "gamma": float(divergence(m1, v1, m2, v2)),
+        "js_m_gamma": float((divergence(m1, v1, ma, va)
+                             + divergence(m2, v2, ma, va)) / 2),
+    }
+
+
 # ---------------------------------------------------------------------------
 # Multivariate Gaussian log-density, at 50 digits
 # ---------------------------------------------------------------------------

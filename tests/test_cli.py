@@ -297,6 +297,22 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines() == ["error: support sizes differ: 4 vs 3"]
 
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "0"])
+    @pytest.mark.parametrize("div", ["gamma", "js_m_gamma"])
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_gamma_not_positive_finite_is_usage_error(self, capsys,
+                                                      discrete_files,
+                                                      gaussian_files, gaussian,
+                                                      div, gamma):
+        # argparse reads nan and inf as floats; neither is a usable gamma
+        p1, p2 = gaussian_files if gaussian else discrete_files
+        code, out, err = run_cli(capsys, "compute", "--div", div,
+                                 "--p1", p1, "--p2", p2, f"--gamma={gamma}",
+                                 *(["--gaussian"] if gaussian else []))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: gamma must be positive and finite"]
+
     def test_js_m_gamma_disjoint_support_is_math_error(self, capsys, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -539,19 +555,29 @@ class TestSweep:
         assert float(abs_error) <= 4.0 * float(std_error)
 
     def test_spec_errors_leave_stdout_empty(self, capsys, tmp_path):
-        # the target and mean are checked before the CSV header is written
+        # the spec, target, mean and grid are checked before the CSV header
+        # is written; none of these may end in a traceback
         spec = tmp_path / "sweep.json"
         inputs = {"kind": "discrete", "p1": [0.5, 0.5], "p2": [0.25, 0.75]}
-        for fields, message in (
-                ({"target": "nope"}, "error: unknown sweep target 'nope'"),
-                ({"target": "estimate_z", "mean": "median"},
+        base = {"parameter": "gamma", "values": [1e-2], "inputs": inputs}
+        for payload, message in (
+                ({**base, "target": "nope"}, "error: unknown sweep target 'nope'"),
+                ({**base, "target": "estimate_z", "mean": "median"},
                  "error: unknown mean descriptor 'median'"),
-                ({"parameter": "alpha", "values": [0.3]},
+                ({**base, "parameter": "alpha", "values": [0.3]},
                  "error: sweep target 'gamma_divergence' has no alpha"),
-                ({"values": [None]},
-                 "error: sweep spec 'values' must be a list of numbers")):
-            spec.write_text(json.dumps({"parameter": "gamma", "values": [1e-2],
-                                        "inputs": inputs, **fields}))
+                ({**base, "values": [None]},
+                 "error: sweep spec 'values' must be a list of numbers"),
+                ([], "error: sweep spec must be a JSON object"),
+                ({**base, "estimator": []},
+                 "error: sweep spec 'estimator' must be a JSON object"),
+                ({**base, "mean": 5},
+                 "error: mean descriptor must be a string, got 5"),
+                ({**base, "values": [math.nan]},
+                 "error: sweep spec 'values' must be finite"),
+                ({**base, "values": [1e-2, math.inf]},
+                 "error: sweep spec 'values' must be finite")):
+            spec.write_text(json.dumps(payload))
             code, out, err = run_cli(capsys, "sweep", str(spec))
             assert code == 2
             assert out == ""

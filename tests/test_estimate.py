@@ -464,11 +464,14 @@ class TestGammaDivergence:
             0.0, abs=1e-9)
 
     def test_projective_scaling_invariance(self):
+        # the closed-form route reads theta only, so a scale leaves every bit
         e1, e2 = expfam_density(N01), expfam_density(N12)
         s1 = expfam_density(N01, math.log(2.0))
         s2 = expfam_density(N12, math.log(3.0))
-        assert gamma_divergence(s1, s2, 0.7) == pytest.approx(
-            gamma_divergence(e1, e2, 0.7), abs=1e-10)
+        assert (gamma_divergence(s1, s2, 0.7).hex()
+                == gamma_divergence(e1, e2, 0.7).hex())
+        assert (js_m_gamma(s1, s2, GEO, 0.7).hex()
+                == js_m_gamma(e1, e2, GEO, 0.7).hex())
 
     def test_discrete_projective(self):
         p1 = DiscreteDensity.probability([0.5, 0.5])
@@ -527,9 +530,61 @@ class TestGammaDivergence:
             gamma_divergence(good, bad, 2.0, "closed_form")
 
     def test_rejects_nonpositive_gamma(self):
+        # NaN fails every comparison, so the check must name what it accepts
         p = DiscreteDensity.probability([0.5, 0.5])
-        with pytest.raises(ValueError):
-            gamma_divergence(p, p, 0.0)
+        for gamma in (0.0, -0.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="positive and finite"):
+                gamma_divergence(p, p, gamma)
+            with pytest.raises(ValueError, match="positive and finite"):
+                js_m_gamma(p, p, GEO, gamma)
+
+    @pytest.mark.parametrize("entry", ["gamma_divergence", "js_m_gamma"])
+    @pytest.mark.parametrize("kind, integrator", [
+        ("discrete", "closed_form"), ("discrete", "quadrature"),
+        ("discrete", "monte_carlo"), ("discrete", "bogus"),
+        ("expfam", "exact"), ("expfam", "quadrature"),
+        ("expfam", "monte_carlo"), ("expfam", "bogus"),
+        ("sampled", "exact"), ("sampled", "closed_form"), ("sampled", "bogus"),
+    ])
+    def test_rejects_an_integrator_the_inputs_cannot_take(self, kind, integrator,
+                                                          entry):
+        # the same refusal from both entry points, before any moment is taken
+        pairs = {
+            "discrete": (DiscreteDensity.probability([0.5, 0.5]),
+                         DiscreteDensity.probability([0.25, 0.75])),
+            "expfam": (expfam_density(N01), expfam_density(N12)),
+            "sampled": (gaussian_sampled(N01), gaussian_sampled(N12)),
+        }
+        q1, q2 = pairs[kind]
+        kw = {"cfg": EstimatorConfig(samples=100), "support": (-12.0, 12.0)}
+        call = {"gamma_divergence": lambda: gamma_divergence(
+                    q1, q2, 0.5, integrator, **kw),
+                "js_m_gamma": lambda: js_m_gamma(q1, q2, GEO, 0.5, integrator,
+                                                 **kw)}[entry]
+        with pytest.raises(ValueError, match=f"not {integrator!r}"):
+            call()
+
+    def test_rejects_inputs_of_two_kinds(self):
+        p = DiscreteDensity.probability([0.5, 0.5])
+        for other in (expfam_density(N01), gaussian_sampled(N01)):
+            with pytest.raises(ValueError, match="of one kind"):
+                gamma_divergence(p, other, 0.5)
+            with pytest.raises(ValueError, match="of one kind"):
+                js_m_gamma(other, p, GEO, 0.5)
+
+    @pytest.mark.parametrize("gamma", [1e-3, 0.1, 0.5, 2.0])
+    @pytest.mark.parametrize("pair", [(0.0, 1.0, 1.0, 2.0), (0.5, 0.3, -2.0, 4.0),
+                                      (0.0, 1.0, 3.0, 0.25)])
+    def test_closed_form_matches_mpmath(self, pair, gamma):
+        # an oracle from the 1-D Gaussian log moment integrals, at 50 digits
+        m1, v1, m2, v2 = pair
+        e1 = expfam_density(GaussianParams.univariate(m1, v1))
+        e2 = expfam_density(GaussianParams.univariate(m2, v2))
+        want = oracles.gaussian_gamma_oracle(m1, v1, m2, v2, gamma)
+        assert gamma_divergence(e1, e2, gamma, "closed_form") == pytest.approx(
+            want["gamma"], rel=1e-10)
+        assert js_m_gamma(e1, e2, GEO, gamma, "closed_form") == pytest.approx(
+            want["js_m_gamma"], rel=1e-10)
 
     def test_closed_form_rejects_wrong_size_theta(self):
         # categorical_family(3) has dim 2: a 3-entry theta must not be read

@@ -98,13 +98,15 @@ class TestGaussianDomain:
         assert np.all(np.isfinite(grad))
 
     def test_gamma_route_reports_divergent_integral(self):
-        # theta1 + gamma theta2 is inside the domain, so the cumulant at
-        # theta1 is the call that raises
+        # theta1 + gamma theta2 is inside the domain, so the moment of e1
+        # with itself, at (1 + gamma) theta1, is the one that raises
         fam = gaussian_family(2)
         e1 = ExpFamilyDensity(fam, self.INDEFINITE)
         e2 = ExpFamilyDensity(fam, pack_gaussian_theta([0.0, 0.0], np.eye(2)))
         with pytest.raises(DivergentIntegral):
-            estimate._log_i_expfam(e1, e2, 1.0)
+            estimate.gamma_divergence(e1, e2, 1.0, "closed_form")
+        with pytest.raises(DivergentIntegral):
+            estimate.js_m_gamma(e1, e2, MeanSpec.geometric(), 1.0, "closed_form")
 
     def test_family_cumulant_is_gaussian_cumulant(self, rng):
         g = random_gaussian(rng, 2)
@@ -277,7 +279,7 @@ class TestGJSDExpFam:
         # d = 3: each cumulant call factors theta_M once, with or without its
         # gradient.  gjsd_ef reads theta1 and theta2 with their gradients and
         # the midpoint without; bregman reads theta2 with its gradient and
-        # theta1 without; a gamma-divergence takes three cumulants per moment
+        # theta1 without; a gamma-divergence takes one cumulant per moment
         # integral, three integrals alone and five in js_m_gamma.
         # natural_flat packs from the moment factor the params already keep
         fam = gaussian_family(3)
@@ -300,9 +302,9 @@ class TestGJSDExpFam:
             "bregman": (lambda: bregman(fam, t1, t2), 2),
             "natural_flat": (lambda: natural_flat(g1), 0),
             "gamma_divergence": (lambda: estimate.gamma_divergence(
-                e1, e2, 0.5, "closed_form"), 9),
+                e1, e2, 0.5, "closed_form"), 3),
             "js_m_gamma": (lambda: estimate.js_m_gamma(
-                e1, e2, MeanSpec.geometric(), 0.5, "closed_form"), 15),
+                e1, e2, MeanSpec.geometric(), 0.5, "closed_form"), 5),
         }
         for name, (call, want) in table.items():
             calls.clear()
