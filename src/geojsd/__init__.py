@@ -36,7 +36,6 @@ from .discrete import (
     total_variation,
 )
 from .errors import (
-    DegenerateQuadratic,
     DisjointSupport,
     DivergentIntegral,
     DomainViolation,

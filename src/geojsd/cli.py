@@ -1,11 +1,13 @@
 """Command-line interface: compute divergences, run verification, sweep grids.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/parse errors,
-3 mathematical errors (disjoint supports, non-PD matrices, divergent
-integrals).  ``GEOJSD_SEED`` provides the default estimator seed.
+Exit codes: 0 success, 1 only a failed verification, 2 usage/parse errors
+(a JSON value that is not a number included), 3 mathematical errors
+(disjoint supports, non-PD matrices, divergent integrals).  ``GEOJSD_SEED``
+provides the default estimator seed.
 
 File formats: discrete densities are whitespace-separated decimals with
-``#`` comments; Gaussians are JSON objects ``{"mu": [...], "sigma": [[...]]}``.
+``#`` comments, or a JSON array; Gaussians are JSON objects
+``{"mu": [...], "sigma": [[...]]}``.
 """
 
 from __future__ import annotations
@@ -16,13 +18,13 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import discrete, estimate, expfam, gaussian, verification
 from .discrete import DiscreteDensity
 from .errors import (
-    DegenerateQuadratic,
     DisjointSupport,
     DivergentIntegral,
     DomainViolation,
@@ -35,13 +37,37 @@ from .errors import (
 from .logbase import NATS, LogBase
 from .means import MeanKind, MeanSpec
 
-_MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence,
-                DivergentIntegral, ProposalSupportViolation,
-                DegenerateQuadratic, DomainViolation, NonPositiveInput)
+_MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence, DivergentIntegral,
+                ProposalSupportViolation, DomainViolation, NonPositiveInput)
 
 def _default_seed() -> str:
     # a string default passes through type=int: a bad value exits 2, not a traceback
     return os.environ.get("GEOJSD_SEED", "0")
+
+
+def _json_number(value, message: str, integral: bool = False):
+    """A JSON number as a float, or if ``integral`` as an int (whole numbers only,
+    ints kept exact for 64-bit seeds); anything else: ``ValueError(message)``."""
+    if type(value) in (int, float):  # not bool, which JSON true and false give
+        try:
+            if not integral:
+                return float(value)
+            if int(value) == value:
+                return int(value)
+        except (OverflowError, ValueError):  # past the float range; inf, NaN
+            pass
+    raise ValueError(message)
+
+
+def _json_array(value, message: str) -> np.ndarray:
+    """A JSON number or rectangular nested array of numbers as a float array."""
+    def floats(item):
+        return ([floats(x) for x in item] if isinstance(item, list)
+                else _json_number(item, message))
+    try:
+        return np.array(floats(value), dtype=float)
+    except ValueError:  # a ragged array, or a leaf that is not a number
+        raise ValueError(message) from None
 
 
 def read_discrete(path: str) -> np.ndarray:
@@ -50,10 +76,8 @@ def read_discrete(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if text.lstrip().startswith("["):
-        weights = json.loads(text)
-        if not isinstance(weights, list):
-            raise ValueError(f"{path}: JSON density must be an array")
-        return np.asarray(weights, dtype=float)
+        return _json_array(json.loads(text),
+                           f"{path}: weights must be an array of numbers")
     tokens: list[str] = []
     for line in text.splitlines():
         tokens.extend(line.split("#", 1)[0].split())
@@ -71,17 +95,17 @@ def read_gaussian(path: str) -> gaussian.GaussianParams:
 def _gaussian_from_payload(payload, origin: str) -> gaussian.GaussianParams:
     if not isinstance(payload, dict) or "mu" not in payload or "sigma" not in payload:
         raise ValueError(f"{origin}: expected an object with 'mu' and 'sigma'")
-    mu = np.atleast_1d(np.asarray(payload["mu"], dtype=float))
-    sigma = np.atleast_2d(np.asarray(payload["sigma"], dtype=float))
-    return gaussian.GaussianParams(mu, sigma)
+    mu, sigma = (_json_array(payload[key], f"{origin}: '{key}' must be a number or "
+                             "an array of numbers") for key in ("mu", "sigma"))
+    return gaussian.GaussianParams(np.atleast_1d(mu), np.atleast_2d(sigma))
 
 
 def _load_pair(kind: str, entries, unnormalized: bool = False):
     """Two densities of one kind, each from a file path or an inline payload."""
     if kind == "gaussian":
         g1, g2 = (read_gaussian(entry) if isinstance(entry, str)
-                  else _gaussian_from_payload(entry, "sweep inputs")
-                  for entry in entries)
+                  else _gaussian_from_payload(entry, f"sweep inputs '{name}'")
+                  for name, entry in zip(("p1", "p2"), entries))
         if g1.dim != g2.dim:
             # an input error on every route, closed-form or not
             raise InvalidDensity(f"dimension mismatch: {g1.dim} vs {g2.dim}")
@@ -89,7 +113,9 @@ def _load_pair(kind: str, entries, unnormalized: bool = False):
     if kind == "discrete":
         # both inputs are read before either is validated
         w1, w2 = (read_discrete(entry) if isinstance(entry, str)
-                  else np.asarray(entry, dtype=float) for entry in entries)
+                  else _json_array(entry,
+                                   f"sweep inputs '{name}' must be an array of numbers")
+                  for name, entry in zip(("p1", "p2"), entries))
         return (DiscreteDensity(w1, normalized=not unnormalized),
                 DiscreteDensity(w2, normalized=not unnormalized))
     raise ValueError(f"unknown input kind {kind!r}")
@@ -303,63 +329,44 @@ _SWEEP_TARGETS = ("gamma_divergence", "estimate_z", "estimate_js_m_extended",
                   "bhattacharyya")
 
 
-def _sweep_row(spec: dict, target: str, kind: str, p1, p2, parameter: str,
-               value: float, mean: MeanSpec,
-               seed: int) -> tuple[float, float | None, float | None]:
+def _sweep_row(target: str, kind: str, p1, p2, mean: MeanSpec, gamma: float,
+               alpha: float, cfg: estimate.EstimatorConfig
+               ) -> tuple[float, float | None, float | None]:
     """Returns (computed value, std_error, oracle)."""
-    est = spec.get("estimator", {})
-    samples = int(est.get("samples", 10_000))
-    chunk = int(est.get("chunk_size", 1 << 16))
-    seed = int(est.get("seed", seed))
-    if parameter == "samples":
-        samples = int(value)
-    cfg = estimate.EstimatorConfig(samples=samples, seed=seed, chunk_size=chunk)
-
+    args = argparse.Namespace(base=NATS, gamma=gamma, alpha=alpha)
     if target == "gamma_divergence":
-        gamma = value if parameter == "gamma" else float(spec.get("gamma", 1e-3))
-        computed = _route("gamma", kind)(
-            p1, p2, argparse.Namespace(base=NATS, gamma=gamma))["value"]
-        oracle = (discrete.kl(p1, p2) if kind == "discrete"
-                  else gaussian.kl_gaussian(p1, p2))
-        return computed, None, oracle
+        return (_route("gamma", kind)(p1, p2, args)["value"], None,
+                _route("kl", kind)(p1, p2, args)["value"])
 
-    if target in ("estimate_z", "estimate_js_m_extended"):
-        if kind == "discrete":
-            d1, d2 = estimate.categorical_sampled(p1), estimate.categorical_sampled(p2)
-            if target == "estimate_z":
-                _, z = discrete.m_mixture(p1, p2, mean)
-                oracle = z
-            else:
-                oracle = discrete.js_m_extended(p1, p2, mean)
-        else:
-            d1, d2 = estimate.gaussian_sampled(p1), estimate.gaussian_sampled(p2)
-            if mean.kind is MeanKind.GEOMETRIC:
-                # Z = exp(-B_alpha); each KL+ to Z m_alpha is KL + B_alpha + Z - 1
-                b = gaussian.bhattacharyya_gaussian(p1, p2, mean.alpha)
-                oracle = (math.exp(-b) if target == "estimate_z"
-                          else gaussian.gjsd_gaussian(p1, p2, mean.alpha, 0.5)
-                          + (math.expm1(-b) + b))
-            elif mean.kind is MeanKind.ARITHMETIC and target == "estimate_z":
-                oracle = 1.0
-            else:
-                oracle = None
-        fn = (estimate.estimate_z if target == "estimate_z"
-              else estimate.estimate_js_m_extended)
-        computed, stderr = fn(d1, d2, mean, cfg)
-        return computed, stderr, oracle
+    if target == "bhattacharyya":
+        computed = _route("bhattacharyya", kind)(p1, p2, args)["value"]
+        if kind == "gaussian":
+            e1, e2 = _expfam_pair(p1, p2)
+            return computed, None, expfam.skew_jensen(e1.family, e1.theta,
+                                                      e2.theta, alpha)
+        try:
+            thetas = [expfam.categorical_theta(p.weights) for p in (p1, p2)]
+        except DomainViolation:  # a zero weight: no categorical embedding
+            return computed, None, None
+        return computed, None, expfam.skew_jensen(
+            expfam.categorical_family(p1.size), *thetas, alpha)
 
-    # bhattacharyya
-    alpha = value if parameter == "alpha" else float(spec.get("alpha", 0.5))
-    computed = _route("bhattacharyya", kind)(
-        p1, p2, argparse.Namespace(base=NATS, alpha=alpha))["value"]
     if kind == "discrete":
-        fam = expfam.categorical_family(p1.size)
-        oracle = expfam.skew_jensen(fam, expfam.categorical_theta(p1.weights),
-                                    expfam.categorical_theta(p2.weights), alpha)
+        oracle = (discrete.m_mixture(p1, p2, mean)[1] if target == "estimate_z"
+                  else discrete.js_m_extended(p1, p2, mean))
+    elif mean.kind is MeanKind.GEOMETRIC:
+        # Z = exp(-B_alpha); each KL+ to Z m_alpha is KL + B_alpha + Z - 1
+        b = gaussian.bhattacharyya_gaussian(p1, p2, mean.alpha)
+        oracle = (math.exp(-b) if target == "estimate_z"
+                  else gaussian.gjsd_gaussian(p1, p2, mean.alpha, 0.5)
+                  + (math.expm1(-b) + b))
     else:
-        e1, e2 = _expfam_pair(p1, p2)
-        oracle = expfam.skew_jensen(e1.family, e1.theta, e2.theta, alpha)
-    return computed, None, oracle
+        oracle = (1.0 if mean.kind is MeanKind.ARITHMETIC and target == "estimate_z"
+                  else None)
+    sampled = (estimate.categorical_sampled if kind == "discrete"
+               else estimate.gaussian_sampled)
+    fn = estimate.estimate_z if target == "estimate_z" else estimate.estimate_js_m_extended
+    return (*fn(sampled(p1), sampled(p2), mean, cfg), oracle)
 
 
 def cmd_sweep(args) -> int:
@@ -367,41 +374,50 @@ def cmd_sweep(args) -> int:
         spec = json.load(handle)
     if not isinstance(spec, dict):
         raise ValueError("sweep spec must be a JSON object")
-    if not isinstance(spec.get("estimator", {}), dict):
+    est = spec.get("estimator", {})
+    if not isinstance(est, dict):
         raise ValueError("sweep spec 'estimator' must be a JSON object")
     parameter = spec.get("parameter")
     if parameter not in ("gamma", "samples", "alpha"):
         raise ValueError("sweep spec needs parameter: gamma | samples | alpha")
     values = spec.get("values", [])
-    if not (isinstance(values, list)
-            and all(isinstance(v, (int, float)) for v in values)):
-        raise ValueError("sweep spec 'values' must be a list of numbers")
-    grid = [float(v) for v in values]
+    message = "sweep spec 'values' must be a list of numbers"
+    if not isinstance(values, list):
+        raise ValueError(message)
+    grid = [_json_number(v, message) for v in values]
     if not all(map(math.isfinite, grid)):
         raise ValueError("sweep spec 'values' must be finite")
 
     inputs = spec.get("inputs")
-    if not isinstance(inputs, dict) or "kind" not in inputs:
+    if not isinstance(inputs, dict) or not {"kind", "p1", "p2"} <= inputs.keys():
         raise ValueError("sweep spec needs inputs: {kind, p1, p2}")
-    kind = inputs["kind"]
     target = spec.get("target", "gamma_divergence")
     if target not in _SWEEP_TARGETS:
         raise ValueError(f"unknown sweep target {target!r}")
     if target == "gamma_divergence" and parameter == "alpha":
         raise ValueError("sweep target 'gamma_divergence' has no alpha")
     descriptor = spec.get("mean", "geometric")
-    fixed = MeanSpec.parse(descriptor, float(spec.get("alpha", 0.5)))
-    # an alpha grid reaches the mean of the estimate targets
-    swept = parameter == "alpha" and target != "bhattacharyya"
-    row_means = [MeanSpec.parse(descriptor, v) if swept else fixed for v in grid]
-    # the spec and inputs are checked before the header, so an error in
-    # either leaves stdout empty
-    p1, p2 = _load_pair(kind, (inputs["p1"], inputs["p2"]))
+    alpha = _json_number(spec.get("alpha", 0.5), "sweep spec 'alpha' must be a number")
+    gamma = _json_number(spec.get("gamma", 1e-3), "sweep spec 'gamma' must be a number")
+    cfg = estimate.EstimatorConfig(**{
+        key: _json_number(est.get(key, default),
+                          f"sweep spec 'estimator.{key}' must be a whole number",
+                          integral=True)
+        for key, default in (("samples", 10_000), ("seed", args.seed),
+                             ("chunk_size", 1 << 16))})
+    fixed = MeanSpec.parse(descriptor, alpha)
+    if parameter == "gamma":
+        row_inputs = [(fixed, v, alpha, cfg) for v in grid]
+    elif parameter == "samples":
+        row_inputs = [(fixed, gamma, alpha, replace(cfg, samples=int(v))) for v in grid]
+    else:  # an alpha grid reaches the mean of the estimate targets
+        row_inputs = [(MeanSpec.parse(descriptor, v), gamma, v, cfg) for v in grid]
+    p1, p2 = _load_pair(inputs["kind"], (inputs["p1"], inputs["p2"]))
+    # every row is computed before the header, so an error leaves stdout empty
+    rows = [_sweep_row(target, inputs["kind"], p1, p2, *row) for row in row_inputs]
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["parameter", "value", "std_error", "oracle", "abs_error"])
-    for grid_value, mean in zip(grid, row_means):
-        computed, stderr, oracle = _sweep_row(
-            spec, target, kind, p1, p2, parameter, grid_value, mean, args.seed)
+    for grid_value, (computed, stderr, oracle) in zip(grid, rows):
         abs_error = None if oracle is None else abs(computed - oracle)
         writer.writerow([
             f"{grid_value:g}", f"{computed:.12g}",

@@ -40,6 +40,3 @@ class ProposalSupportViolation(GeoJSDError, RuntimeError):
 class DivergentIntegral(GeoJSDError, ValueError):
     """A moment integral diverges (parameter left the natural domain)."""
 
-
-class DegenerateQuadratic(GeoJSDError, ValueError):
-    """Density-crossover quadratic is numerically singular."""

@@ -1,7 +1,7 @@
 """Closed-form divergences between multivariate Gaussians.
 
 KL, Jeffreys, skew Bhattacharyya, geometric JSD (normalized and extended),
-the parameters of normalized geometric mixtures, and the erf-based
+the parameters of normalized geometric mixtures, and the erfc-based
 univariate total variation.  The ordinary Jensen-Shannon divergence between
 Gaussians has no closed form (the entropy of a two-component mixture does
 not); geometric mixtures of Gaussians stay Gaussian, which is exactly why
@@ -15,7 +15,8 @@ SVD ``L1^-1 L2 = U S V'``, the map ``z = U' L1^-1 (x - mu1)`` takes N1 to
 divergence is invariant under it, hence a sum of per-coordinate terms in
 ``(lam_i, delta_i)``, each >= 0 after rounding and exactly 0 for equal
 inputs; the geometric mixture maps back through ``L1 U`` (Nielsen, Entropy
-21(5):485, 2019).
+21(5):485, 2019).  The univariate total variation reads its pair in the same
+basis, taken from the wider density and reflected: ``lam <= 1``, ``delta >= 0``.
 
 Conventions: natural parameters are ``theta_v = Sigma^-1 mu`` and
 ``theta_M = Sigma^-1 / 2`` (the positive-definite sign choice, fixed by
@@ -33,8 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import cho_solve, solve_lower
-from .errors import (DegenerateQuadratic, InvalidAlpha, InvalidDensity,
-                     NotPositiveDefinite)
+from .errors import InvalidAlpha, InvalidDensity, NotPositiveDefinite
 
 __all__ = [
     "GaussianParams",
@@ -57,9 +57,6 @@ __all__ = [
 ]
 
 _SYMMETRY_TOL = 1e-12
-# below this relative spread the TV crossover quadratic is numerically
-# singular and the equal-variance branch applies
-_EQUAL_SIGMA_TOL = 1e-12
 
 
 def _validated(vec_name: str, vec, mat_name: str,
@@ -357,50 +354,41 @@ def gjsd_extended_gaussian(g1: GaussianParams, g2: GaussianParams) -> float:
 # Univariate total variation
 # ---------------------------------------------------------------------------
 
-def _normal_cdf(x: float, mu: float, sigma: float) -> float:
-    return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
+def _normal_cdf(z: float) -> float:
+    """Standard normal CDF; erfc keeps the digits of the lower tail."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def tv_gaussian_1d(m1: float, s1: float, m2: float, s2: float) -> float:
-    """Total variation between N(m1, s1^2) and N(m2, s2^2), via erf.
+    """Total variation between N(m1, s1^2) and N(m2, s2^2), via erfc.
 
-    Equal variances: the densities cross once at ``x* = (m1 + m2)/2`` and
-    ``TV = |Phi(x*; m2, s) - Phi(x*; m1, s)|`` (no extra 1/2 factor: the two
-    half-line contributions of ``|p1 - p2|/2`` are equal).  Unequal
-    variances: the crossovers are the roots of
-    ``a x^2 + b x + c = 0`` with ``a = 1/s1^2 - 1/s2^2``,
-    ``b = 2 (m2/s2^2 - m1/s1^2)``, ``c = m1^2/s1^2 - m2^2/s2^2
-    - 2 log(s2/s1)`` (coefficients re-derived from p1(x) = p2(x)), combined
-    through CDF differences at the two roots.
+    In the pair basis of the wider density, reflected so that the shift is
+    >= 0, the pair is N(0, 1) and N(delta, r^2) with r <= 1.  The crossover
+    discriminant ``delta^2 + (1 - r^2)(-log r^2)`` is a sum of terms >= 0, so
+    both crossovers are formed in each density's own units (z, and
+    ``w = (z - delta) / r``) without cancellation, and TV is the wider
+    density's excess outside them: ``Phi(z_lo) - Phi(w_lo) + Phi(-z_hi)
+    - Phi(-w_hi)``.  At r = 1 the upper crossover is at infinity.
     """
+    if not all(map(math.isfinite, (m1, s1, m2, s2))):
+        raise InvalidDensity("means and standard deviations must be finite")
     if s1 <= 0.0 or s2 <= 0.0:
         raise NotPositiveDefinite("standard deviations must be positive")
-    if abs(s1 - s2) <= _EQUAL_SIGMA_TOL * max(s1, s2):
-        if m1 == m2:
-            return 0.0
-        sigma = 0.5 * (s1 + s2)
-        x_star = 0.5 * (m1 + m2)  # = (m1^2 - m2^2) / (2 (m1 - m2))
-        value = abs(_normal_cdf(x_star, m2, sigma) - _normal_cdf(x_star, m1, sigma))
-        return min(max(value, 0.0), 1.0)
-
-    a = 1.0 / s1 ** 2 - 1.0 / s2 ** 2
-    b = 2.0 * (m2 / s2 ** 2 - m1 / s1 ** 2)
-    c = m1 ** 2 / s1 ** 2 - m2 ** 2 / s2 ** 2 - 2.0 * math.log(s2 / s1)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        raise DegenerateQuadratic(
-            "crossover quadratic has no real roots; variances too close"
-        )
-    root = math.sqrt(disc)
-    x_lo = (-b - root) / (2.0 * a)
-    x_hi = (-b + root) / (2.0 * a)
-    x_lo, x_hi = min(x_lo, x_hi), max(x_lo, x_hi)
-
-    def cdf_gap(x: float) -> float:
-        return _normal_cdf(x, m1, s1) - _normal_cdf(x, m2, s2)
-
-    gap_lo, gap_hi = cdf_gap(x_lo), cdf_gap(x_hi)
-    value = 0.5 * (abs(gap_lo) + abs(gap_hi - gap_lo) + abs(gap_hi))
+    s_wide = max(s1, s2)
+    # TV rounds to 1 well inside these bounds, which keep products finite
+    delta = min(abs(m2 - m1) / s_wide, 1e300)
+    r = max(min(s1, s2) / s_wide, 1e-300)
+    if delta == 0.0 and r == 1.0:
+        return 0.0
+    a = (1.0 - r) * (1.0 + r)
+    log_ratio = -2.0 * math.log(r)  # -log r^2
+    q = math.hypot(delta, math.sqrt(a * log_ratio))
+    den_z, den_w = delta + r * q, r * delta + q
+    z_lo = delta * (delta / den_z) - r * (r * log_ratio / den_z)
+    w_lo = -(delta * (delta / den_w) + log_ratio / den_w)
+    value = _normal_cdf(z_lo) - _normal_cdf(w_lo)
+    if a > 0.0:
+        value += _normal_cdf(-den_z / a) - _normal_cdf(-den_w / a)
     return min(max(value, 0.0), 1.0)
 
 

@@ -211,6 +211,33 @@ def gaussian_tv_quad(m1, s1, m2, s2):
     return float(mp.quad(lambda x: abs(diff(x)), sorted(points)) / 2)
 
 
+def gaussian_tv_mp(m1, s1, m2, s2):
+    """TV of N(m1, s1^2), N(m2, s2^2) at 50 digits, the float inputs read exactly.
+
+    Standardized by N1 (not by the wider density), the crossovers are the
+    roots of ``(r^2 - 1) z^2 + 2 d z - d^2 - r^2 log r^2 = 0`` with
+    ``d = (m2 - m1) / s1`` and ``r = s2 / s1``, solved at 50 digits; TV is half
+    the sum over the pieces between them of |P1(piece) - P2(piece)|.
+    """
+    m1, s1, m2, s2 = (mp.mpf(float(x)) for x in (m1, s1, m2, s2))
+    d, r = (m2 - m1) / s1, s2 / s1
+    if r == 1:
+        if d == 0:
+            return 0.0
+        roots = [d / 2]
+    else:
+        a, b, c = r * r - 1, 2 * d, -d * d - r * r * mp.log(r * r)
+        root = mp.sqrt(b * b - 4 * a * c)
+        roots = sorted([(-b - root) / (2 * a), (-b + root) / (2 * a)])
+    points = [-mp.inf] + roots + [mp.inf]
+    total = mp.mpf(0)
+    for lo, hi in zip(points, points[1:]):
+        p1 = mp.ncdf(hi) - mp.ncdf(lo)
+        p2 = mp.ncdf((hi - d) / r) - mp.ncdf((lo - d) / r)
+        total += abs(p1 - p2)
+    return float(total / 2)
+
+
 # ---------------------------------------------------------------------------
 # Univariate Gaussian closed forms in moment parameters, at 50 digits
 # ---------------------------------------------------------------------------

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geojsd import (
     BITS,
@@ -111,6 +117,20 @@ class TestCompute:
                                "--mean", "geometric", "--p1", p1, "--p2", p1)
         assert code == 0
         assert json.loads(out)["value"] == 0.0
+
+    def test_tv_gaussian_near_equal_variances(self, capsys, tmp_path):
+        # the raw-coordinate crossover quadratic had no real roots here (exit 3)
+        files = []
+        for name, variance in (("g1.json", 0.947736715121185),
+                               ("g2.json", 0.9477374869688788)):
+            files.append(tmp_path / name)
+            files[-1].write_text(json.dumps({"mu": [2689960.129068232],
+                                             "sigma": [[variance]]}))
+        code, out, _ = run_cli(capsys, "compute", "--div", "tv", "--gaussian",
+                               "--p1", str(files[0]), "--p2", str(files[1]))
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(1.9706366405e-7,
+                                                         rel=1e-8)
 
     def test_gjsd_gaussian_closed_form(self, capsys, gaussian_files):
         g1, g2 = gaussian_files
@@ -369,6 +389,29 @@ class TestExitCodes:
                              "--p1", str(a), "--p2", str(a))
         assert code == 2
 
+    def test_json_values_that_are_not_numbers_are_usage_errors(self, capsys,
+                                                               tmp_path):
+        # booleans and numeric strings were taken as numbers; objects and
+        # ints past the float range ended in tracebacks
+        density = tmp_path / "p.json"
+        for payload in ([{"a": 1}], ["0.5", "0.5"], [True, False],
+                        [0.5, [0.5]], [10 ** 400, 1]):
+            density.write_text(json.dumps(payload))
+            code, out, err = run_cli(capsys, "compute", "--div", "js",
+                                     "--p1", str(density), "--p2", str(density))
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [
+                f"error: {density}: weights must be an array of numbers"]
+        g = tmp_path / "g.json"
+        for key, value in (("mu", [{"a": 1}]), ("mu", [True]), ("mu", "0"),
+                           ("sigma", [[None]]), ("sigma", [[1.0], []])):
+            g.write_text(json.dumps({"mu": [0.0], "sigma": [[1.0]], key: value}))
+            code, out, err = run_cli(capsys, "compute", "--div", "kl",
+                                     "--gaussian", "--p1", str(g), "--p2", str(g))
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [
+                f"error: {g}: '{key}' must be a number or an array of numbers"]
+
     def test_multivariate_tv_rejected(self, capsys, tmp_path):
         g = tmp_path / "g.json"
         g.write_text(json.dumps({"mu": [0.0, 0.0],
@@ -555,8 +598,8 @@ class TestSweep:
         assert float(abs_error) <= 4.0 * float(std_error)
 
     def test_spec_errors_leave_stdout_empty(self, capsys, tmp_path):
-        # the spec, target, mean and grid are checked before the CSV header
-        # is written; none of these may end in a traceback
+        # the spec is read and every row computed before the CSV header is
+        # written; none of these may end in a traceback
         spec = tmp_path / "sweep.json"
         inputs = {"kind": "discrete", "p1": [0.5, 0.5], "p2": [0.25, 0.75]}
         base = {"parameter": "gamma", "values": [1e-2], "inputs": inputs}
@@ -576,7 +619,22 @@ class TestSweep:
                 ({**base, "values": [math.nan]},
                  "error: sweep spec 'values' must be finite"),
                 ({**base, "values": [1e-2, math.inf]},
-                 "error: sweep spec 'values' must be finite")):
+                 "error: sweep spec 'values' must be finite"),
+                ({**base, "alpha": []}, "error: sweep spec 'alpha' must be a number"),
+                ({**base, "estimator": {"samples": []}},
+                 "error: sweep spec 'estimator.samples' must be a whole number"),
+                ({**base, "estimator": {"seed": 2 ** 64}},
+                 "error: seed must be a 64-bit unsigned integer"),
+                ({**base, "values": [True, 0.1]},
+                 "error: sweep spec 'values' must be a list of numbers"),
+                ({**base, "parameter": "samples", "values": [0]},
+                 "error: samples must be >= 1"),
+                ({**base, "values": [-1]}, "error: gamma must be positive and finite"),
+                ({**base, "parameter": "alpha", "values": [1.5],
+                  "target": "bhattacharyya"},
+                 "error: alpha must lie in (0, 1), got 1.5"),
+                ({**base, "inputs": {**inputs, "p1": {"a": 1}}},
+                 "error: sweep inputs 'p1' must be an array of numbers")):
             spec.write_text(json.dumps(payload))
             code, out, err = run_cli(capsys, "sweep", str(spec))
             assert code == 2
@@ -603,6 +661,21 @@ class TestSweep:
             z = math.exp(-bhattacharyya_gaussian(g1, g2, float(alpha)))
             assert float(oracle) == pytest.approx(z, rel=1e-11)
             assert abs(float(value) - z) <= 6.0 * float(std_error)
+
+    def test_zero_weight_leaves_the_bhattacharyya_oracle_empty(self, capsys,
+                                                               tmp_path):
+        # the categorical embedding needs positive weights; the value does not
+        spec = tmp_path / "sweep.json"
+        p1, p2 = [0.5, 0.5, 0.0], [0.25, 0.25, 0.5]
+        spec.write_text(json.dumps({
+            "parameter": "alpha", "values": [0.3], "target": "bhattacharyya",
+            "inputs": {"kind": "discrete", "p1": p1, "p2": p2},
+        }))
+        code, out, _ = run_cli(capsys, "sweep", str(spec))
+        assert code == 0
+        expected = discrete.bhattacharyya(DiscreteDensity.probability(p1),
+                                          DiscreteDensity.probability(p2), 0.3)
+        assert out.splitlines()[1:] == [f"0.3,{expected:.12g},,,"]
 
     def test_bad_spec_is_usage_error(self, capsys, tmp_path):
         spec = tmp_path / "sweep.json"
@@ -822,3 +895,54 @@ class TestRoutes:
         assert (code, err) == (0, "")
         # bit for bit: json round-trips every float exactly
         assert json.loads(out) == call(p1, p2, LogBase(base))
+
+
+# arbitrary JSON values: anything a hand-written input file or sweep spec holds
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+
+# where a drawn value goes: a discrete density file, the mu or sigma of a
+# Gaussian file, or one field of a sweep spec whose target draws no samples
+# (a six-character string names no other target), so no drawn value asks for
+# more than the 10,000-sample default
+SLOTS = ("density", "mu", "sigma", "parameter", "values", "target", "mean",
+         "alpha", "gamma", "estimator", "inputs", "kind", "p1")
+
+
+class TestNoTraceback:
+    @settings(max_examples=200, deadline=None)
+    @given(slot=st.sampled_from(SLOTS), value=JSON_VALUES)
+    def test_any_json_value_exits_cleanly(self, slot, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, valid = Path(tmp) / "input.json", Path(tmp) / "valid.json"
+            if slot == "density":
+                path.write_text(json.dumps(value))
+                valid.write_text("[0.25, 0.75]")
+                argv = ["compute", "--div", "js", "--p1", str(path),
+                        "--p2", str(valid)]
+            elif slot in ("mu", "sigma"):
+                g = {"mu": [0.0], "sigma": [[1.0]]}
+                path.write_text(json.dumps({**g, slot: value}))
+                valid.write_text(json.dumps(g))
+                argv = ["compute", "--div", "tv", "--gaussian", "--p1", str(path),
+                        "--p2", str(valid)]
+            else:
+                inputs = {"kind": "discrete", "p1": [0.5, 0.5], "p2": [0.25, 0.75]}
+                spec = {"parameter": "gamma", "values": [1e-2],
+                        "target": "gamma_divergence", "inputs": inputs}
+                if slot in ("kind", "p1"):
+                    spec["inputs"] = {**inputs, slot: value}
+                else:
+                    spec[slot] = value
+                path.write_text(json.dumps(spec))
+                argv = ["sweep", str(path)]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 2, 3)
+        if code:
+            assert out.getvalue() == ""
+            assert len(err.getvalue().splitlines()) == 1

@@ -3,6 +3,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from geojsd import (
@@ -354,7 +356,8 @@ class TestTotalVariation1D:
         assert tv_gaussian_1d(0.0, 1.0, 100.0, 1.0) > 1.0 - 1e-12
 
     def test_near_equal_sigma_routed(self):
-        # sigma gap below threshold goes through the equal-variance branch
+        # a sigma gap of 1e-14 takes the one crossover formula, whose upper
+        # crossover is far out, and reads the equal-variance value
         v = tv_gaussian_1d(0.0, 1.0, 1.0, 1.0 + 1e-14)
         assert v == pytest.approx(math.erf(1.0 / (2.0 * math.sqrt(2.0))),
                                   abs=1e-10)
@@ -362,6 +365,63 @@ class TestTotalVariation1D:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(NotPositiveDefinite):
             tv_gaussian_1d(0.0, 0.0, 1.0, 1.0)
+
+    def test_rejects_non_finite_arguments(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            for i in range(4):
+                args = [0.0, 1.0, 1.0, 2.0]
+                args[i] = bad
+                with pytest.raises(InvalidDensity):
+                    tv_gaussian_1d(*args)
+
+    def test_matches_high_precision(self):
+        # against 50-digit evaluations of the same float inputs; in raw
+        # coordinates a shift of 1e8 was off by 0.75, and near-equal
+        # variances by 1.6e-9
+        rng = np.random.default_rng(20)
+        m = rng.uniform(-4.0, 4.0, (150, 2))
+        s = rng.uniform(0.2, 3.0, (150, 2))
+        plain = [(float(m1), float(s1), float(m2), float(s2))
+                 for (m1, m2), (s1, s2) in zip(m, s)]
+        corpora = {"plain": plain}
+        for shift in (1e4, 1e8, 1e15):
+            corpora[f"shift {shift:g}"] = [(m1 + shift, s1, m2 + shift, s2)
+                                           for m1, s1, m2, s2 in plain]
+        for scale in (1e-100, 1e100):
+            corpora[f"scale {scale:g}"] = [
+                (m1 * scale, s1 * scale, m2 * scale, s2 * scale)
+                for m1, s1, m2, s2 in plain]
+        gaps = np.concatenate([rng.uniform(3.0, 15.0, 146), [3.0, 3.0, 15.0, 15.0]])
+        signs = np.concatenate([rng.choice([-1.0, 1.0], 146), [-1.0, 1.0] * 2])
+        corpora["near-equal"] = [
+            (m1, s1, m2, s1 * (1.0 + sign * 10.0 ** -gap))
+            for (m1, s1, m2, _), gap, sign in zip(plain, gaps, signs)]
+        for name, pairs in corpora.items():
+            worst = max(abs(tv_gaussian_1d(*pair) - oracles.gaussian_tv_mp(*pair))
+                        for pair in pairs)
+            assert worst <= 1e-15, name
+
+    def test_extremes(self):
+        for args, expected in (
+                ((0.0, 1.0, 1e200, 1.0), 1.0),
+                ((0.0, 1.0, 1e200, 2.0), 1.0),
+                ((0.0, 1.0, 1e5, 1e-150), 1.0),
+                ((0.0, 1e-200, 0.0, 1e200), 1.0),  # s_narrow / s_wide underflows
+                ((-1e308, 1.0, 1e308, 1.0), 1.0),  # m2 - m1 overflows
+                ((0.0, 1e-300, 1e-300, 2e-300), tv_gaussian_1d(0.0, 1.0, 1.0, 2.0))):
+            assert tv_gaussian_1d(*args) == expected, args
+        assert tv_gaussian_1d(0.0, 1.0, 1.0, 2.0) == pytest.approx(
+            oracles.gaussian_tv_mp(0.0, 1.0, 1.0, 2.0), abs=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_any_finite_pair_reads_in_unit_interval(self, m1, s1, m2, s2):
+        value = tv_gaussian_1d(m1, s1, m2, s2)
+        assert 0.0 <= value <= 1.0
+        assert value == tv_gaussian_1d(m2, s2, m1, s1)
 
 
 class TestAffineInvariance:
