@@ -1,9 +1,10 @@
 """Command-line interface: compute divergences, run verification, sweep grids.
 
 Exit codes: 0 success, 1 only a failed verification, 2 usage/parse errors
-(a JSON value that is not a number included), 3 mathematical errors
-(disjoint supports, non-PD matrices, divergent integrals).  ``GEOJSD_SEED``
-provides the default estimator seed.
+(a JSON value that is not a number, JSON nested past the parser's recursion
+limit, and a sample count above ``_MAX_SAMPLES`` = 10^9 included), 3
+mathematical errors (disjoint supports, non-PD matrices, divergent
+integrals).  ``GEOJSD_SEED`` provides the default estimator seed.
 
 File formats: discrete densities are whitespace-separated decimals with
 ``#`` comments, or a JSON array; Gaussians are JSON objects
@@ -40,6 +41,19 @@ from .means import MeanKind, MeanSpec
 _MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence, DivergentIntegral,
                 ProposalSupportViolation, DomainViolation, NonPositiveInput)
 
+# The largest Monte Carlo sample count the CLI runs (compute --samples, a
+# sweep's estimator.samples and its samples grid): 10^9 draws take minutes at
+# d = 1, while a count such as 1e300 would never finish.
+_MAX_SAMPLES = 10 ** 9
+
+
+def _sample_count(value: int, name: str) -> int:
+    """``value``, a sample count, if it is at most ``_MAX_SAMPLES``."""
+    if value > _MAX_SAMPLES:
+        raise ValueError(f"{name} must be at most {_MAX_SAMPLES}")
+    return value
+
+
 def _default_seed() -> str:
     # a string default passes through type=int: a bad value exits 2, not a traceback
     return os.environ.get("GEOJSD_SEED", "0")
@@ -66,8 +80,19 @@ def _json_array(value, message: str) -> np.ndarray:
                 else _json_number(item, message))
     try:
         return np.array(floats(value), dtype=float)
-    except ValueError:  # a ragged array, or a leaf that is not a number
+    # a ragged array, a leaf that is not a number, or nesting deeper than
+    # the interpreter's recursion limit
+    except (ValueError, RecursionError):
         raise ValueError(message) from None
+
+
+def _loads(text: str, path: str):
+    """The JSON value in ``text``, read from ``path``; nesting deeper than the
+    parser's recursion limit is a usage error, like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def read_discrete(path: str) -> np.ndarray:
@@ -76,7 +101,7 @@ def read_discrete(path: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if text.lstrip().startswith("["):
-        return _json_array(json.loads(text),
+        return _json_array(_loads(text, path),
                            f"{path}: weights must be an array of numbers")
     tokens: list[str] = []
     for line in text.splitlines():
@@ -88,7 +113,7 @@ def read_discrete(path: str) -> np.ndarray:
 
 def read_gaussian(path: str) -> gaussian.GaussianParams:
     with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+        payload = _loads(handle.read(), path)
     return _gaussian_from_payload(payload, path)
 
 
@@ -291,6 +316,8 @@ def _route(div: str, kind: str):
 def cmd_compute(args) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
+    if args.samples is not None:
+        _sample_count(args.samples, "--samples")
     # parsed before the inputs are read: a bad --mean or --mean2 fails on
     # every route
     args.mean = MeanSpec.parse(args.mean, args.alpha)
@@ -371,7 +398,7 @@ def _sweep_row(target: str, kind: str, p1, p2, mean: MeanSpec, gamma: float,
 
 def cmd_sweep(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as handle:
-        spec = json.load(handle)
+        spec = _loads(handle.read(), args.spec)
     if not isinstance(spec, dict):
         raise ValueError("sweep spec must be a JSON object")
     est = spec.get("estimator", {})
@@ -381,11 +408,14 @@ def cmd_sweep(args) -> int:
     if parameter not in ("gamma", "samples", "alpha"):
         raise ValueError("sweep spec needs parameter: gamma | samples | alpha")
     values = spec.get("values", [])
-    message = "sweep spec 'values' must be a list of numbers"
+    counts = parameter == "samples"
+    message = f"sweep spec 'values' must be a list of {'whole ' if counts else ''}numbers"
     if not isinstance(values, list):
         raise ValueError(message)
-    grid = [_json_number(v, message) for v in values]
-    if not all(map(math.isfinite, grid)):
+    grid = [_json_number(v, message, integral=counts) for v in values]
+    if counts:
+        grid = [_sample_count(v, "sweep spec 'values'") for v in grid]
+    elif not all(map(math.isfinite, grid)):
         raise ValueError("sweep spec 'values' must be finite")
 
     inputs = spec.get("inputs")
@@ -399,17 +429,18 @@ def cmd_sweep(args) -> int:
     descriptor = spec.get("mean", "geometric")
     alpha = _json_number(spec.get("alpha", 0.5), "sweep spec 'alpha' must be a number")
     gamma = _json_number(spec.get("gamma", 1e-3), "sweep spec 'gamma' must be a number")
-    cfg = estimate.EstimatorConfig(**{
-        key: _json_number(est.get(key, default),
-                          f"sweep spec 'estimator.{key}' must be a whole number",
-                          integral=True)
-        for key, default in (("samples", 10_000), ("seed", args.seed),
-                             ("chunk_size", 1 << 16))})
+    fields = {key: _json_number(est.get(key, default),
+                                f"sweep spec 'estimator.{key}' must be a whole number",
+                                integral=True)
+              for key, default in (("samples", 10_000), ("seed", args.seed),
+                                   ("chunk_size", 1 << 16))}
+    _sample_count(fields["samples"], "sweep spec 'estimator.samples'")
+    cfg = estimate.EstimatorConfig(**fields)
     fixed = MeanSpec.parse(descriptor, alpha)
     if parameter == "gamma":
         row_inputs = [(fixed, v, alpha, cfg) for v in grid]
     elif parameter == "samples":
-        row_inputs = [(fixed, gamma, alpha, replace(cfg, samples=int(v))) for v in grid]
+        row_inputs = [(fixed, gamma, alpha, replace(cfg, samples=v)) for v in grid]
     else:  # an alpha grid reaches the mean of the estimate targets
         row_inputs = [(MeanSpec.parse(descriptor, v), gamma, v, cfg) for v in grid]
     p1, p2 = _load_pair(inputs["kind"], (inputs["p1"], inputs["p2"]))

@@ -30,6 +30,7 @@ Everything runs in log space: mixture means of density values are taken via
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -61,11 +62,20 @@ _MASK64 = (1 << 64) - 1
 
 @dataclass(frozen=True)
 class EstimatorConfig:
+    """Monte Carlo draws, seed and chunk length.
+
+    ``samples`` and ``chunk_size`` are read through ``operator.index``, so
+    a float such as ``2.5`` (or ``2.0``) raises ``TypeError``, and a numpy
+    integer is kept as a Python ``int``.
+    """
+
     samples: int
     seed: int = 0
     chunk_size: int = 1 << 16
 
     def __post_init__(self) -> None:
+        for name in ("samples", "chunk_size"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.chunk_size < 1:

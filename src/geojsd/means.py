@@ -22,12 +22,20 @@ produces the (unnormalized) M-mixture used throughout
 :mod:`geojsd.discrete` and :mod:`geojsd.estimate`.  All functions are pure
 and accept scalars or numpy arrays.
 
-The geometric and power means have one implementation, in log space:
-:func:`log_evaluate` runs it directly and :func:`evaluate` exponentiates
-it.  Both follow one zero rule, the continuous limit: a zero argument makes
-the geometric and every gamma < 0 power mean 0, and drops out of a
-gamma > 0 power mean, which leaves ``(1-alpha)**(1/gamma) * b`` for
-``a = 0``.  Only negative arguments are rejected.
+The geometric and power means, and in log space the arithmetic mean, have
+one implementation: the blocked kernel :func:`geojsd._kernels.power_mean`,
+which works 8192 entries at a time in reused scratch, so the result is the
+only support-sized array.  :func:`log_evaluate` runs it on logs and
+:func:`evaluate` on values, whose logs it takes once and whose result it
+exponentiates.  The geometric mean is ``alpha*log a + (1-alpha)*log b``
+entry by entry, the same bits at every size.  The other kinds add their two
+weighted terms as ``max(u, v) + log1p(exp(-|u - v|))``, numpy's vector
+``exp`` and ``log1p`` in place of ``np.logaddexp``'s scalar loop; that
+moves a result by at most about 2 ulp of the log-add.  Both follow one
+zero rule, the continuous limit: a zero argument makes the geometric and
+every gamma < 0 power mean 0, and drops out of a gamma > 0 power mean,
+which leaves ``(1-alpha)**(1/gamma) * b`` for ``a = 0``.  Only negative
+arguments are rejected.
 """
 
 from __future__ import annotations
@@ -35,10 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable
 
 import numpy as np
 
+from . import _kernels
 from .errors import InvalidAlpha, NonPositiveInput
 
 __all__ = [
@@ -178,34 +186,14 @@ class MeanSpec:
         return self.kind.value
 
 
-def _log_power_mean(m: MeanSpec, a, b, to_log: Callable) -> np.ndarray:
-    """log M_alpha(a, b) for the geometric and power kinds.
-
-    ``to_log`` takes the arguments to log space: ``np.log`` from
-    :func:`evaluate`, the identity from :func:`log_evaluate`.  It is called
-    inside each expression, so numpy scales a fresh log array in place
-    instead of allocating another.
-
-    A zero argument (log ``-inf``) takes the continuous limit: it drops out
-    of a gamma > 0 power sum, and sends the geometric and gamma < 0 means to
-    ``-inf``.  The expression already does that except where the other
-    argument is ``+inf`` or NaN; only there is the limit imposed.
-    """
-    alpha = m.alpha
-    geometric = m.kind is MeanKind.GEOMETRIC
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if geometric:
-            out = alpha * to_log(a) + (1.0 - alpha) * to_log(b)
-        else:
-            gamma = m.gamma
-            out = np.logaddexp(np.log(alpha) + gamma * to_log(a),
-                               np.log1p(-alpha) + gamma * to_log(b)) / gamma
-        if geometric or gamma < 0.0:
-            nan = np.isnan(out)
-            if nan.any():
-                zero = np.isneginf(to_log(a)) | np.isneginf(to_log(b))
-                out = np.where(nan & zero, -np.inf, out)
-    return out
+def _power_kernel(m: MeanSpec, a: np.ndarray, b: np.ndarray,
+                  log_space: bool) -> np.ndarray:
+    """The geometric and power kinds, and in log space the arithmetic one,
+    through the blocked kernel, in the broadcast shape of ``a`` and ``b``."""
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    gamma = {MeanKind.GEOMETRIC: 0.0, MeanKind.ARITHMETIC: 1.0}.get(m.kind, m.gamma)
+    return _kernels.power_mean(a, b, m.alpha, gamma, log_space).reshape(a.shape)
 
 
 def _quasi_exp(alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -235,18 +223,17 @@ def evaluate(m: MeanSpec, a, b):
     scalar = a_arr.ndim == 0 and b_arr.ndim == 0
 
     alpha = m.alpha
+    if m.kind in (MeanKind.GEOMETRIC, MeanKind.POWER):
+        out = _power_kernel(m, a_arr, b_arr, log_space=False)
+        return float(out) if scalar else out
     if m.kind is MeanKind.ARITHMETIC:
         out = alpha * a_arr + (1.0 - alpha) * b_arr
     elif m.kind is MeanKind.MIN:
         out = np.minimum(a_arr, b_arr)
     elif m.kind is MeanKind.MAX:
         out = np.maximum(a_arr, b_arr)
-    elif m.kind is MeanKind.QUASI_ARITHMETIC:
+    else:
         out = _quasi_exp(alpha, a_arr, b_arr)
-    else:  # geometric and power kinds, through log space
-        out = _log_power_mean(m, a_arr, b_arr, np.log)
-        # out is a fresh array: exponentiate it in place
-        out = np.exp(out, out=out if out.ndim else None)
 
     # idempotence is definitional: M(a, a) = a without rounding drift
     out = np.where(a_arr == b_arr, a_arr, out)
@@ -263,19 +250,17 @@ def log_evaluate(m: MeanSpec, log_a, log_b):
     la = np.asarray(log_a, dtype=float)
     lb = np.asarray(log_b, dtype=float)
     scalar = la.ndim == 0 and lb.ndim == 0
-    alpha = m.alpha
 
-    if m.kind is MeanKind.ARITHMETIC:
-        out = np.logaddexp(np.log(alpha) + la, np.log1p(-alpha) + lb)
-    elif m.kind is MeanKind.MIN:
+    if m.kind in (MeanKind.GEOMETRIC, MeanKind.POWER, MeanKind.ARITHMETIC):
+        out = _power_kernel(m, la, lb, log_space=True)
+        return float(out) if scalar else out
+    if m.kind is MeanKind.MIN:
         out = np.minimum(la, lb)
     elif m.kind is MeanKind.MAX:
         out = np.maximum(la, lb)
-    elif m.kind is MeanKind.QUASI_ARITHMETIC:
-        with np.errstate(divide="ignore"):
-            out = np.log(_quasi_exp(alpha, np.exp(la), np.exp(lb)))
     else:
-        out = _log_power_mean(m, la, lb, lambda x: x)
+        with np.errstate(divide="ignore"):
+            out = np.log(_quasi_exp(m.alpha, np.exp(la), np.exp(lb)))
 
     out = np.where(la == lb, la, out)
     return float(out) if scalar else out

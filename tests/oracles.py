@@ -3,10 +3,16 @@
 Everything here is deliberately written against mpmath scalars (50 decimal
 digits), not against the library's numpy code paths, so agreement between
 the two is meaningful.  Frozen constants in the tests were produced by these
-functions and are re-derivable by calling them.
+functions and are re-derivable by calling them.  The one numpy exception is
+:func:`per_entry_power_mean`, the whole-array form of the weighted power
+means that ``geojsd._kernels.power_mean`` replaced, kept as the reference
+for that kernel's bits.
 """
 
+import math
+
 import mpmath as mp
+import numpy as np
 
 mp.mp.dps = 50
 
@@ -378,3 +384,44 @@ def gaussian_log_density_oracle(mu, chol, points):
             z.append((r[i] - mp.fsum(low[i][j] * z[j] for j in range(i))) / low[i][i])
         out.append(float(log_norm - mp.fsum(v * v for v in z) / 2))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The weighted power means in their former whole-array form
+# ---------------------------------------------------------------------------
+
+def per_entry_power_mean(alpha, gamma, a, b, log_space):
+    """The weighted power mean of exponent ``gamma`` (0: geometric), as
+    ``geojsd.means`` computed it before the blocked kernel: each operation
+    on the whole array, the log-add by ``np.logaddexp``.
+
+    With ``log_space`` the arguments and the result are logs.  A zero
+    argument (log ``-inf``) sends the geometric and ``gamma < 0`` means to
+    zero where the expression gives NaN, and equal arguments give their
+    common value.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        la, lb = (a, b) if log_space else (np.log(a), np.log(b))
+        if gamma == 0.0:
+            out = alpha * la + (1.0 - alpha) * lb
+        else:
+            out = np.logaddexp(np.log(alpha) + gamma * la,
+                               np.log1p(-alpha) + gamma * lb) / gamma
+        if gamma <= 0.0:
+            zero = np.isneginf(la) | np.isneginf(lb)
+            out = np.where(np.isnan(out) & zero, -np.inf, out)
+        if not log_space:
+            out = np.exp(out)
+    return np.where(a == b, a, out)
+
+
+def log_add_tolerance(log_mean, gamma):
+    """Two ulps of a log-add ``max(u, v) + log1p(exp(-|u - v|))``, for a
+    power mean whose log is ``log_mean``: ulps of the log-add's value
+    ``gamma * log_mean`` or of ``ln 2``, the most its log1p term adds,
+    whichever is larger, carried through the division by ``gamma``, plus one
+    rounding of that division."""
+    log_add = np.abs(gamma * log_mean)
+    return (2.0 * np.maximum(np.spacing(log_add), np.spacing(math.log(2.0)))
+            / abs(gamma) + np.spacing(np.abs(log_mean)))

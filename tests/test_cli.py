@@ -448,6 +448,46 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines() == ["error: --workers must be at least 1"]
 
+    def test_sample_count_above_the_cap_is_usage_error(self, capsys, tmp_path):
+        # refused before the input files are read, so no sampling starts:
+        # these paths do not exist
+        missing = str(tmp_path / "missing.json")
+        for samples in ("1000000001", str(10 ** 300)):
+            code, out, err = run_cli(capsys, "compute", "--div", "js", "--gaussian",
+                                     "--p1", missing, "--p2", missing,
+                                     "--samples", samples)
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == ["error: --samples must be at most 1000000000"]
+
+    @pytest.mark.parametrize("depth", [900, 100_000])
+    @pytest.mark.parametrize("entry", ["discrete", "gaussian", "gaussian-mu", "sweep"])
+    def test_deeply_nested_json_is_usage_error(self, capsys, tmp_path, entry, depth):
+        # past the parser's recursion limit (100,000) or only past the array
+        # reader's (900): one error line either way, never a RecursionError
+        nested = "[" * depth + "]" * depth
+        path = tmp_path / "nested.json"
+        if entry == "gaussian-mu":
+            path.write_text('{"mu": ' + nested + ', "sigma": [[1.0]]}')
+        else:
+            path.write_text(nested)
+        valid = tmp_path / "valid.json"
+        if entry == "sweep":
+            argv = ["sweep", str(path)]
+        elif entry == "discrete":
+            valid.write_text("[0.5, 0.5]")
+            argv = ["compute", "--div", "js", "--p1", str(path), "--p2", str(valid)]
+        else:
+            valid.write_text(json.dumps({"mu": [0.0], "sigma": [[1.0]]}))
+            argv = ["compute", "--div", "kl", "--gaussian", "--p1", str(path),
+                    "--p2", str(valid)]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if depth == 100_000 and entry != "gaussian-mu":
+            assert err.splitlines() == [f"error: {path}: JSON nested too deeply"]
+
     def test_monte_carlo_extended_in_bits_is_usage_error(self, capsys,
                                                          gaussian_files):
         # one estimate sums the log and mass terms; only the log part may
@@ -635,6 +675,33 @@ class TestSweep:
                  "error: alpha must lie in (0, 1), got 1.5"),
                 ({**base, "inputs": {**inputs, "p1": {"a": 1}}},
                  "error: sweep inputs 'p1' must be an array of numbers")):
+            spec.write_text(json.dumps(payload))
+            code, out, err = run_cli(capsys, "sweep", str(spec))
+            assert code == 2
+            assert out == ""
+            assert err.splitlines() == [message]
+
+    def test_sample_counts_are_whole_and_capped(self, capsys, tmp_path):
+        # refused while the spec is read: no row of the refused size runs
+        spec = tmp_path / "sweep.json"
+        inputs = {"kind": "gaussian", "p1": {"mu": [0.0], "sigma": [[1.0]]},
+                  "p2": {"mu": [1.0], "sigma": [[1.0]]}}
+        base = {"parameter": "samples", "target": "estimate_z", "inputs": inputs}
+        whole = "error: sweep spec 'values' must be a list of whole numbers"
+        for payload, message in (
+                ({**base, "values": [100, 2.5]}, whole),
+                ({**base, "values": [math.inf]}, whole),
+                ({**base, "values": [1e300]},
+                 "error: sweep spec 'values' must be at most 1000000000"),
+                ({**base, "values": [10 ** 400]},
+                 "error: sweep spec 'values' must be at most 1000000000"),
+                ({**base, "values": [100], "estimator": {"samples": 1e300}},
+                 "error: sweep spec 'estimator.samples' must be at most 1000000000"),
+                ({**base, "values": [100], "estimator": {"chunk_size": 2.5}},
+                 "error: sweep spec 'estimator.chunk_size' must be a whole number"),
+                ({**base, "parameter": "gamma", "target": "gamma_divergence",
+                  "values": [1e-2], "estimator": {"samples": 10 ** 10}},
+                 "error: sweep spec 'estimator.samples' must be at most 1000000000")):
             spec.write_text(json.dumps(payload))
             code, out, err = run_cli(capsys, "sweep", str(spec))
             assert code == 2

@@ -96,6 +96,21 @@ class TestConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(samples=10, seed=-1)
 
+    @pytest.mark.parametrize("fields", [
+        {"samples": 2.5}, {"samples": 2.0}, {"samples": "3"},
+        {"samples": 10, "chunk_size": 2.5}, {"samples": 10, "chunk_size": 1e300}],
+        ids=["samples-2.5", "samples-2.0", "samples-str", "chunk-2.5", "chunk-1e300"])
+    def test_counts_must_be_integers(self, fields):
+        # read through operator.index: no float is a count, whole or not
+        with pytest.raises(TypeError):
+            EstimatorConfig(**fields)
+
+    def test_integer_counts_are_kept_as_int(self):
+        cfg = EstimatorConfig(samples=np.int64(12), chunk_size=np.uint32(5))
+        assert (cfg.samples, cfg.chunk_size) == (12, 5)
+        assert type(cfg.samples) is int and type(cfg.chunk_size) is int
+        assert dataclasses.replace(cfg, samples=np.int16(3)).samples == 3
+
 
 class TestEstimateZ:
     def test_identical_densities_exact_one(self):

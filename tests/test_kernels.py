@@ -15,9 +15,11 @@ within the terms' rounding plus the summation's own error bound.  Inputs
 mix exact zeros, subnormals, 1e-300 and 1e300 masses and near-equal pairs
 into arrays of up to 1e4 entries; a grid of edge values, inf, NaN and
 negatives included, is checked whole and pair by pair, where a one-element
-sum must be the term.  ``gauss_kronrod`` has no scipy namesake to mirror;
-its rule is checked against ``leggauss`` and polynomial exactness, and its
-integrals against closed forms.
+sum must be the term.  ``power_mean`` has no scipy namesake: it is checked
+against the whole-array numpy form it replaced
+(``oracles.per_entry_power_mean``).  Nor has ``gauss_kronrod``; its rule is
+checked against ``leggauss`` and polynomial exactness, and its integrals
+against closed forms.
 """
 
 import functools
@@ -31,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from geojsd import _kernels
 
 REL = 1e-15
@@ -293,6 +296,140 @@ class TestSumXLogRatio:
         empty = np.array([])
         assert _kernels.sum_x_log_ratio(empty, empty) == 0.0
         assert _kernels.sum_x_log_ratio_to_midpoint(empty, empty) == (0.0, 0.0)
+
+
+# (alpha, gamma) of the means the power-mean kernel runs: geometric (gamma
+# 0), power, and the arithmetic mean of logs (gamma 1).  No alpha is 1/2,
+# so weights given to the wrong argument would show.
+GEOMETRIC_PARAMS = [(0.3, 0.0), (0.8, 0.0)]
+LOG_ADD_PARAMS = [(0.3, 1.0), (0.8, 1.0), (0.3, -0.5), (0.8, -2.0), (0.7, 0.5),
+                  (0.3, 2.0), (0.7, 3.0), (0.3, 50.0), (0.8, -1e-8), (0.3, 1e-8)]
+# one block, its edges, and a ragged last block
+MEAN_SIZES = [1, 8, 8191, 8192, 8193, 3 * 8192 + 5]
+# masses at which a mean takes a limit or its logs are infinite or NaN
+MEAN_EDGES = [0.0, 5e-324, 1e-300, 1e300, np.inf, np.nan]
+
+
+def mean_pair(n: int, seed: int, log_space: bool):
+    """Masses over 600 decades, with edge values, equal pairs and pairs a
+    few ulps apart mixed in; in ``log_space``, their logs, some scaled by 10
+    as the log-densities of deep tails are."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.choice([-300, -20, 0, 0, 0, 20, 300], n)
+    x, y = rng.random(n) * scale, rng.random(n) * scale
+    for a in (x, y):
+        hit = rng.random(n) < 0.05
+        a[hit] = rng.choice(MEAN_EDGES, int(hit.sum()))
+    near = rng.random(n) < 0.1
+    y[near] = x[near] * (1.0 + rng.integers(-3, 4, int(near.sum())) * 2.0 ** -52)
+    same = rng.random(n) < 0.05
+    y[same] = x[same]
+    if not log_space:
+        return x, y
+    stretch = rng.choice([1.0, 1.0, 10.0], n)
+    with np.errstate(divide="ignore"):
+        return np.log(x) * stretch, np.log(y) * stretch
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def assert_within_log_add_ulps(ours, ref, gamma, log_space):
+    """NaN and infinities where the reference has them; finite logs within
+    :func:`oracles.log_add_tolerance`, and finite values within that
+    tolerance of their log, relative, plus two steps of the float grid."""
+    assert_patterns_equal(ours, ref, zeros=log_space)
+    finite = np.isfinite(ref)
+    ours, ref = ours[finite], ref[finite]
+    if log_space:
+        bound = oracles.log_add_tolerance(ref, gamma)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):  # log 0, ulps of inf
+            relative = oracles.log_add_tolerance(np.log(ref), gamma)
+        bound = np.where(ref > 0.0, 1.01 * ref * relative, 0.0) + 2 * np.spacing(ref)
+    assert np.all(np.abs(ours - ref) <= bound)
+
+
+class TestPowerMean:
+    """``power_mean`` against the whole-array form it replaced
+    (:func:`oracles.per_entry_power_mean`): the geometric mean bit for bit,
+    the log-add kinds within two ulps of ``np.logaddexp``'s log-add and
+    equal to it where an argument meets a limit."""
+
+    @pytest.mark.parametrize("n", MEAN_SIZES)
+    @pytest.mark.parametrize("log_space", [False, True], ids=["values", "logs"])
+    def test_geometric_keeps_the_per_entry_bits(self, n, log_space):
+        x, y = mean_pair(n, n, log_space)
+        for alpha, gamma in GEOMETRIC_PARAMS:
+            ours = _kernels.power_mean(x, y, alpha, gamma, log_space)
+            ref = oracles.per_entry_power_mean(alpha, gamma, x, y, log_space)
+            assert hexes(ours) == hexes(ref)
+
+    @pytest.mark.parametrize("n", MEAN_SIZES)
+    @pytest.mark.parametrize("log_space", [False, True], ids=["values", "logs"])
+    def test_log_add_within_two_ulp_of_logaddexp(self, n, log_space):
+        x, y = mean_pair(n, n, log_space)
+        for alpha, gamma in LOG_ADD_PARAMS:
+            ours = _kernels.power_mean(x, y, alpha, gamma, log_space)
+            ref = oracles.per_entry_power_mean(alpha, gamma, x, y, log_space)
+            assert_within_log_add_ulps(ours, ref, gamma, log_space)
+
+    @pytest.mark.parametrize("log_space", [False, True], ids=["values", "logs"])
+    def test_edge_grid_matches_the_per_entry_form(self, log_space):
+        # every pair of edge masses and 1, and in log space of their logs
+        # and logs so large that gamma times them overflows: a log-add there
+        # has an infinite term, or one below the other's last bit, so it is
+        # exact; a power below |gamma| = 1e-8 is no such edge and is left out
+        grid = MEAN_EDGES + [1.0]
+        if log_space:
+            with np.errstate(divide="ignore"):
+                grid = list(np.log(grid)) + [-1e300, 1e300, 1e308, 1.7e308, -1.7e308]
+        x, y = (a.ravel() for a in np.meshgrid(grid, grid))
+        for alpha, gamma in GEOMETRIC_PARAMS + LOG_ADD_PARAMS:
+            if abs(gamma) < 0.5:
+                continue
+            ours = _kernels.power_mean(x, y, alpha, gamma, log_space)
+            ref = oracles.per_entry_power_mean(alpha, gamma, x, y, log_space)
+            assert hexes(ours) == hexes(ref), (alpha, gamma)
+            assert hexes(ours) == [hexes(_kernels.power_mean(
+                x[i:i + 1], y[i:i + 1], alpha, gamma, log_space))[0]
+                for i in range(x.size)]
+
+    @pytest.mark.parametrize("log_space", [False, True], ids=["values", "logs"])
+    def test_entries_do_not_depend_on_their_place_in_a_block(self, log_space):
+        # slices that start 1 to 8 entries in, single entries, and a copy
+        # whose first entry is not 16-byte aligned give each entry the bits
+        # it has in the whole array
+        n = 3 * 8192 + 5
+        x, y = mean_pair(n, 1, log_space)
+        buffer = np.empty(n + 1)
+        unaligned = buffer[1:]
+        unaligned[:] = x
+        def bits(a, b):
+            return _kernels.power_mean(a, b, alpha, gamma, log_space).view(np.int64)
+
+        for alpha, gamma in GEOMETRIC_PARAMS + LOG_ADD_PARAMS:
+            whole = bits(x, y)
+            for start in range(1, 9):
+                np.testing.assert_array_equal(bits(x[start:], y[start:]), whole[start:])
+            np.testing.assert_array_equal(
+                [bits(x[i:i + 1], y[i:i + 1])[0] for i in range(0, n, 97)], whole[::97])
+            np.testing.assert_array_equal(bits(unaligned, y), whole)
+
+    def test_equal_arguments_are_exact_at_every_size(self):
+        for n in MEAN_SIZES:
+            x, _ = mean_pair(n, n, log_space=False)
+            for alpha, gamma in GEOMETRIC_PARAMS + LOG_ADD_PARAMS:
+                for log_space in (False, True):
+                    got = _kernels.power_mean(x, x, alpha, gamma, log_space)
+                    np.testing.assert_array_equal(got, x)  # NaN where x is NaN
+
+    def test_shapes_must_match_and_empty_is_empty(self):
+        with pytest.raises(ValueError, match="shapes"):
+            _kernels.power_mean(np.ones(8193), np.ones(8192), 0.3, -0.5, False)
+        empty = _kernels.power_mean(np.array([]), np.array([]), 0.3, 2.0, True)
+        assert empty.shape == (0,)
 
 
 log_values = st.one_of(

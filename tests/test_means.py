@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from geojsd import InvalidAlpha, MeanKind, MeanSpec, NonPositiveInput
 from geojsd.means import evaluate, log_evaluate, power_limit_check
 
@@ -363,10 +365,122 @@ def test_parse_rejects_bad_descriptors(text, message):
 
 @pytest.mark.parametrize("spec", ALL_KINDS, ids=lambda s: s.label)
 def test_log_evaluate_consistency(spec, rng):
-    a = rng.uniform(1e-4, 1e4, 64)
-    b = rng.uniform(1e-4, 1e4, 64)
-    via_log = np.exp(log_evaluate(spec, np.log(a), np.log(b)))
-    np.testing.assert_allclose(via_log, evaluate(spec, a, b), rtol=1e-12)
+    # within one block, at its edges and over several
+    for n in (64, 1, 8191, 8192, 8193, 3 * 8192 + 5):
+        a = rng.uniform(1e-4, 1e4, n)
+        b = rng.uniform(1e-4, 1e4, n)
+        via_log = np.exp(log_evaluate(spec, np.log(a), np.log(b)))
+        np.testing.assert_allclose(via_log, evaluate(spec, a, b), rtol=1e-12)
+
+
+# every geometric, power and arithmetic spec that the blocked kernel runs,
+# none at alpha = 1/2, so weights given to the wrong argument would show
+KERNEL_SPECS = [MeanSpec.geometric(0.3), MeanSpec.geometric(0.8),
+                MeanSpec.power(-2.0, 0.8), MeanSpec.power(-0.5, 0.3),
+                MeanSpec.power(0.5, 0.7), MeanSpec.power(3.0, 0.3),
+                MeanSpec.arithmetic(0.3), MeanSpec.arithmetic(0.8)]
+# one block of 8192 entries, its edges, and a ragged last block
+BLOCK_SIZES = [1, 8, 8191, 8192, 8193, 3 * 8192 + 5]
+EDGE_MASSES = [0.0, 5e-324, 1e-300, 1e300]
+
+
+def kernel_exponent(spec):
+    return {MeanKind.GEOMETRIC: 0.0, MeanKind.ARITHMETIC: 1.0}.get(spec.kind, spec.gamma)
+
+
+def block_pair(n, seed):
+    """Uniform masses with zeros, 5e-324, 1e-300 and 1e300 masses, equal
+    pairs and pairs one ulp apart mixed in."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.random(n), rng.random(n)
+    a[::5] = rng.choice(EDGE_MASSES, a[::5].size)
+    b[2::7] = rng.choice(EDGE_MASSES, b[2::7].size)
+    b[3::9] = a[3::9]
+    b[4::13] = np.nextafter(a[4::13], np.inf)
+    return a, b
+
+
+@pytest.mark.parametrize("n", BLOCK_SIZES)
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"{s.label}@{s.alpha}")
+def test_kernel_means_follow_the_per_entry_form(spec, n):
+    # in log space the geometric mean keeps the bits of the whole-array
+    # form and the log-add kinds lie within two ulps of np.logaddexp's;
+    # evaluate is exp of log_evaluate wherever the two logs differ
+    a, b = block_pair(n, n)
+    with np.errstate(divide="ignore"):
+        la, lb = np.log(a), np.log(b)
+    gamma = kernel_exponent(spec)
+    got = log_evaluate(spec, la, lb)
+    want = oracles.per_entry_power_mean(spec.alpha, gamma, la, lb, log_space=True)
+    if spec.kind is MeanKind.GEOMETRIC:
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    else:
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        finite = np.isfinite(want)
+        assert np.all(np.abs(got[finite] - want[finite])
+                      <= oracles.log_add_tolerance(want[finite], gamma))
+    if spec.kind is MeanKind.ARITHMETIC:
+        return  # evaluate takes the arithmetic mean directly
+    values = evaluate(spec, a, b)
+    if spec.kind is MeanKind.GEOMETRIC:
+        want = oracles.per_entry_power_mean(spec.alpha, gamma, a, b, log_space=False)
+        assert [v.hex() for v in values] == [v.hex() for v in want]
+    apart = la != lb
+    np.testing.assert_array_equal(values[apart], np.exp(got[apart]))
+    np.testing.assert_array_equal(values[a == b], a[a == b])
+
+
+@pytest.mark.parametrize("spec", KERNEL_SPECS, ids=lambda s: f"{s.label}@{s.alpha}")
+def test_negative_argument_in_any_block_is_refused(spec):
+    a, b = block_pair(3 * 8192 + 5, 0)
+    for where in (a, b):
+        kept = where[-1]
+        where[-1] = -1e-300
+        with pytest.raises(NonPositiveInput):
+            evaluate(spec, a, b)
+        where[-1] = kept
+
+
+def test_kernel_means_keep_shapes_and_broadcast():
+    a = np.array([[1.0, 4.0], [0.0, 9.0]])
+    for spec in KERNEL_SPECS[:6]:
+        grid = evaluate(spec, a, a.T)
+        assert grid.shape == (2, 2)
+        assert grid[0, 1] == evaluate(spec, 4.0, 0.0)
+        np.testing.assert_array_equal(evaluate(spec, a, 2.0),
+                                      [[evaluate(spec, x, 2.0) for x in row] for row in a])
+        assert type(evaluate(spec, 1.0, 4.0)) is float
+        assert type(log_evaluate(spec, 0.0, 1.0)) is float
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestKernelAllocations:
+    """The kernel works a block at a time: only its result is support-sized."""
+
+    N = 1_000_000
+
+    @pytest.fixture(scope="class")
+    def big_pair(self):
+        rng = np.random.default_rng(7)
+        return rng.random(self.N), rng.random(self.N)
+
+    @pytest.mark.parametrize("spec", KERNEL_SPECS[::2], ids=lambda s: s.label)
+    def test_peak_is_one_result_array(self, big_pair, spec):
+        a, b = big_pair
+        la, lb = np.log(a), np.log(b)
+        bound = 8 * self.N + 8 * self.N // 4
+        assert traced_peak(lambda: log_evaluate(spec, la, lb)) < bound
+        if spec.kind is not MeanKind.ARITHMETIC:
+            assert traced_peak(lambda: evaluate(spec, a, b)) < bound
 
 
 def test_log_evaluate_handles_neg_inf():
