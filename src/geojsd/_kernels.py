@@ -14,7 +14,10 @@ block kernel, ``power_mean``, forms the weighted geometric and power means
 argument's log once and the log-add as ``max(u, v) + log1p(exp(-|u - v|))``
 with vector ``exp`` and ``log1p``: the geometric mean keeps the bits of its
 per-entry form, and the log-add kinds are within about 2 ulp of
-``np.logaddexp``'s, whose scalar loop costs many times more.  The two
+``np.logaddexp``'s, whose scalar loop costs many times more.  Two row
+kernels, ``gaussian_rows`` and ``gaussian_log_rows``, draw and evaluate a
+d-variate Gaussian on (n, d) arrays a row block at a time, with the bits of
+the whole-array matmul forms.  The two
 solves take the lower Cholesky factor ``L`` that :mod:`geojsd.gaussian`
 keeps.  ``gauss_kronrod`` is QUADPACK's globally adaptive Gauss-Kronrod
 10/21 rule, the rule behind ``scipy.integrate.quad``, with each refinement
@@ -37,6 +40,12 @@ _TINY = np.finfo(float).tiny
 # stay in cache and below malloc's mmap threshold: fresh 8 MB temporaries
 # cost page faults on every call.
 _BLOCK = 8192
+
+# The Gaussian row kernels take (n, d) arrays in blocks of about this many
+# entries (128 KB): fresh chunk-sized temporaries (2 MB at 32k draws, d = 8)
+# cost a page fault per 4 KB page on every call, and much smaller blocks
+# add per-block calls.
+_ROW_ENTRIES = 16384
 
 
 def _scratch(size: int) -> tuple[np.ndarray, ...]:
@@ -232,6 +241,68 @@ def power_mean(a, b, alpha: float, gamma: float, log_space: bool) -> np.ndarray:
                 np.exp(o, out=o)
             # idempotence is definitional: M(a, a) = a without rounding drift
             np.copyto(o, x, where=np.equal(x, y, out=same))
+    return out
+
+
+def _row_blocks(n: int, d: int) -> tuple[list[slice], int]:
+    """Row slices of an (n, d) array, ``_ROW_ENTRIES // d`` rows each but
+    the last, which takes the remainder too; and the largest block's rows.
+
+    No block has fewer rows than a full one unless it is the only one: a
+    one-row or few-row block goes through another BLAS path (``gemv``, or a
+    small-matrix kernel) than the whole array's ``gemm``, and rounds
+    otherwise.
+    """
+    rows = max(1, _ROW_ENTRIES // d)
+    bounds = [rows * i for i in range(max(1, n // rows))] + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])], n - bounds[-2]
+
+
+def gaussian_rows(rng: np.random.Generator, n: int, chol: np.ndarray,
+                  mu: np.ndarray) -> np.ndarray:
+    """``n`` draws of ``N(mu, L L')`` as an (n, d) array, ``L`` lower triangular.
+
+    The bits of ``rng.standard_normal((n, d)) @ L.T + mu``, and the same
+    stream: each row block is drawn into one block of scratch, mapped by
+    ``L'`` into the result and shifted by ``mu`` there, so the result is
+    the one (n, d) array.
+    """
+    d = mu.size
+    out = np.empty((n, d))
+    blocks, size = _row_blocks(n, d)
+    z = np.empty((size, d))
+    chol_t = chol.T
+    for rows in blocks:
+        block = out[rows]
+        w = z[:len(block)]
+        rng.standard_normal(out=w)
+        np.matmul(w, chol_t, out=block)
+        block += mu
+    return out
+
+
+def gaussian_log_rows(x, mu: np.ndarray, inv_chol_t: np.ndarray,
+                      log_norm: float) -> np.ndarray:
+    """``log_norm - 0.5 |(x - mu) L^-T|^2`` for each row of ``x`` (a 1-D
+    ``x`` is one point), from ``L^-T`` and the log normalizer.
+
+    The bits of the whole-array form, ``z = (x - mu) @ L^-T`` and then
+    ``log_norm - 0.5 * einsum("ij,ij->i", z, z)``, one row block at a time
+    in two blocks of scratch, so the result is the one length-n array.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    n, d = len(x), mu.size
+    out = np.empty(n)
+    blocks, size = _row_blocks(n, d)
+    diff, z = np.empty((size, d)), np.empty((size, d))
+    for rows in blocks:
+        k = rows.stop - rows.start
+        np.subtract(x[rows], mu, out=diff[:k])
+        np.matmul(diff[:k], inv_chol_t, out=z[:k])
+        np.einsum("ij,ij->i", z[:k], z[:k], out=out[rows])
+    # log_norm + (-0.5 q) has the bits of log_norm - 0.5 q
+    out *= -0.5
+    out += log_norm
     return out
 
 

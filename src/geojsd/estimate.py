@@ -20,7 +20,11 @@ cancellation.
 Proposal contract: every Monte Carlo estimator, the gamma route included,
 runs one chunk body, which raises :class:`ProposalSupportViolation` where
 the proposal (``proposal=``, or else the first density) has a log-density
-that is not finite at one of its own draws.
+that is not finite at one of its own draws.  The chunk body evaluates each
+distinct density object once; a mixture (:func:`arithmetic_mixture_proposal`,
+or the M-mixture of :func:`js_m_gamma`) takes its log-density from the
+values of its components, so a component that is also an argument is not
+called again.
 
 Everything runs in log space: mixture means of density values are taken via
 :func:`geojsd.means.log_evaluate` and the gamma-divergence moment integrals
@@ -31,13 +35,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import means
-from ._kernels import gauss_kronrod, logsumexp, solve_lower
+from ._kernels import (gauss_kronrod, gaussian_log_rows, gaussian_rows, logsumexp,
+                       solve_lower)
 from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
 from .expfam import ExpFamily, ExpFamilyDensity, _as_theta, _cumulant_at
@@ -101,9 +106,13 @@ class SampledDensity:
 def gaussian_sampled(g: GaussianParams) -> SampledDensity:
     """A multivariate Gaussian as a samplable density (1-D draws stay flat).
 
-    At d > 1 the inverse Cholesky factor ``L^-1`` is computed once, here, so
-    ``log_density`` whitens a batch of points with one matmul,
-    ``(x - mu) @ L^-T``, and takes the quadratic form as a row dot.
+    At d > 1 the inverse Cholesky factor ``L^-1`` is computed once, here.
+    The sampler and ``log_density`` are the row kernels
+    :func:`geojsd._kernels.gaussian_rows` and
+    :func:`geojsd._kernels.gaussian_log_rows`: a batch of points is drawn
+    (``standard_normal @ L' + mu``) or whitened (``(x - mu) @ L^-T``, then
+    the quadratic form as a row dot) one row block at a time, in scratch of
+    about 16k entries, with the bits of the whole-array expressions.
     """
     mu = g.mu
     d = g.dim
@@ -126,11 +135,10 @@ def gaussian_sampled(g: GaussianParams) -> SampledDensity:
     inv_chol_t = solve_lower(chol, np.eye(d)).T
 
     def log_density(x: np.ndarray) -> np.ndarray:
-        z = (np.atleast_2d(np.asarray(x, dtype=float)) - mu) @ inv_chol_t
-        return log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
+        return gaussian_log_rows(x, mu, inv_chol_t, log_norm)
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.standard_normal((n, d)) @ chol.T + mu
+        return gaussian_rows(rng, n, chol, mu)
 
     return SampledDensity(log_density, sampler)
 
@@ -150,30 +158,58 @@ def categorical_sampled(p: DiscreteDensity) -> SampledDensity:
     return SampledDensity(log_density, sampler)
 
 
+@dataclass(frozen=True, eq=False)
+class _Mixture(SampledDensity):
+    """The M-mixture ``M(first, second)`` of two densities, made by
+    :func:`_mixture`: its ``log_density`` is ``log_evaluate(mean,
+    first.log_density(x), second.log_density(x))``, and a Monte Carlo chunk
+    forms that from the components' values it already holds."""
+
+    mean: MeanSpec = field(kw_only=True)
+    parts: tuple[SampledDensity, SampledDensity] = field(kw_only=True)
+
+
+def _mixture(m: MeanSpec, first: SampledDensity, second: SampledDensity,
+             sampler: Callable | None = None) -> _Mixture:
+    def log_density(x: np.ndarray) -> np.ndarray:
+        return np.asarray(means.log_evaluate(m, first.log_density(x),
+                                             second.log_density(x)))
+
+    return _Mixture(log_density, sampler, mean=m, parts=(first, second))
+
+
 def arithmetic_mixture_proposal(d1: SampledDensity, d2: SampledDensity) -> SampledDensity:
     """The balanced two-component mixture (d1 + d2)/2 as a proposal.
 
-    Its log-density is computed through the same expression as the balanced
-    arithmetic mean of the component densities, so a Z estimator matched to
-    this proposal has exactly zero variance.
+    Its log-density is the balanced arithmetic mean of the component
+    log-densities, through :func:`geojsd.means.log_evaluate`, so a Z
+    estimator matched to this proposal has exactly zero variance; in a
+    Monte Carlo chunk it is formed from the components' values at the draws,
+    with no further component call.  The sampler draws ``n`` labels
+    (``rng.random(n) < 0.5`` picks d1), then the ``k`` points labelled d1
+    from ``d1.sampler`` and the ``n - k`` others from ``d2.sampler``, and
+    puts each at its label's place: ``n`` i.i.d. draws in all, and a
+    component with no label is not called.
     """
     if d1.sampler is None or d2.sampler is None:
         raise ValueError("both components must be samplable")
-    balanced = MeanSpec.arithmetic()
-
-    def log_density(x: np.ndarray) -> np.ndarray:
-        return np.asarray(means.log_evaluate(balanced, d1.log_density(x),
-                                             d2.log_density(x)))
 
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        pick_first = rng.random(n) < 0.5
-        x1 = d1.sampler(rng, n)
-        x2 = d2.sampler(rng, n)
-        if x1.ndim > 1:
-            pick_first = pick_first[:, None]
-        return np.where(pick_first, x1, x2)
+        first = rng.random(n) < 0.5
+        out = None
+        for component, picked in ((d1, first), (d2, ~first)):
+            count = int(np.count_nonzero(picked))
+            if count == 0 and n > 0:     # n = 0: d1 gives the empty shape
+                continue
+            draws = np.asarray(component.sampler(rng, count))
+            if out is None:
+                out = np.empty((n,) + draws.shape[1:], dtype=draws.dtype)
+            # by index: a mask of random labels scatters several times slower
+            out[np.flatnonzero(picked)] = draws
+            del draws       # freed before the second component draws
+        return out
 
-    return SampledDensity(log_density, sampler)
+    return _mixture(MeanSpec.arithmetic(), d1, d2, sampler)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +228,21 @@ def _chunks(cfg: EstimatorConfig) -> list[tuple[int, int]]:
     return out
 
 
+def _log_density_once(q: SampledDensity, x: np.ndarray,
+                      memo: dict[int, np.ndarray]) -> np.ndarray:
+    """``q``'s log-density at ``x``, computed once per ``memo``, which is
+    keyed by object identity; a mixture's is formed from its components'."""
+    value = memo.get(id(q))
+    if value is None:
+        if isinstance(q, _Mixture):
+            value = means.log_evaluate(q.mean, *(_log_density_once(c, x, memo)
+                                                 for c in q.parts))
+        else:
+            value = q.log_density(x)
+        value = memo[id(q)] = np.asarray(value, dtype=float)
+    return value
+
+
 def _map_chunks(cfg: EstimatorConfig, p1: SampledDensity, p2: SampledDensity,
                 proposal: SampledDensity | None, term: Callable[..., tuple],
                 workers: int) -> list[tuple]:
@@ -199,11 +250,12 @@ def _map_chunks(cfg: EstimatorConfig, p1: SampledDensity, p2: SampledDensity,
 
     Each chunk draws from the proposal r: ``proposal``, or ``p1`` when it is
     ``None``.  ``l1``, ``l2`` and ``log_r`` are the log-densities of ``p1``,
-    ``p2`` and r at the draws.
-    Each is evaluated once per chunk: when r is ``p1`` (or ``p2``),
-    ``log_r`` is ``l1`` (or ``l2``) itself, the same array.  This is the one
-    place the proposal is checked: a ``log_r`` that is not finite at one of
-    r's own draws raises :class:`ProposalSupportViolation`.
+    ``p2`` and r at the draws.  Each distinct density object is evaluated
+    once per chunk, through a memo keyed by identity: when r is ``p1`` (or
+    ``p2``), ``log_r`` is ``l1`` (or ``l2``) itself, the same array, and a
+    mixture is ``means.log_evaluate`` of its components' memoized values.
+    This is the one place the proposal is checked: a ``log_r`` that is not
+    finite at one of r's own draws raises :class:`ProposalSupportViolation`.
 
     Chunk k draws from ``SeedSequence(seed, spawn_key=(k,))``, the k-th
     child that ``SeedSequence(seed).spawn`` hands out, so the streams of
@@ -216,10 +268,8 @@ def _map_chunks(cfg: EstimatorConfig, p1: SampledDensity, p2: SampledDensity,
     def one_chunk(k: int, n: int) -> tuple:
         stream = np.random.SeedSequence(cfg.seed, spawn_key=(k,))
         x = r.sampler(np.random.default_rng(stream), n)
-        l1 = np.asarray(p1.log_density(x), dtype=float)
-        l2 = np.asarray(p2.log_density(x), dtype=float)
-        log_r = (l1 if r is p1 else l2 if r is p2
-                 else np.asarray(r.log_density(x), dtype=float))
+        memo: dict[int, np.ndarray] = {}
+        l1, l2, log_r = (_log_density_once(q, x, memo) for q in (p1, p2, r))
         if not np.isfinite(log_r).all():
             raise ProposalSupportViolation(
                 "proposal log-density is not finite at one of its own draws"
@@ -517,11 +567,9 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
         # the geometric mixture is in-family; its scale drops by projectivity
         mix = ExpFamilyDensity(fam, m.alpha * t1 + (1.0 - m.alpha) * t2)
     else:
-        def mix_log_density(x: np.ndarray) -> np.ndarray:
-            return np.asarray(means.log_evaluate(m, p1.log_density(x),
-                                                 p2.log_density(x)))
-
-        mix = SampledDensity(mix_log_density)
+        # on Monte Carlo, each half's chunks form the mixture from the
+        # values of p1 and p2 they hold: one call per argument per chunk
+        mix = _mixture(m, p1, p2)
         if route == "monte_carlo":
             first = gamma_divergence(p1, mix, gamma, route, cfg=cfg,
                                      proposal=proposal, workers=workers)

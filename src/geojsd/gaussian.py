@@ -61,19 +61,26 @@ _SYMMETRY_TOL = 1e-12
 
 def _validated(vec_name: str, vec, mat_name: str,
                mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only copies of a vector and an SPD matrix, plus its lower Cholesky factor."""
+    """Read-only copies of a vector and an SPD matrix, plus its lower Cholesky factor.
+
+    A wrong shape is an input error (:class:`InvalidDensity`); a matrix that
+    is not symmetric or not positive-definite is a mathematical one
+    (:class:`NotPositiveDefinite`).
+    """
     vec = np.array(vec, dtype=float, ndmin=1)
     mat = np.asarray(mat, dtype=float)
+    if vec.ndim != 1:
+        raise InvalidDensity(f"{vec_name} must be a vector")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise NotPositiveDefinite(f"{mat_name} must be a square matrix")
+        raise InvalidDensity(f"{mat_name} must be a square matrix")
+    if mat.shape != (vec.size, vec.size):
+        raise InvalidDensity(f"{vec_name} and {mat_name} dimensions do not match")
     if not (np.isfinite(vec).all() and np.isfinite(mat).all()):
         raise InvalidDensity(f"{vec_name} and {mat_name} must be finite")
     scale = max(1.0, float(np.abs(mat).max()))
     if float(np.abs(mat - mat.T).max()) > _SYMMETRY_TOL * scale:
         raise NotPositiveDefinite(f"{mat_name} is not symmetric")
     mat = 0.5 * (mat + mat.T)
-    if vec.ndim != 1 or mat.shape != (vec.size, vec.size):
-        raise NotPositiveDefinite(f"{vec_name} and {mat_name} dimensions do not match")
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:

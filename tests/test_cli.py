@@ -437,6 +437,23 @@ class TestExitCodes:
         assert out == ""
         assert err.splitlines() == ["error: dimension mismatch: 1 vs 2"]
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"mu": [[0.0]], "sigma": [[1.0]]}, "mu must be a vector"),
+        ({"mu": [0.0, 0.0], "sigma": [[1.0, 0.0]]}, "sigma must be a square matrix"),
+        ({"mu": [0.0, 0.0, 0.0], "sigma": [[1.0, 0.0], [0.0, 1.0]]},
+         "mu and sigma dimensions do not match"),
+    ])
+    def test_gaussian_of_wrong_shape_is_usage_error(self, capsys, tmp_path,
+                                                    gaussian_files, payload,
+                                                    message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        code, out, err = run_cli(capsys, "compute", "--div", "gjsd", "--gaussian",
+                                 "--p1", str(bad), "--p2", gaussian_files[1])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {message}"]
+
     @pytest.mark.parametrize("workers", ["0", "-4"])
     def test_workers_below_one_is_usage_error(self, capsys, gaussian_files,
                                               workers):

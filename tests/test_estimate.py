@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from geojsd import _kernels as kernels
 from geojsd import means
 from geojsd import estimate as estimate_module
 from geojsd import (
@@ -384,16 +386,133 @@ class TestGaussianWhitening:
             np.testing.assert_allclose(got, expected, rtol=self.RTOL, atol=0.0)
 
 
+class TestGaussianRowKernels:
+    """The d > 1 sampler and log-density run in row blocks with the bits of
+    the whole-array expressions, and leave no chunk-sized temporaries."""
+
+    @staticmethod
+    def density(d):
+        g = random_gaussian(np.random.default_rng([17, d]), d)
+        return g, gaussian_sampled(g)
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    def test_blocks_keep_the_bits_of_one_shot(self, d):
+        g, density = self.density(d)
+        rows = kernels._ROW_ENTRIES // d
+        inv_chol_t = np.linalg.solve(g._chol, np.eye(d)).T
+        log_norm = (-0.5 * d * math.log(2.0 * math.pi)
+                    - float(np.log(np.diag(g._chol)).sum()))
+        for n in (1, rows - 1, rows, rows + 1, 3 * rows + 5):
+            x = density.sampler(np.random.default_rng(n), n)
+            one_shot = (np.random.default_rng(n).standard_normal((n, d))
+                        @ g._chol.T + g.mu)
+            assert x.shape == (n, d)
+            assert list(map(float.hex, x.ravel())) == list(map(float.hex,
+                                                                one_shot.ravel()))
+            z = (x - g.mu) @ inv_chol_t
+            expected = log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
+            assert (list(map(float.hex, density.log_density(x)))
+                    == list(map(float.hex, expected)))
+        # a single point, given as a 1-D array (one row: another BLAS path
+        # than the same row inside a batch, in the one-shot form too)
+        z = (x[-1:] - g.mu) @ inv_chol_t
+        expected = log_norm - 0.5 * np.einsum("ij,ij->i", z, z)
+        got = density.log_density(x[-1])
+        assert got.shape == (1,)
+        assert float.hex(float(got[0])) == float.hex(float(expected[0]))
+
+    @staticmethod
+    def peak_bytes(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_chunk_sized_temporaries(self):
+        # n = 32,768 at d = 8: a 2 MiB sample and a 256 KiB log-density;
+        # the whole-array forms peaked at 4.0 MiB (log-density), 4.06 MiB
+        # (sampler) and 6.1 MiB (mixture sampler)
+        mib = 1 << 20
+        n = 32_768
+        _, density = self.density(8)
+        x, peak = self.peak_bytes(
+            lambda: density.sampler(np.random.default_rng(0), n))
+        assert peak < x.nbytes + mib
+        _, peak = self.peak_bytes(lambda: density.log_density(x))
+        assert peak < mib
+        # the mixture's result stands beside one component's draws (about
+        # half of it) and, while those are drawn, a row block of scratch
+        mixture = arithmetic_mixture_proposal(density, d8_pair()[0])
+        x, peak = self.peak_bytes(
+            lambda: mixture.sampler(np.random.default_rng(0), n))
+        assert x.shape == (n, 8)
+        assert peak < 1.5 * x.nbytes + mib // 2
+
+
+class TestMixtureSampler:
+    """The mixture proposal draws labels, then only the points each label
+    asks of its component."""
+
+    @staticmethod
+    def counting(density, counts):
+        def sampler(rng, n):
+            counts.append(n)
+            return density.sampler(rng, n)
+
+        return SampledDensity(density.log_density, sampler)
+
+    @pytest.mark.parametrize("n", [1, 2, 1000])
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_draws_exactly_n_points(self, d, n):
+        # n = 1 leaves a component with no label, and it is not called
+        g1, g2 = (GaussianParams(np.full(d, m), np.eye(d)) for m in (-5.0, 5.0))
+        counts = ([], [])
+        mixture = arithmetic_mixture_proposal(
+            *(self.counting(gaussian_sampled(g), c) for g, c in zip((g1, g2), counts)))
+        for seed in range(8):
+            del counts[0][:], counts[1][:]
+            x = mixture.sampler(np.random.default_rng(seed), n)
+            assert x.shape == ((n,) if d == 1 else (n, d))
+            assert sum(counts[0]) + sum(counts[1]) == n
+            assert 0 not in counts[0] + counts[1]
+            # each point came from the component its sign names
+            first = np.asarray(x).reshape(n, -1)[:, 0] < 0.0
+            assert counts[0] == ([int(first.sum())] if first.any() else [])
+
+    def test_draws_are_interleaved_and_balanced(self):
+        n = 100_000
+        mixture = arithmetic_mixture_proposal(
+            gaussian_sampled(GaussianParams.univariate(-5.0, 1.0)),
+            gaussian_sampled(GaussianParams.univariate(5.0, 1.0)))
+        x = mixture.sampler(np.random.default_rng(12), n)
+        for half in (x[:n // 2], x[n // 2:]):
+            assert (half < 0.0).any() and (half > 0.0).any()
+        # the share of the first component is Binomial(n, 1/2) / n
+        share = float(np.mean(x < 0.0))
+        assert abs(share - 0.5) < 5.0 * math.sqrt(0.25 / n)
+
+    def test_categorical_components(self):
+        p1 = categorical_sampled(DiscreteDensity.probability([1.0, 0.0, 0.0]))
+        p2 = categorical_sampled(DiscreteDensity.probability([0.0, 0.0, 1.0]))
+        x = arithmetic_mixture_proposal(p1, p2).sampler(np.random.default_rng(2), 64)
+        assert x.dtype.kind == "i"
+        assert set(np.unique(x)) == {0, 2}
+
+
 class TestLogDensityReuse:
     """A chunk evaluates each distinct density once: the log-density of a
     proposal that is the first argument (the default) or the second is
-    already in hand, and a distinct proposal object is evaluated apart, even
-    for the same density."""
+    already in hand, a mixture of the two arguments is formed from their
+    values, and a distinct proposal object is evaluated apart, even for the
+    same density."""
 
     SIZES = [1024] * 9 + [784]      # 10,000 samples in chunks of 1,024
     # log-density calls per chunk of the first argument, the second and a
     # distinct proposal built on the first argument's density
-    PER_CHUNK = {"default": (1, 1, 0), "distinct": (1, 1, 1), "second": (1, 1, 0)}
+    PER_CHUNK = {"default": (1, 1, 0), "distinct": (1, 1, 1), "second": (1, 1, 0),
+                 "mixture": (1, 1, 0)}
 
     @staticmethod
     def counted(density: SampledDensity, calls: list) -> SampledDensity:
@@ -422,12 +541,29 @@ class TestLogDensityReuse:
         calls = ([], [], [])
         first, second, apart = (self.counted(d, c)
                                 for d, c in zip((d1, d2, d1), calls))
-        r = {"default": None, "distinct": apart, "second": second}[proposal]
-        got = run(first, second, r)
+
+        def proposals(p1, p2, distinct):
+            return {"default": None, "distinct": distinct, "second": p2,
+                    "mixture": arithmetic_mixture_proposal(p1, p2)}[proposal]
+
+        got = run(first, second, proposals(first, second, apart))
         assert list(calls) == [[n for n in self.SIZES for _ in range(k)]
                                for k in self.PER_CHUNK[proposal]]
         # the uncounted run draws from the same proposal density
-        assert hexes(got) == hexes(run(d1, d2, d2 if proposal == "second" else None))
+        assert hexes(got) == hexes(run(d1, d2, proposals(d1, d2, None)))
+
+    def test_js_m_gamma_calls_each_argument_once_per_chunk(self):
+        # each half forms the M-mixture from the values of both arguments
+        # it already holds
+        d1, d2 = d8_pair()
+        cfg = EstimatorConfig(samples=10_000, seed=6, chunk_size=1024)
+        calls = ([], [])
+        first, second = (self.counted(d, c) for d, c in zip((d1, d2), calls))
+        power = MeanSpec.power(-0.5)
+        got = js_m_gamma(first, second, power, 0.5, "monte_carlo", cfg=cfg)
+        assert list(calls) == [self.SIZES * 2, self.SIZES * 2]
+        assert hexes(got) == hexes(js_m_gamma(d1, d2, power, 0.5, "monte_carlo",
+                                              cfg=cfg))
 
 
 class TestProposalContract:

@@ -65,8 +65,18 @@ class TestParams:
             GaussianParams(np.zeros(2), np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_rejects_dim_mismatch(self):
-        with pytest.raises(NotPositiveDefinite):
+        # a wrong shape is an input error, not a mathematical one
+        with pytest.raises(InvalidDensity, match="dimensions do not match"):
             GaussianParams(np.zeros(3), np.eye(2))
+
+    @pytest.mark.parametrize("mu, sigma, message", [
+        ([[0.0]], [[1.0]], "mu must be a vector"),
+        ([0.0, 0.0], [[1.0, 0.0]], "sigma must be a square matrix"),
+        ([0.0], [1.0], "sigma must be a square matrix"),
+    ])
+    def test_rejects_wrong_shapes(self, mu, sigma, message):
+        with pytest.raises(InvalidDensity, match=message):
+            GaussianParams(np.array(mu), np.array(sigma))
 
     def test_natural_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
