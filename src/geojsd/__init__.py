@@ -46,6 +46,7 @@ from .errors import (
     NonPositiveInput,
     NotPositiveDefinite,
     ProposalSupportViolation,
+    TooManySamples,
 )
 from .estimate import (
     EstimatorConfig,

@@ -8,7 +8,9 @@ all ``-inf`` is ``-inf``.  One block kernel computes ``x log(x/y)`` for 8192
 entries at a time in reused scratch arrays; ``sum_x_log_ratio`` and
 ``sum_x_log_ratio_to_midpoint`` sum each block with ``np.sum`` and add the
 block sums in order, so they leave no support-sized array, and at or below
-one block they give the bits of one ``np.sum`` of all the terms.  A second
+one block they give the bits of one ``np.sum`` of all the terms.
+``sum_x_log_ratio_to_mean`` gives the mixture JSDs their sums in one such
+pass, with one log per atom, of ``x1/x2``, for the power means.  A second
 block kernel, ``power_mean``, forms the weighted geometric and power means
 (and the arithmetic mean of logs) 8192 entries at a time, taking each
 argument's log once and the log-add as ``max(u, v) + log1p(exp(-|u - v|))``
@@ -55,15 +57,16 @@ def _scratch(size: int) -> tuple[np.ndarray, ...]:
             np.empty(size, dtype=bool), np.empty(size, dtype=bool))
 
 
-def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
-                       scratch: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``x log(x/y)``, plus ``y - x`` when ``extended``, with scipy's limits,
-    for 1-D ``x`` and ``y`` at most one block long; written into the scratch.
+def _log_ratio_block(x: np.ndarray, y: np.ndarray,
+                     scratch: tuple[np.ndarray, ...]
+                     ) -> tuple[np.ndarray, np.ndarray | None]:
+    """``log(x/y)`` with scipy's branches for 1-D ``x`` and ``y`` at most one
+    block long, written into the scratch; and the mask of atoms where
+    ``x > 0`` and ``y > 0``, or None when the block has no other atom.
 
     scipy's branches: ``log1p((x - y)/y)`` for ``x/y`` in (1/2, 2),
     ``log(x) - log(y)`` where ``x/y`` under- or overflows, ``log(x/y)``
-    elsewhere; ``0`` (``y`` when extended) where ``x == 0 <= y``, NaN where
-    either is NaN, ``+inf`` elsewhere.
+    elsewhere.  Outside the mask the log is not defined and is left as is.
     """
     out, step, pick, near, below = scratch
     k = x.size
@@ -91,7 +94,8 @@ def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
     # A branch-free select of log1p where near, log elsewhere: with pick
     # 0.0 or 1.0 each product is the value or a zero, so the sum is the
     # chosen value exactly.  A product is NaN only where log1p is inf,
-    # a far or out-of-domain atom, which the fix-ups below overwrite.
+    # a far or out-of-domain atom, which the fix-up below or the caller
+    # overwrites.
     np.copyto(pick, near)
     step *= pick
     np.subtract(1.0, pick, out=pick)
@@ -99,6 +103,18 @@ def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
     out += step
     if far is not None and np.count_nonzero(far):
         out[far] = np.log(x[far]) - np.log(y[far])
+    return out, inside
+
+
+def _x_log_ratio_block(x: np.ndarray, y: np.ndarray, extended: bool,
+                       scratch: tuple[np.ndarray, ...]) -> np.ndarray:
+    """``x log(x/y)``, plus ``y - x`` when ``extended``, with scipy's limits,
+    for 1-D ``x`` and ``y`` at most one block long; written into the scratch.
+
+    The log is :func:`_log_ratio_block`'s; ``0`` (``y`` when extended)
+    where ``x == 0 <= y``, NaN where either is NaN, ``+inf`` elsewhere.
+    """
+    out, inside = _log_ratio_block(x, y, scratch)
     out *= x
     if extended:
         out -= x
@@ -179,6 +195,100 @@ def sum_x_log_ratio_to_midpoint(x1, x2) -> tuple[float, float]:
 
     to_mid_1, to_mid_2 = _block_sums(x1, x2, to_midpoint)
     return to_mid_1, to_mid_2
+
+
+def _power_terms(x1: np.ndarray, x2: np.ndarray, alpha: float, gamma: float,
+                 out: tuple[np.ndarray, ...], scratch: tuple[np.ndarray, ...]
+                 ) -> np.ndarray | None:
+    """:func:`sum_x_log_ratio_to_mean`'s five terms of one block, written
+    into ``out``, for the power mean of exponent ``gamma`` (0: geometric),
+    from one log-ratio ``r = log(x1/x2)`` per atom by the closed forms in
+    README's Conventions; returns the mask of atoms with a zero argument,
+    where no term is set, or None."""
+    t1, t2, m, both, diff = out
+    r, inside = _log_ratio_block(x1, x2, scratch)
+    work, weight, ref = (s[:r.size] for s in scratch[1:4])
+    if gamma == 0.0:
+        np.multiply(r, 1.0 - alpha, out=t1)
+        np.multiply(r, -alpha, out=t2)
+    else:
+        # u = log(x_ref/m), x_ref the larger argument for gamma > 0 and the
+        # smaller for gamma < 0, and the other weight 1 - alpha where x1 is
+        # x_ref; selects by arithmetic, as masked copies are many times
+        # slower on random masks
+        (np.greater_equal if gamma > 0.0 else np.less_equal)(r, 0.0, out=ref)
+        np.copyto(weight, ref)
+        weight *= (1.0 - alpha) - alpha
+        weight += alpha
+        np.absolute(r, out=work)
+        work *= -abs(gamma)
+        np.expm1(work, out=work)
+        work *= weight
+        np.log1p(work, out=work)
+        work *= -1.0 / gamma
+        # log(x1/m) is u, or u + r where x2 is x_ref; log(x2/m) is u, or u - r
+        low, high = (np.minimum, np.maximum) if gamma > 0.0 else (np.maximum, np.minimum)
+        low(r, 0.0, out=t1)
+        t1 += work
+        high(r, 0.0, out=t2)
+        np.subtract(work, t2, out=t2)
+    # with u >= 0 the larger argument's log, m = max(x1, x2) exp(-u) and its
+    # gap m - max(x1, x2) = max(x1, x2) expm1(-u); the smaller one's gap is
+    # that plus |x1 - x2|
+    np.maximum(t1, t2, out=work)
+    np.negative(work, out=work)
+    np.exp(work, out=m)
+    np.expm1(work, out=both)
+    np.maximum(x1, x2, out=weight)
+    # exp(-u) below DBL_MIN has lost digits that m may keep (arguments some
+    # 308 decades apart): there m is exp(log max(x1, x2) - u)
+    deep = m < _TINY if np.fmin.reduce(m) < _TINY else None
+    m *= weight
+    if deep is not None:
+        m[deep] = np.exp(np.log(weight[deep]) + work[deep])
+    both *= weight
+    np.subtract(x1, x2, out=diff)
+    np.absolute(diff, out=work)
+    work += both
+    both += work
+    t1 *= x1
+    t2 *= x2
+    if inside is None or np.count_nonzero(inside) == inside.size:
+        return None
+    return ~inside
+
+
+def sum_x_log_ratio_to_mean(x1, x2, mean: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                            alpha: float, gamma: float | None
+                            ) -> tuple[float, float, float, float, float]:
+    """The sums of ``x1 log(x1/m)``, ``x2 log(x2/m)``, ``m``,
+    ``(m - x1) + (m - x2)`` and ``x1 - x2`` over equal-shaped ``x1`` and
+    ``x2``, for ``m = mean(x1, x2)``, a block at a time; the block sums are
+    added in order.  A power mean (``gamma`` its exponent, ``alpha`` the
+    weight of ``x1``) goes through :func:`_power_terms`; atoms with a zero
+    argument, and every atom when ``gamma`` is None, call ``mean`` and take
+    :func:`sum_x_log_ratio`'s logs and limits.
+    """
+    x1, x2 = _flat_pair(x1, x2)
+    scratch = _scratch(x1.size)
+    work = tuple(np.empty(min(x1.size, _BLOCK)) for _ in range(5))
+    totals = (0.0,) * 5
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, b in _blocks(x1, x2):
+            out = tuple(w[:a.size] for w in work)
+            edge = (slice(None) if gamma is None
+                    else _power_terms(a, b, alpha, gamma, out, scratch))
+            if edge is not None:
+                t1, t2, m, both, diff = out
+                ea, eb = a[edge], b[edge]
+                m[edge] = mixed = mean(ea, eb)
+                t1[edge] = _x_log_ratio_block(ea, mixed, False, scratch)
+                t2[edge] = _x_log_ratio_block(eb, mixed, False, scratch)
+                both[edge] = (mixed - ea) + (mixed - eb)
+                diff[edge] = ea - eb
+            totals = tuple(total + float(np.add.reduce(part))
+                           for total, part in zip(totals, out))
+    return totals
 
 
 def power_mean(a, b, alpha: float, gamma: float, log_space: bool) -> np.ndarray:

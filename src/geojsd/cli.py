@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 only a failed verification, 2 usage/parse errors
 (a JSON value that is not a number, JSON nested past the parser's recursion
-limit, and a sample count above ``_MAX_SAMPLES`` = 10^9 included), 3
+limit, and a sample count above ``estimate._MAX_SAMPLES`` = 10^9 included), 3
 mathematical errors (disjoint supports, non-PD matrices, divergent
 integrals).  ``GEOJSD_SEED`` provides the default estimator seed.
 
@@ -40,18 +40,6 @@ from .means import MeanKind, MeanSpec
 
 _MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence, DivergentIntegral,
                 ProposalSupportViolation, DomainViolation, NonPositiveInput)
-
-# The largest Monte Carlo sample count the CLI runs (compute --samples, a
-# sweep's estimator.samples and its samples grid): 10^9 draws take minutes at
-# d = 1, while a count such as 1e300 would never finish.
-_MAX_SAMPLES = 10 ** 9
-
-
-def _sample_count(value: int, name: str) -> int:
-    """``value``, a sample count, if it is at most ``_MAX_SAMPLES``."""
-    if value > _MAX_SAMPLES:
-        raise ValueError(f"{name} must be at most {_MAX_SAMPLES}")
-    return value
 
 
 def _default_seed() -> str:
@@ -317,7 +305,7 @@ def cmd_compute(args) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
     if args.samples is not None:
-        _sample_count(args.samples, "--samples")
+        estimate._sample_count(args.samples, "--samples")
     # parsed before the inputs are read: a bad --mean or --mean2 fails on
     # every route
     args.mean = MeanSpec.parse(args.mean, args.alpha)
@@ -414,7 +402,7 @@ def cmd_sweep(args) -> int:
         raise ValueError(message)
     grid = [_json_number(v, message, integral=counts) for v in values]
     if counts:
-        grid = [_sample_count(v, "sweep spec 'values'") for v in grid]
+        grid = [estimate._sample_count(v, "sweep spec 'values'") for v in grid]
     elif not all(map(math.isfinite, grid)):
         raise ValueError("sweep spec 'values' must be finite")
 
@@ -434,7 +422,7 @@ def cmd_sweep(args) -> int:
                                 integral=True)
               for key, default in (("samples", 10_000), ("seed", args.seed),
                                    ("chunk_size", 1 << 16))}
-    _sample_count(fields["samples"], "sweep spec 'estimator.samples'")
+    estimate._sample_count(fields["samples"], "sweep spec 'estimator.samples'")
     cfg = estimate.EstimatorConfig(**fields)
     fixed = MeanSpec.parse(descriptor, alpha)
     if parameter == "gamma":

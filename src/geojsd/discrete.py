@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from . import means
-from ._kernels import sum_x_log_ratio, sum_x_log_ratio_to_midpoint
+from ._kernels import (sum_x_log_ratio, sum_x_log_ratio_to_mean,
+                       sum_x_log_ratio_to_midpoint)
 from .errors import (
     DisjointSupport,
     InvalidAlpha,
@@ -80,7 +82,7 @@ class DiscreteDensity:
     pass as-is, vectors within 1e-9 are rescaled and flagged through
     ``renormalized`` (hand-written inputs rarely sum exactly to one), and
     anything farther off is rejected.  ``renormalized`` is set here, never
-    passed in.
+    passed in.  Weights given as text raise ``TypeError``.
     """
 
     weights: np.ndarray
@@ -88,7 +90,10 @@ class DiscreteDensity:
     renormalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
+        w = np.asarray(self.weights)
+        if w.dtype.kind in "USO" and any(isinstance(v, (str, bytes)) for v in w.flat):
+            raise TypeError("weights must be numbers, got text")
+        w = w.astype(float, copy=False)
         if w.ndim != 1 or w.size == 0:
             raise InvalidDensity("weights must be a nonempty 1-D vector")
         _check_weights(w)
@@ -103,12 +108,12 @@ class DiscreteDensity:
     @classmethod
     def probability(cls, weights) -> "DiscreteDensity":
         """A normalized density (unit total mass)."""
-        return cls(np.asarray(weights, dtype=float), normalized=True)
+        return cls(weights, normalized=True)
 
     @classmethod
     def positive(cls, weights) -> "DiscreteDensity":
         """An unnormalized positive density."""
-        return cls(np.asarray(weights, dtype=float), normalized=False)
+        return cls(weights, normalized=False)
 
     @classmethod
     def _adopt(cls, w: np.ndarray, normalized: bool,
@@ -250,34 +255,55 @@ def js(p1: DiscreteDensity, p2: DiscreteDensity, base: LogBase = NATS) -> float:
     return 0.5 * (to_mid_1 + to_mid_2) / base.ln
 
 
+def _mixture_sums(w1: np.ndarray, w2: np.ndarray, m: MeanSpec,
+                  beta: float) -> tuple[float, float, float]:
+    """``beta S_1 + (1-beta) S_2`` with ``S_i = sum w_i log(w_i/mix)``, the
+    normalizer ``Z = sum mix`` and ``beta sum(mix - w1) + (1-beta)
+    sum(mix - w2)``, in one pass over the M-mixture ``mix``.  Raises
+    :class:`DisjointSupport` when the mixture vanishes."""
+    s1, s2, z, both, diff = sum_x_log_ratio_to_mean(
+        w1, w2, partial(means.evaluate, m), m.alpha, means._power_exponent(m))
+    if z <= 0.0:
+        raise DisjointSupport("mixture normalizer is zero: disjoint supports")
+    # sum(mix - w1) = (both - diff)/2 and sum(mix - w2) = (both + diff)/2
+    return beta * s1 + (1.0 - beta) * s2, z, 0.5 * both + (0.5 - beta) * diff
+
+
 def js_m(p1: DiscreteDensity, p2: DiscreteDensity, m: MeanSpec,
          beta: float = 0.5, base: LogBase = NATS) -> float:
     """M-mixture Jensen-Shannon divergence (normalized mixture).
 
-    ``beta*KL(p1, mix) + (1-beta)*KL(p2, mix)`` with ``mix`` the normalized
-    M-mixture.  Reduces to :func:`js` for the balanced arithmetic mean, and
-    dominates it for any mean at alpha = beta = 1/2.  May return ``+inf``
-    when the mixture vanishes inside a support (min mean).
+    ``beta*KL(p1, mix/Z) + (1-beta)*KL(p2, mix/Z)`` with ``mix`` the
+    M-mixture and Z its normalizer, taken as ``beta S_1 + (1-beta) S_2 +
+    log(Z) (beta sum p1 + (1-beta) sum p2)``, ``S_i = sum p_i log(p_i/mix)``,
+    in one pass that forms no mixture array
+    (:func:`geojsd._kernels.sum_x_log_ratio_to_mean`).  Reduces to
+    :func:`js` for the balanced arithmetic mean, and dominates it for any
+    mean at alpha = beta = 1/2.  May return ``+inf`` when the mixture
+    vanishes inside a support (min mean); raises :class:`DisjointSupport`
+    when it vanishes everywhere.
     """
     _check_beta(beta)
     w1, w2 = _aligned(p1, p2, require_normalized=True)
-    mixture, _ = m_mixture(p1, p2, m, normalize=True)
-    mw = mixture.weights
-    return (beta * sum_x_log_ratio(w1, mw)
-            + (1.0 - beta) * sum_x_log_ratio(w2, mw)) / base.ln
+    logs, z, gaps = _mixture_sums(w1, w2, m, beta)
+    # beta sum p1 + (1-beta) sum p2 = Z - gaps
+    return (logs + math.log(z) * (z - gaps)) / base.ln
 
 
 def js_m_extended(q1: DiscreteDensity, q2: DiscreteDensity, m: MeanSpec,
                   beta: float = 0.5, base: LogBase = NATS) -> float:
     """Extended M-JSD: extended KL against the *unnormalized* M-mixture.
 
-    For normalized inputs it exceeds :func:`js_m` by the gap
-    ``Z - log(Z) - 1`` (in nats), where Z is the mixture normalizer.
+    ``beta S_1 + (1-beta) S_2`` (the part a base change rescales) plus
+    ``beta sum(mix - q1) + (1-beta) sum(mix - q2)``, from :func:`js_m`'s
+    pass.  The gaps are summed atom by atom, so equal inputs give 0, also
+    where Z overflows.  For normalized inputs it exceeds :func:`js_m` by the
+    gap ``Z - log(Z) - 1`` (in nats), where Z is the mixture normalizer.
     """
     _check_beta(beta)
-    mixture, _ = m_mixture(q1, q2, m, normalize=False)
-    return (beta * kl_extended(q1, mixture, base)
-            + (1.0 - beta) * kl_extended(q2, mixture, base))
+    w1, w2 = _aligned(q1, q2)
+    logs, _, gaps = _mixture_sums(w1, w2, m, beta)
+    return logs / base.ln + gaps
 
 
 # ---------------------------------------------------------------------------

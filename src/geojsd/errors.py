@@ -40,3 +40,6 @@ class ProposalSupportViolation(GeoJSDError, RuntimeError):
 class DivergentIntegral(GeoJSDError, ValueError):
     """A moment integral diverges (parameter left the natural domain)."""
 
+
+class TooManySamples(GeoJSDError, ValueError):
+    """A Monte Carlo sample count above the cap of 10^9 draws."""

@@ -44,7 +44,8 @@ from . import means
 from ._kernels import (gauss_kronrod, gaussian_log_rows, gaussian_rows, logsumexp,
                        solve_lower)
 from .discrete import DiscreteDensity, _aligned, m_mixture
-from .errors import DivergentIntegral, DomainViolation, ProposalSupportViolation
+from .errors import (DivergentIntegral, DomainViolation, ProposalSupportViolation,
+                     TooManySamples)
 from .expfam import ExpFamily, ExpFamilyDensity, _as_theta, _cumulant_at
 from .gaussian import GaussianParams
 from .means import MeanKind, MeanSpec
@@ -64,6 +65,18 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
+# The largest Monte Carlo sample count: 10^9 draws take minutes at d = 1,
+# while a count such as 1e300 would never finish.
+_MAX_SAMPLES = 10 ** 9
+
+
+def _sample_count(value: int, name: str) -> int:
+    """``value``, a sample count, if it is at most ``_MAX_SAMPLES``; else
+    :class:`TooManySamples`, naming the count ``name``."""
+    if value > _MAX_SAMPLES:
+        raise TooManySamples(f"{name} must be at most {_MAX_SAMPLES}")
+    return value
+
 
 @dataclass(frozen=True)
 class EstimatorConfig:
@@ -71,7 +84,8 @@ class EstimatorConfig:
 
     ``samples`` and ``chunk_size`` are read through ``operator.index``, so
     a float such as ``2.5`` (or ``2.0``) raises ``TypeError``, and a numpy
-    integer is kept as a Python ``int``.
+    integer is kept as a Python ``int``.  ``samples`` above 10^9 raises
+    :class:`TooManySamples`.
     """
 
     samples: int
@@ -83,6 +97,7 @@ class EstimatorConfig:
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        _sample_count(self.samples, "samples")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be >= 1")
         if not (0 <= self.seed <= _MASK64):

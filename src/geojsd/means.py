@@ -118,7 +118,10 @@ class MeanSpec:
     @classmethod
     def power(cls, gamma: float, alpha: float = 0.5) -> "MeanSpec":
         """The power mean of exponent ``gamma``; for |gamma| < 1e-8, where
-        the power formula loses its digits, the geometric mean."""
+        the power formula loses its digits, the geometric mean.  A ``gamma``
+        given as text raises ``TypeError``."""
+        if isinstance(gamma, (str, bytes)):
+            raise TypeError(f"power mean exponent must be a number, got {gamma!r}")
         gamma = float(gamma)
         if abs(gamma) < _GEOMETRIC_GAMMA_EPS:
             return cls.geometric(alpha)
@@ -186,14 +189,20 @@ class MeanSpec:
         return self.kind.value
 
 
+def _power_exponent(m: MeanSpec) -> float | None:
+    """The exponent of ``m`` as a power mean (0 geometric, 1 arithmetic), or None."""
+    return {MeanKind.GEOMETRIC: 0.0, MeanKind.ARITHMETIC: 1.0,
+            MeanKind.POWER: m.gamma}.get(m.kind)
+
+
 def _power_kernel(m: MeanSpec, a: np.ndarray, b: np.ndarray,
                   log_space: bool) -> np.ndarray:
     """The geometric and power kinds, and in log space the arithmetic one,
     through the blocked kernel, in the broadcast shape of ``a`` and ``b``."""
     if a.shape != b.shape:
         a, b = np.broadcast_arrays(a, b)
-    gamma = {MeanKind.GEOMETRIC: 0.0, MeanKind.ARITHMETIC: 1.0}.get(m.kind, m.gamma)
-    return _kernels.power_mean(a, b, m.alpha, gamma, log_space).reshape(a.shape)
+    return _kernels.power_mean(a, b, m.alpha, _power_exponent(m),
+                               log_space).reshape(a.shape)
 
 
 def _quasi_exp(alpha: float, a: np.ndarray, b: np.ndarray) -> np.ndarray:

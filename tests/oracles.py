@@ -425,3 +425,90 @@ def log_add_tolerance(log_mean, gamma):
     log_add = np.abs(gamma * log_mean)
     return (2.0 * np.maximum(np.spacing(log_add), np.spacing(math.log(2.0)))
             / abs(gamma) + np.spacing(np.abs(log_mean)))
+
+
+# ---------------------------------------------------------------------------
+# Mixture JSDs of any weighted mean, by direct summation
+# ---------------------------------------------------------------------------
+
+def _quasi_exp_mean(alpha, a, b):
+    """log(alpha e^a + (1-alpha) e^b) about the larger argument, so that
+    masses near 1e300 need no exp of their own size, and with log1p and
+    expm1, so that masses near 1e-300 keep their digits at any precision."""
+    hi, lo, w_lo = (a, b, 1 - alpha) if a >= b else (b, a, alpha)
+    return hi + mp.log1p(w_lo * mp.expm1(lo - hi))
+
+
+def _log_mean(kind, alpha, gamma, a, b, la, lb):
+    """log M(a, b) of positive ``a`` and ``b`` with logs ``la`` and ``lb``."""
+    if kind == "geometric":
+        return alpha * la + (1 - alpha) * lb
+    if kind == "arithmetic":
+        return mp.log(alpha * a + (1 - alpha) * b)
+    if kind == "power":
+        return mp.log(alpha * mp.exp(gamma * la)
+                      + (1 - alpha) * mp.exp(gamma * lb)) / gamma
+    if kind == "quasi_arithmetic":
+        return mp.log(_quasi_exp_mean(alpha, a, b))
+    return min(la, lb) if kind == "min" else max(la, lb)
+
+
+def _mean_at_zero(kind, alpha, gamma, a, b):
+    """M(a, b) where ``a`` or ``b`` is zero: the continuous limits."""
+    if kind == "quasi_arithmetic":
+        return _quasi_exp_mean(alpha, a, b)
+    if kind == "arithmetic":
+        return alpha * a + (1 - alpha) * b
+    if kind == "max":
+        return max(a, b)
+    if kind in ("min", "geometric") or gamma < 0:
+        return mp.mpf(0)
+    return (alpha * a ** gamma + (1 - alpha) * b ** gamma) ** (1 / gamma)
+
+
+def mixture_sums_oracle(p, q, kind, alpha, gamma):
+    """``(sum p log(p/mix), sum q log(q/mix), sum mix, sum p, sum q)`` as
+    mpmath numbers, for the pointwise weighted mean ``mix`` of the weights
+    ``p`` and ``q``: ``kind`` one of arithmetic, geometric, power,
+    quasi_arithmetic (the exp generator), min and max, of skew ``alpha`` and
+    exponent ``gamma``.
+
+    ``0 log 0 = 0``, and a sum is ``+inf`` where the mixture vanishes under
+    positive mass.  The float inputs are read exactly, so ulp-apart atoms
+    keep their difference.
+    """
+    alpha = mp.mpf(float(alpha))
+    gamma = None if gamma is None else mp.mpf(float(gamma))
+    mix, to_p, to_q, mass_p, mass_q = [], [], [], [], []
+    for a, b in zip(p, q):
+        a, b = mp.mpf(float(a)), mp.mpf(float(b))
+        mass_p.append(a)
+        mass_q.append(b)
+        if a > 0 and b > 0:
+            la, lb = mp.log(a), mp.log(b)
+            lm = la if a == b else _log_mean(kind, alpha, gamma, a, b, la, lb)
+            mix.append(mp.exp(lm))
+            to_p.append(a * (la - lm))
+            to_q.append(b * (lb - lm))
+            continue
+        m = _mean_at_zero(kind, alpha, gamma, a, b)
+        mix.append(m)
+        for x, terms in ((a, to_p), (b, to_q)):
+            if x > 0:
+                terms.append(x * mp.log(x / m) if m > 0 else mp.inf)
+    return tuple(mp.fsum(terms) for terms in (to_p, to_q, mix, mass_p, mass_q))
+
+
+def mixture_jsd_oracle(p, q, kind, alpha, gamma, betas):
+    """``{beta: (js_m, js_m_extended)}`` of the weights ``p`` and ``q`` for
+    the mean of :func:`mixture_sums_oracle`: by the definitions,
+    ``beta KL(p, mix/Z) + (1-beta) KL(q, mix/Z)`` and
+    ``beta KL+(p, mix) + (1-beta) KL+(q, mix)``, from its sums."""
+    s_p, s_q, z, mass_p, mass_q = mixture_sums_oracle(p, q, kind, alpha, gamma)
+    out = {}
+    for beta in betas:
+        w = mp.mpf(float(beta))
+        normalized = w * (s_p + mp.log(z) * mass_p) + (1 - w) * (s_q + mp.log(z) * mass_q)
+        extended = w * (s_p + z - mass_p) + (1 - w) * (s_q + z - mass_q)
+        out[beta] = float(normalized), float(extended)
+    return out

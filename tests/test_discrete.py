@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -8,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from geojsd import means
 from geojsd import (
     BITS,
     DiscreteDensity,
@@ -71,6 +71,15 @@ class TestDiscreteDensity:
     def test_rejects_negative(self):
         with pytest.raises(InvalidDensity):
             DiscreteDensity.positive([0.5, -0.1])
+
+    @pytest.mark.parametrize("weights", [
+        ["a", "b"], ["0.5", "0.5"], np.array([b"1"]),
+        np.array(["0.5", "0.5"], dtype=object), np.array(["a"], dtype=object),
+        np.array([0.5, "0.5"], dtype=object)])
+    def test_text_weights_are_a_type_error(self, weights):
+        for build in (DiscreteDensity, DiscreteDensity.probability):
+            with pytest.raises(TypeError):
+                build(weights)
 
     def test_rejects_all_zero(self):
         with pytest.raises(InvalidDensity):
@@ -814,12 +823,7 @@ PINNED = {
         "kl_extended_bits": "0x1.a441ea342b65ap+2",
         "jeffreys": "0x1.9d585ff71a673p+5",
         "taneja_t": "0x1.9ade0c9c0b6eap+3",
-        "js_m_extended": "0x1.c806f869045f7p+2",
         "kl_between_mixtures": "0x1.97a6d046478fdp+3",
-        "js_m[arithmetic]": "0x1.3d29ad877c400p-4",
-        "js_m[geometric]": "0x1.9a2123a156886p+3",
-        "js_m[power:-0.5]": "0x1.9938c082bef9ep+4",
-        "js_m[quasi:exp]": "0x1.3d6d89110844ap-4",
     },
     8192: {
         "js": "0x1.c83659fefba2cp-4",
@@ -828,12 +832,7 @@ PINNED = {
         "kl_extended_bits": "0x1.dacc8b62897a2p+2",
         "jeffreys": "0x1.544991ec63f29p+5",
         "taneja_t": "0x1.50b9253865fb4p+3",
-        "js_m_extended": "0x1.83fb3f59e33c3p+2",
         "kl_between_mixtures": "0x1.4c30110475d78p+3",
-        "js_m[arithmetic]": "0x1.c83659fefba2cp-4",
-        "js_m[geometric]": "0x1.4fc07db873cecp+3",
-        "js_m[power:-0.5]": "0x1.4e5a29bf38354p+4",
-        "js_m[quasi:exp]": "0x1.c8365a08939edp-4",
     },
 }
 
@@ -846,11 +845,96 @@ def test_sums_keep_their_pinned_bits(n):
     got = {"js": js(p1, p2), "kl": kl(p1, p2), "kl_extended": kl_extended(q1, q2),
            "kl_extended_bits": kl_extended(q1, q2, BITS),
            "jeffreys": jeffreys(p1, p2), "taneja_t": taneja_t(p1, p2),
-           "js_m_extended": js_m_extended(q1, q2, GEO),
            "kl_between_mixtures": kl_between_mixtures(p1, p2, ARITH, GEO)}
-    for m in (ARITH, GEO, MeanSpec.power(-0.5), MeanSpec.quasi_arithmetic("exp")):
-        got[f"js_m[{m.label}]"] = js_m(p1, p2, m)
     assert {k: float(v).hex() for k, v in got.items()} == PINNED[n]
+
+
+# The mixture JSDs against oracles.mixture_jsd_oracle on the pinned pairs,
+# as probabilities and as masses near 1e300 (js_m_extended only).  Each
+# tolerance is the worst relative error, on this corpus, of the two-pass form
+# that the one-pass kernel replaced (the M-mixture as an array, then one sum
+# per argument): 2.58e-15 for js_m (power:0.5 at 8 atoms) and 5.42e-15 for
+# js_m_extended (power:0.5, 1e300 masses, 8 atoms).
+ORACLE_MEANS = (GEO, ARITH, MeanSpec.power(-0.5), MeanSpec.power(0.5, 0.3),
+                MeanSpec.quasi_arithmetic("exp"), MeanSpec.minimum(), MeanSpec.maximum())
+ORACLE_BETAS = (0.5, 0.2)
+BIG_MASSES = (3e300, 5e299)
+JS_M_TOL = 2.6e-15
+JS_M_EXTENDED_TOL = 5.5e-15
+
+# At 8192 atoms the oracle takes seconds; its values there, as float.hex of
+# (js_m, js_m_extended, js_m_extended of the 1e300 masses), are frozen from
+# mixture_oracle(8192) (the same bits at 50 and 80 digits).
+ORACLE_8192 = {
+    ("geometric", 0.5): ("0x1.4fc07db873cecp+3", "0x1.500f04f8ecbe9p+3", "0x1.21abd19403ee1p+999"),
+    ("geometric", 0.2): ("0x1.0b8ff8dbb0bfbp+4", "0x1.0bb73c7bed379p+4", "0x1.a474a353a2549p+999"),
+    ("arithmetic", 0.5): ("0x1.c83659fefba2ap-4", "0x1.c83659fefba2cp-4", "0x1.d2f2d1dd8a188p+995"),
+    ("arithmetic", 0.2): ("0x1.acdfb02238f73p-4", "0x1.acdfb02238f77p-4", "0x1.124f564bd8235p+996"),
+    ("power:-0.5", 0.5): ("0x1.4e5a29bf38355p+4", "0x1.4e98a4977cfe3p+4", "0x1.14b852d0e33b4p+1000"),
+    ("power:-0.5", 0.2): ("0x1.0ac99886fb626p+5", "0x1.0ae8d5f31dc6dp+5", "0x1.993678f6bd6a8p+1000"),
+    ("power:0.5", 0.5): ("0x1.0ff5cb6374a07p-3", "0x1.133c7fad8ae2cp-3", "0x1.68d0f2d0e6522p+996"),
+    ("power:0.5", 0.2): ("0x1.4c1da18e218b6p-4", "0x1.52ab0a224e102p-4", "0x1.7fcecef1643b4p+995"),
+    ("quasi:exp", 0.5): ("0x1.c8365a08939edp-4", "0x1.c8365a0d8a2aap-4", "0x1.6ca3415dba6a4p+996"),
+    ("quasi:exp", 0.2): ("0x1.acdf121960568p-4", "0x1.acdf121e56e27p-4", "0x1.1d73cbe6112d8p+997"),
+    ("min", 0.5): ("0x1.50788ee881fa1p+4", "0x1.5179c6ceef5bdp+4", "0x1.2bb691e394522p+1000"),
+    ("min", 0.2): ("0x1.0c0d557aa19b2p+5", "0x1.0c8df16dd84c0p+5", "0x1.a19b1e3c4c39ap+1000"),
+    ("max", 0.5): ("0x1.142b827fa0d32p-3", "0x1.67e58eba4b5a1p-3", "0x1.6ca3415dba6a4p+996"),
+    ("max", 0.2): ("0x1.e5aef72bb6002p-4", "0x1.469187d085871p-3", "0x1.1d73cbe6112d8p+997"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def mixture_oracle(n):
+    """``{(label, beta): (js_m, js_m_extended, js_m_extended of the 1e300
+    masses)}`` on ``pinned_pair(n, n)``, by the 50-digit oracle."""
+    w1, w2 = pinned_pair(n, n)
+    out = {}
+    for m in ORACLE_MEANS:
+        mean = m.kind.value, m.alpha, m.gamma
+        unit = oracles.mixture_jsd_oracle(w1, w2, *mean, ORACLE_BETAS)
+        big = oracles.mixture_jsd_oracle(BIG_MASSES[0] * w1, BIG_MASSES[1] * w2,
+                                         *mean, ORACLE_BETAS)
+        out.update({(m.label, beta): (*unit[beta], big[beta][1])
+                    for beta in ORACLE_BETAS})
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 64, 8192])
+@pytest.mark.parametrize("mean", ORACLE_MEANS, ids=lambda m: m.label)
+def test_mixture_jsds_match_the_oracle(n, mean):
+    w1, w2 = pinned_pair(n, n)
+    p1, p2 = DiscreteDensity.probability(w1), DiscreteDensity.probability(w2)
+    b1 = DiscreteDensity.positive(BIG_MASSES[0] * w1)
+    b2 = DiscreteDensity.positive(BIG_MASSES[1] * w2)
+    for beta in ORACLE_BETAS:
+        if n == 8192:
+            exact = [float.fromhex(h) for h in ORACLE_8192[mean.label, beta]]
+        else:
+            exact = mixture_oracle(n)[mean.label, beta]
+        got = (js_m(p1, p2, mean, beta), js_m_extended(p1, p2, mean, beta),
+               js_m_extended(b1, b2, mean, beta))
+        for value, reference, tol in zip(got, exact, (JS_M_TOL, JS_M_EXTENDED_TOL,
+                                                      JS_M_EXTENDED_TOL)):
+            assert value == pytest.approx(reference, rel=tol, abs=0.0), beta
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-8])
+@pytest.mark.parametrize("mean", ORACLE_MEANS, ids=lambda m: m.label)
+def test_extended_keeps_its_digits_on_near_equal_pairs(eps, mean):
+    # q = p (1 + eps z): the extended M-JSD is O(eps^2); each log term and
+    # its mass term agree to the last digits, so only the O(eps) log-ratios'
+    # own rounding is left, about 1e-16/eps relative
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        w1 = rng.dirichlet(np.ones(16))
+        w2 = w1 * (1.0 + eps * rng.normal(size=16))
+        p1, p2 = DiscreteDensity.probability(w1), DiscreteDensity.probability(w2 / w2.sum())
+        for beta in ORACLE_BETAS:
+            exact = oracles.mixture_jsd_oracle(p1.weights, p2.weights, mean.kind.value,
+                                               mean.alpha, mean.gamma, (beta,))[beta][1]
+            value = js_m_extended(p1, p2, mean, beta)
+            assert value >= 0.0
+            assert value == pytest.approx(exact, rel=2e-15 / eps, abs=0.0)
 
 
 def traced_peak(fn) -> int:
@@ -880,13 +964,14 @@ class TestSupportSizedAllocations:
         for fn in (js, kl, jeffreys):
             assert traced_peak(lambda: fn(p1, p2)) < 8 * self.N // 4, fn.__name__
 
-    @pytest.mark.parametrize("mean", [ARITH, GEO, MeanSpec.power(-0.5)],
+    @pytest.mark.parametrize("mean", [ARITH, GEO, MeanSpec.power(-0.5),
+                                      MeanSpec.quasi_arithmetic("exp"),
+                                      MeanSpec.minimum(), MeanSpec.maximum()],
                              ids=lambda m: m.label)
     def test_js_m_allocates_only_the_mixture(self, big_pair, mean):
-        # the mixture is means.evaluate's result, so the peak of evaluate
-        # alone bounds js_m's up to block-sized scratch
+        # the mixture is formed a block at a time too: the whole call peaks
+        # under a quarter of one support-sized array, as js does
         p1, p2 = big_pair
-        mixture = traced_peak(lambda: means.evaluate(mean, p1.weights, p2.weights))
         for fn in (js_m, js_m_extended):
             peak = traced_peak(lambda: fn(p1, p2, mean))
-            assert peak < mixture + 8 * self.N // 4, fn.__name__
+            assert peak < 8 * self.N // 4, fn.__name__

@@ -15,9 +15,11 @@ from geojsd import (
     EstimatorConfig,
     ExpFamilyDensity,
     GaussianParams,
+    GeoJSDError,
     MeanSpec,
     ProposalSupportViolation,
     SampledDensity,
+    TooManySamples,
     arithmetic_mixture_proposal,
     bhattacharyya_gaussian,
     categorical_family,
@@ -106,6 +108,14 @@ class TestConfig:
         # read through operator.index: no float is a count, whole or not
         with pytest.raises(TypeError):
             EstimatorConfig(**fields)
+
+    def test_samples_above_the_cap_are_refused(self):
+        # the one cap on sample counts: 10**300 would never finish in _chunks
+        assert EstimatorConfig(samples=10 ** 9).samples == 10 ** 9
+        for samples in (10 ** 9 + 1, 10 ** 300, np.uint64(2 ** 63)):
+            with pytest.raises(TooManySamples, match="samples must be at most 1000000000"):
+                EstimatorConfig(samples=samples)
+        assert issubclass(TooManySamples, GeoJSDError)
 
     def test_integer_counts_are_kept_as_int(self):
         cfg = EstimatorConfig(samples=np.int64(12), chunk_size=np.uint32(5))

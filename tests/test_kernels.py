@@ -34,7 +34,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from geojsd import _kernels
+from geojsd import _kernels, means
+from geojsd.means import MeanKind, MeanSpec
 
 REL = 1e-15
 # one step of the subnormal grid: products that land there round on it
@@ -349,6 +350,77 @@ def assert_within_log_add_ulps(ours, ref, gamma, log_space):
             relative = oracles.log_add_tolerance(np.log(ref), gamma)
         bound = np.where(ref > 0.0, 1.01 * ref * relative, 0.0) + 2 * np.spacing(ref)
     assert np.all(np.abs(ours - ref) <= bound)
+
+
+MIXTURE_MEANS = [MeanSpec.geometric(0.3), MeanSpec.arithmetic(0.7), MeanSpec.power(-0.5),
+                 MeanSpec.power(2.0, 0.8), MeanSpec.power(-50.0), MeanSpec.power(1e-6, 0.4),
+                 MeanSpec.quasi_arithmetic("exp"), MeanSpec.minimum(), MeanSpec.maximum()]
+EDGE_PAIRS = [(a, b) for a in ADVERSARIAL_MASSES for b in ADVERSARIAL_MASSES]
+
+
+def mixture_sums(x, y, mean):
+    return _kernels.sum_x_log_ratio_to_mean(x, y, functools.partial(means.evaluate, mean),
+                                            mean.alpha, means._power_exponent(mean))
+
+
+class TestSumXLogRatioToMean:
+    @pytest.mark.parametrize("mean", [m for m in MIXTURE_MEANS
+                                      if m.kind is not MeanKind.QUASI_ARITHMETIC],
+                             ids=lambda m: f"{m.label}-{m.alpha}")
+    def test_each_positive_edge_pair_matches_the_oracle(self, mean):
+        # one pair at a time, so that the far-ratio and near-equal paths each
+        # run alone; 50-digit sums of the float inputs
+        key = mean.kind.value, mean.alpha, mean.gamma
+        for a, b in EDGE_PAIRS:
+            if a == 0.0 or b == 0.0:
+                continue
+            got = mixture_sums(np.array([a]), np.array([b]), mean)
+            s_a, s_b, z, mass_a, mass_b = oracles.mixture_sums_oracle([a], [b], *key)
+            exact = [float(v) for v in (s_a, s_b, z, (z - mass_a) + (z - mass_b),
+                                        mass_a - mass_b)]
+            # A log of size L carries L ulps into what is formed from it, a
+            # subnormal result keeps only its ulps, and the gaps m - a and
+            # m - b are held to the atom's scale.
+            slack = 4e-15 * (1.0 + abs(math.log(a) - math.log(b)))
+            scale = [abs(v) for v in exact]
+            scale[3] += max(a, b)
+            for i, (value, reference) in enumerate(zip(got, exact)):
+                assert (value == reference
+                        or abs(value - reference) <= slack * scale[i] + 1e-322), (a, b, i)
+
+    @pytest.mark.parametrize("mean", MIXTURE_MEANS, ids=lambda m: f"{m.label}-{m.alpha}")
+    def test_mixtures_taken_from_the_mean_follow_scipy(self, mean):
+        # atoms with a zero argument, and every atom of quasi:exp, take the
+        # mixture from means.evaluate and scipy's rel_entr limits and branches
+        for a, b in EDGE_PAIRS:
+            if a > 0.0 and b > 0.0 and mean.kind is not MeanKind.QUASI_ARITHMETIC:
+                continue
+            x, y = np.array([a]), np.array([b])
+            m = means.evaluate(mean, x, y)
+            with np.errstate(over="ignore"):
+                expected = (sp.rel_entr(x, m)[0], sp.rel_entr(y, m)[0], m[0],
+                            ((m - x) + (m - y))[0], a - b)
+            got = mixture_sums(x, y, mean)
+            np.testing.assert_allclose(got, expected, rtol=REL, atol=0.0,
+                                       err_msg=f"{a}, {b}")
+
+    @pytest.mark.parametrize("n", [8193, 3 * 8192 + 5])
+    @pytest.mark.parametrize("mean", MIXTURE_MEANS[:3] + MIXTURE_MEANS[-3:],
+                             ids=lambda m: m.label)
+    def test_longer_inputs_add_block_sums_in_order(self, n, mean):
+        x, y = edge_pair(n, n, 0.05, 0.3)
+        x[np.isnan(x)] = y[np.isnan(y)] = 1e-300   # densities have no NaN
+        got = mixture_sums(x, y, mean)
+        blocks = [mixture_sums(x[i:i + 8192], y[i:i + 8192], mean)
+                  for i in range(0, n, 8192)]
+        assert got == functools.reduce(lambda s, t: tuple(map(operator.add, s, t)), blocks)
+
+    def test_equal_arguments_give_zero_logs_and_gaps(self):
+        x = np.array([0.0, 5e-324, 1e-300, 0.3, 1.0, 1e300, 1.7e308])
+        for mean in MIXTURE_MEANS:
+            with np.errstate(over="ignore"):
+                total = float(x.sum())
+            assert mixture_sums(x, x, mean) == (0.0, 0.0, total, 0.0, 0.0), mean.label
 
 
 class TestPowerMean:

@@ -269,6 +269,13 @@ def test_spec_validation():
         MeanSpec.quasi_arithmetic("power")
 
 
+@pytest.mark.parametrize("gamma", ["x", "0.5", b"2"])
+def test_power_exponent_as_text_is_a_type_error(gamma):
+    # text is not a number, even text that float() would read
+    with pytest.raises(TypeError):
+        MeanSpec.power(gamma)
+
+
 @pytest.mark.parametrize("build", [
     lambda: MeanSpec.quasi_arithmetic("exp", gamma=2.0),
     lambda: MeanSpec(MeanKind.GEOMETRIC, gamma=5.0),
