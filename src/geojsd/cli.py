@@ -1,4 +1,5 @@
-"""Command-line interface: compute divergences, run verification, sweep grids.
+"""Command-line interface: compute divergences, run verification, sweep grids,
+list the divergences and the inputs they take.
 
 Exit codes: 0 success, 1 only a failed verification, 2 usage/parse errors
 (a JSON value that is not a number, JSON nested past the parser's recursion
@@ -9,21 +10,27 @@ integrals).  ``GEOJSD_SEED`` provides the default estimator seed.
 File formats: discrete densities are whitespace-separated decimals with
 ``#`` comments, or a JSON array; Gaussians are JSON objects
 ``{"mu": [...], "sigma": [[...]]}``.
+
+A cold process imports only the library modules its command and route run:
+``estimate``, ``expfam``, ``gaussian`` and ``verification`` are imported
+inside the functions that call them, so an exact ``compute`` loads none of
+them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 from dataclasses import replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import discrete, estimate, expfam, gaussian, verification
+from . import discrete
+from ._suites import SUITE_NAMES
 from .discrete import DiscreteDensity
 from .errors import (
     DisjointSupport,
@@ -37,6 +44,9 @@ from .errors import (
 )
 from .logbase import NATS, LogBase
 from .means import MeanKind, MeanSpec
+
+if TYPE_CHECKING:
+    from . import estimate, gaussian
 
 _MATH_ERRORS = (DisjointSupport, NotPositiveDefinite, NoConvergence, DivergentIntegral,
                 ProposalSupportViolation, DomainViolation, NonPositiveInput)
@@ -106,6 +116,7 @@ def read_gaussian(path: str) -> gaussian.GaussianParams:
 
 
 def _gaussian_from_payload(payload, origin: str) -> gaussian.GaussianParams:
+    from . import gaussian
     if not isinstance(payload, dict) or "mu" not in payload or "sigma" not in payload:
         raise ValueError(f"{origin}: expected an object with 'mu' and 'sigma'")
     mu, sigma = (_json_array(payload[key], f"{origin}: '{key}' must be a number or "
@@ -139,7 +150,8 @@ def _load_pair(kind: str, entries, unnormalized: bool = False):
 # ---------------------------------------------------------------------------
 # A route takes ``(p1, p2, args)``, where ``args.mean`` is a MeanSpec and
 # ``args.base`` a LogBase, and returns the ``compute`` result.  It looks library
-# functions up when called, so wrappers installed after import see the calls.
+# functions up when called, so wrappers installed after import see the calls,
+# and imports the modules that only some routes use.
 
 def _result(value: float, base: LogBase | None, method: str,
             **extra) -> dict:
@@ -173,6 +185,7 @@ def _geometric(route):
 
 def _expfam_pair(g1: gaussian.GaussianParams, g2: gaussian.GaussianParams):
     """Two Gaussians as densities of one exponential family."""
+    from . import expfam, gaussian
     fam = expfam.gaussian_family(g1.dim)
     return (expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g1)),
             expfam.ExpFamilyDensity(fam, gaussian.natural_flat(g2)))
@@ -189,12 +202,14 @@ def _chernoff(p1, p2, args) -> dict:
 
 
 def _tv_gaussian(g1, g2, args) -> float:
+    from . import gaussian
     if g1.dim != 1:
         raise ValueError("total variation is closed-form for d=1 only")
     return gaussian.tv_gaussian_1d(*_mu_sd(g1), *_mu_sd(g2))
 
 
 def _gjsd_gaussian(g1, g2, args) -> float:
+    from . import gaussian
     if args.mean.kind is not MeanKind.GEOMETRIC:
         raise ValueError(
             "normalized M-JSD has no Gaussian closed form for this mean; "
@@ -212,6 +227,7 @@ def _monte_carlo(g1, g2, args, mean: MeanSpec, extended: bool) -> dict:
         # one estimate sums the logarithmic and the mass terms, and only the
         # first may be rescaled
         raise ValueError("Monte Carlo extended divergences are reported in nats")
+    from . import estimate
     cfg = estimate.EstimatorConfig(samples=args.samples, seed=args.seed,
                                    chunk_size=args.chunk_size)
     value, stderr = estimate.estimate_js_m_extended(
@@ -224,6 +240,7 @@ def _monte_carlo(g1, g2, args, mean: MeanSpec, extended: bool) -> dict:
 def _js_m_plus_gaussian(g1, g2, args) -> dict:
     if args.mean.kind is not MeanKind.GEOMETRIC:
         return _monte_carlo(g1, g2, args, args.mean, extended=True)
+    from . import gaussian
     if args.alpha != 0.5 or args.beta != 0.5:
         raise ValueError("closed-form extended geometric JSD is balanced only")
     if args.base is NATS:
@@ -236,6 +253,7 @@ def _js_m_plus_gaussian(g1, g2, args) -> dict:
 
 
 def _js_m_gamma_gaussian(g1, g2, args) -> dict:
+    from . import estimate
     if args.mean.kind is MeanKind.GEOMETRIC:
         value = estimate.js_m_gamma(*_expfam_pair(g1, g2), args.mean,
                                     args.gamma, "closed_form")
@@ -250,10 +268,46 @@ def _js_m_gamma_gaussian(g1, g2, args) -> dict:
     return _result(args.base.from_nats(value), args.base, "quadrature")
 
 
+def _kl_gaussian(g1, g2, args) -> float:
+    from . import gaussian
+    return gaussian.kl_gaussian(g1, g2)
+
+
+def _jeffreys_gaussian(g1, g2, args) -> float:
+    from . import gaussian
+    return gaussian.jeffreys_gaussian(g1, g2)
+
+
+def _bhattacharyya_gaussian(g1, g2, args) -> float:
+    from . import gaussian
+    return gaussian.bhattacharyya_gaussian(g1, g2, args.alpha)
+
+
+def _bc_gaussian(g1, g2, args) -> float:
+    from . import gaussian
+    return gaussian.bhattacharyya_coefficient_gaussian(g1, g2, args.alpha)
+
+
+def _gamma_discrete(p1, p2, args) -> float:
+    from . import estimate
+    return args.base.from_nats(estimate.gamma_divergence(p1, p2, args.gamma, "exact"))
+
+
+def _gamma_gaussian(g1, g2, args) -> float:
+    from . import estimate
+    return estimate.gamma_divergence(*_expfam_pair(g1, g2), args.gamma, "closed_form")
+
+
+def _js_m_gamma_discrete(p1, p2, args) -> float:
+    from . import estimate
+    return args.base.from_nats(
+        estimate.js_m_gamma(p1, p2, args.mean, args.gamma, "exact"))
+
+
 _JS_M = _exact(lambda p, q, a: discrete.js_m(p, q, a.mean, a.beta, a.base))
 _JS_M_PLUS = _exact(lambda p, q, a:
                     discrete.js_m_extended(p, q, a.mean, a.beta, a.base))
-_KL_GAUSSIAN = _closed_form(lambda g, h, a: gaussian.kl_gaussian(g, h))
+_KL_GAUSSIAN = _closed_form(_kl_gaussian)
 
 # --div name: (discrete inputs may be unnormalized, discrete route,
 #              Gaussian route or None)
@@ -266,14 +320,13 @@ _ROUTES = {
     "js_m": (False, _JS_M, _closed_form(_gjsd_gaussian)),
     "js_m_plus": (True, _JS_M_PLUS, _js_m_plus_gaussian),
     "jeffreys": (False, _exact(lambda p, q, a: discrete.jeffreys(p, q, a.base)),
-                 _closed_form(lambda g, h, a: gaussian.jeffreys_gaussian(g, h))),
+                 _closed_form(_jeffreys_gaussian)),
     "bhattacharyya": (
         False, _exact(lambda p, q, a: discrete.bhattacharyya(p, q, a.alpha, a.base)),
-        _closed_form(lambda g, h, a: gaussian.bhattacharyya_gaussian(g, h, a.alpha))),
+        _closed_form(_bhattacharyya_gaussian)),
     "bc": (False, _base_free("exact", lambda p, q, a:
                              discrete.bhattacharyya_coefficient(p, q, a.alpha)),
-           _base_free("closed-form", lambda g, h, a:
-                      gaussian.bhattacharyya_coefficient_gaussian(g, h, a.alpha))),
+           _base_free("closed-form", _bc_gaussian)),
     "chernoff": (False, _chernoff, None),
     "tv": (False,
            _base_free("exact", lambda p, q, a: discrete.total_variation(p, q)),
@@ -282,13 +335,8 @@ _ROUTES = {
                None),
     "kl_mixtures": (False, _exact(lambda p, q, a: discrete.kl_between_mixtures(
         p, q, a.mean, a.mean2, a.base)), None),
-    "gamma": (True, _exact(lambda p, q, a: a.base.from_nats(
-                  estimate.gamma_divergence(p, q, a.gamma, "exact"))),
-              _closed_form(lambda g, h, a: estimate.gamma_divergence(
-                  *_expfam_pair(g, h), a.gamma, "closed_form"))),
-    "js_m_gamma": (True, _exact(lambda p, q, a: a.base.from_nats(
-                       estimate.js_m_gamma(p, q, a.mean, a.gamma, "exact"))),
-                   _js_m_gamma_gaussian),
+    "gamma": (True, _exact(_gamma_discrete), _closed_form(_gamma_gaussian)),
+    "js_m_gamma": (True, _exact(_js_m_gamma_discrete), _js_m_gamma_gaussian),
     "gjsd": (False, _geometric(_JS_M), _geometric(_closed_form(_gjsd_gaussian))),
     "gjsd_plus": (True, _geometric(_JS_M_PLUS), _geometric(_js_m_plus_gaussian)),
 }
@@ -305,6 +353,7 @@ def cmd_compute(args) -> int:
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
     if args.samples is not None:
+        from . import estimate
         estimate._sample_count(args.samples, "--samples")
     # parsed before the inputs are read: a bad --mean or --mean2 fails on
     # every route
@@ -318,11 +367,24 @@ def cmd_compute(args) -> int:
     return 0
 
 
+def cmd_list(args) -> int:
+    """Each ``--div`` with the inputs its routes take."""
+    rows = [("div", "discrete inputs", "gaussian inputs")]
+    rows += [(div, "any total mass" if unnormalized else "normalized",
+              "no" if gaussian_route is None else "yes")
+             for div, (unnormalized, _, gaussian_route) in _ROUTES.items()]
+    first, second = (max(len(row[i]) for row in rows) + 2 for i in (0, 1))
+    for div, discrete_inputs, gaussian_inputs in rows:
+        print(f"{div:<{first}}{discrete_inputs:<{second}}{gaussian_inputs}")
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
+    from . import verification
     checks = verification.run_suite(args.suite)
     if args.json:
         print(json.dumps([check.__dict__ for check in checks], indent=2))
@@ -348,6 +410,7 @@ def _sweep_row(target: str, kind: str, p1, p2, mean: MeanSpec, gamma: float,
                alpha: float, cfg: estimate.EstimatorConfig
                ) -> tuple[float, float | None, float | None]:
     """Returns (computed value, std_error, oracle)."""
+    from . import estimate, expfam, gaussian
     args = argparse.Namespace(base=NATS, gamma=gamma, alpha=alpha)
     if target == "gamma_divergence":
         return (_route("gamma", kind)(p1, p2, args)["value"], None,
@@ -385,6 +448,8 @@ def _sweep_row(target: str, kind: str, p1, p2, mean: MeanSpec, gamma: float,
 
 
 def cmd_sweep(args) -> int:
+    import csv
+    from . import estimate
     with open(args.spec, "r", encoding="utf-8") as handle:
         spec = _loads(handle.read(), args.spec)
     if not isinstance(spec, dict):
@@ -478,8 +543,11 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("--workers", type=int, default=1)
     compute.set_defaults(func=cmd_compute)
 
+    listing = sub.add_parser("list", help="list each --div and the inputs it takes")
+    listing.set_defaults(func=cmd_list)
+
     verify = sub.add_parser("verify", help="run verification suites")
-    verify.add_argument("suite", choices=tuple(verification.SUITES) + ("all",))
+    verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     verify.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
     verify.set_defaults(func=cmd_verify)

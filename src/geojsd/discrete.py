@@ -90,7 +90,10 @@ class DiscreteDensity:
     renormalized: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights)
+        try:
+            w = np.asarray(self.weights)
+        except ValueError:  # a ragged nesting such as [[1.0], [1.0, 2.0]]
+            raise InvalidDensity("weights must be a nonempty 1-D vector") from None
         if w.dtype.kind in "USO" and any(isinstance(v, (str, bytes)) for v in w.flat):
             raise TypeError("weights must be numbers, got text")
         w = w.astype(float, copy=False)

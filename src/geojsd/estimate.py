@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -46,9 +46,13 @@ from ._kernels import (gauss_kronrod, gaussian_log_rows, gaussian_rows, logsumex
 from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import (DivergentIntegral, DomainViolation, ProposalSupportViolation,
                      TooManySamples)
-from .expfam import ExpFamily, ExpFamilyDensity, _as_theta, _cumulant_at
-from .gaussian import GaussianParams
 from .means import MeanKind, MeanSpec
+
+if TYPE_CHECKING:
+    # for annotations only: the closed-form gamma routes import expfam when
+    # they run, so no other route loads it, nor gaussian
+    from .expfam import ExpFamily, ExpFamilyDensity
+    from .gaussian import GaussianParams
 
 __all__ = [
     "EstimatorConfig",
@@ -422,6 +426,7 @@ def _log_i_discrete(w1: np.ndarray, w2: np.ndarray, gamma: float) -> float:
 def _family_thetas(e1: ExpFamilyDensity,
                    e2: ExpFamilyDensity) -> tuple[ExpFamily, np.ndarray, np.ndarray]:
     """The family two densities share, then each one's checked theta."""
+    from .expfam import _as_theta
     fam, other = e1.family, e2.family
     if not (fam is other
             or (fam.name != "" and fam.name == other.name and fam.dim == other.dim)):
@@ -432,6 +437,7 @@ def _family_thetas(e1: ExpFamilyDensity,
 def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
                   gamma: float) -> float:
     """``F(t1 + g*t2)``, the unnormalized moment of :func:`gamma_divergence`."""
+    from .expfam import _cumulant_at
     fam, t1, t2 = _family_thetas(e1, e2)
     try:
         return _cumulant_at(fam, t1 + gamma * t2, "gamma_divergence")
@@ -465,6 +471,17 @@ def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
     return shift + math.log(value)
 
 
+def _integrators(q) -> tuple[str, ...]:
+    """The integrators :func:`gamma_divergence` offers for input ``q``."""
+    if isinstance(q, DiscreteDensity):
+        return ("exact",)
+    if not isinstance(q, SampledDensity):  # a sampled input needs no expfam
+        from .expfam import ExpFamilyDensity
+        if isinstance(q, ExpFamilyDensity):
+            return ("closed_form",)
+    return ("quadrature", "monte_carlo")
+
+
 def _gamma_route(q1, q2, gamma: float, route: str,
                  cfg: EstimatorConfig | None,
                  support: tuple[float, float] | None) -> tuple[str, Callable | None]:
@@ -472,9 +489,7 @@ def _gamma_route(q1, q2, gamma: float, route: str,
     ``log I(f, h)``: ``None`` on Monte Carlo, which takes the three at once."""
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    taken, other = (("exact",) if isinstance(q, DiscreteDensity)
-                    else ("closed_form",) if isinstance(q, ExpFamilyDensity)
-                    else ("quadrature", "monte_carlo") for q in (q1, q2))
+    taken, other = _integrators(q1), _integrators(q2)
     if other != taken:
         raise ValueError("gamma-divergence inputs must be of one kind")
     if route == "auto":  # a cfg asks for Monte Carlo where the inputs allow it
@@ -573,6 +588,7 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
     if route == "exact":
         mix, _ = m_mixture(p1, p2, m, normalize=False)
     elif route == "closed_form":
+        from .expfam import ExpFamilyDensity
         if m.kind is not MeanKind.GEOMETRIC:
             raise ValueError(
                 "closed-form projective M-JSD needs a geometric mean; "

@@ -67,8 +67,12 @@ def _validated(vec_name: str, vec, mat_name: str,
     is not symmetric or not positive-definite is a mathematical one
     (:class:`NotPositiveDefinite`).
     """
-    vec = np.array(vec, dtype=float, ndmin=1)
-    mat = np.asarray(mat, dtype=float)
+    try:
+        vec = np.array(vec, dtype=float, ndmin=1)
+        mat = np.asarray(mat, dtype=float)
+    except ValueError:  # a ragged nesting, or text that is not a number
+        raise InvalidDensity(f"{vec_name} and {mat_name} must be rectangular arrays "
+                             "of numbers") from None
     if vec.ndim != 1:
         raise InvalidDensity(f"{vec_name} must be a vector")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import discrete, estimate, expfam, gaussian
 from ._kernels import logsumexp
+from ._suites import SUITE_NAMES
 from .discrete import DiscreteDensity
 from .logbase import BITS
 from .means import MeanSpec
@@ -68,6 +69,12 @@ class Check:
 
 def _check_residual(name: str, residual: float, tol: float) -> Check:
     return Check(name, bool(residual < tol), f"max residual {residual:.3e} (tol {tol:g})")
+
+
+def _worst(*residuals: float) -> float:
+    """The largest residual, or NaN if any is NaN (``max`` would pass a NaN
+    over, and a check whose two sides are NaN would pass)."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +210,7 @@ def counterexamples() -> list[Check]:
         d12, d13, d32 = fn(p1, p2), fn(p1, p3), fn(p3, p2)
         defect = d12 - d13 - d32
         values = (d12, d13, d32, defect)
-        worst = max(abs(v - r) for v, r in zip(values, reference))
+        worst = _worst(*(abs(v - r) for v, r in zip(values, reference)))
         ok = worst < 1e-6 and defect > 0.0
         checks.append(Check(
             name, ok,
@@ -247,11 +254,11 @@ def identities(pairs: int = 1000, seed: int = DEFAULT_SEED) -> list[Check]:
             js_m = discrete.js_m(p1, p2, mean)
             js_m_ext = discrete.js_m_extended(p1, p2, mean)
             mix, z = discrete.m_mixture(p1, p2, mean)
-            res["gap"] = max(res["gap"], abs(
+            res["gap"] = _worst(res["gap"], abs(
                 js_m_ext - js_m - (z - math.log(z) - 1.0)))
-            res["regularization"] = max(res["regularization"], abs(
+            res["regularization"] = _worst(res["regularization"], abs(
                 js_m - plain_js - discrete.kl(a_mix, mix)))
-            res["cross_entropy"] = max(res["cross_entropy"], abs(
+            res["cross_entropy"] = _worst(res["cross_entropy"], abs(
                 js_m - (discrete.cross_entropy(a_mix, mix) - entropy_avg)))
 
         quarter_j = 0.25 * discrete.jeffreys(p1, p2)
@@ -259,13 +266,13 @@ def identities(pairs: int = 1000, seed: int = DEFAULT_SEED) -> list[Check]:
         bc = discrete.bhattacharyya_coefficient(p1, p2)
         js_g = discrete.js_m(p1, p2, geo)
         js_g_ext = discrete.js_m_extended(p1, p2, geo)
-        res["gjsd_identity"] = max(res["gjsd_identity"],
-                                   abs(js_g - (quarter_j - b_half)))
-        res["extended_identity"] = max(res["extended_identity"],
-                                       abs(js_g_ext - (quarter_j + bc - 1.0)))
-        res["f_equivalence"] = max(res["f_equivalence"], abs(
+        res["gjsd_identity"] = _worst(res["gjsd_identity"],
+                                      abs(js_g - (quarter_j - b_half)))
+        res["extended_identity"] = _worst(res["extended_identity"],
+                                          abs(js_g_ext - (quarter_j + bc - 1.0)))
+        res["f_equivalence"] = _worst(res["f_equivalence"], abs(
             discrete.f_divergence(p1, p2, discrete.F_EXTENDED_GJS) - js_g_ext))
-        res["taneja"] = max(res["taneja"], abs(
+        res["taneja"] = _worst(res["taneja"], abs(
             discrete.taneja_t(p1, p2)
             - (discrete.kl_between_mixtures(p1, p2, arith, geo) - math.log(bc))))
 
@@ -292,13 +299,13 @@ def _chernoff_equalizer(rng: np.random.Generator, pairs: int = 100) -> Check:
         p1, p2 = random_pair(rng, size)
         value, alpha_star = discrete.chernoff(p1, p2)
         mix, _ = discrete.m_mixture(p1, p2, MeanSpec.geometric(alpha_star))
-        worst_gap = max(worst_gap, abs(discrete.kl(mix, p1)
-                                       - discrete.kl(mix, p2)))
+        worst_gap = _worst(worst_gap, abs(discrete.kl(mix, p1)
+                                          - discrete.kl(mix, p2)))
         log_w1 = np.log(p1.weights)
         log_w2 = np.log(p2.weights)
         scan = -logsumexp(np.outer(grid, log_w1)
                           + np.outer(1.0 - grid, log_w2), axis=1)
-        worst_opt = max(worst_opt, float(scan.max()) - value)
+        worst_opt = _worst(worst_opt, float(scan.max()) - value)
     passed = worst_gap < 1e-8 and worst_opt < 1e-12
     return Check(
         "chernoff skew equalizes the two reverse KL terms and beats a grid scan",
@@ -446,7 +453,7 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
             "tv": gaussian.tv_gaussian_1d(m1, s1, m2, s2),
         }
         for key in worst:
-            worst[key] = max(worst[key], abs(closed[key] - oracle[key]))
+            worst[key] = _worst(worst[key], abs(closed[key] - oracle[key]))
     for key, value in worst.items():
         checks.append(_check_residual(
             f"closed-form {key} matches quadrature (d=1)", value, 1e-6))
@@ -462,24 +469,24 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
             mix = gaussian.geometric_mixture_params(g1, g2, 0.5)
             routes = [gaussian.gjsd_gaussian(g1, g2), identity_route, 0.5 * (
                 gaussian.kl_gaussian(g1, mix) + gaussian.kl_gaussian(g2, mix))]
-            cross["two_route_gjsd"] = max(cross["two_route_gjsd"],
-                                          max(routes) - min(routes))
+            cross["two_route_gjsd"] = _worst(cross["two_route_gjsd"],
+                                             _worst(*routes) - min(routes))
             alpha = float(rng.uniform(0.1, 0.9))
             fam = expfam.gaussian_family(d)
             t1, t2 = gaussian.natural_flat(g1), gaussian.natural_flat(g2)
             jensen = expfam.skew_jensen(fam, t1, t2, alpha)
-            cross["expfam_gjsd"] = max(
+            cross["expfam_gjsd"] = _worst(
                 cross["expfam_gjsd"],
                 abs(expfam.gjsd_ef(fam, t1, t2) - gaussian.gjsd_gaussian(g1, g2)),
                 abs(expfam.gjsd_extended_ef(fam, t1, t2)
                     - gaussian.gjsd_extended_gaussian(g1, g2)))
-            cross["skew_jensen_route"] = max(cross["skew_jensen_route"], abs(
+            cross["skew_jensen_route"] = _worst(cross["skew_jensen_route"], abs(
                 gaussian.bhattacharyya_gaussian(g1, g2, alpha) - jensen))
             n1 = gaussian.to_natural(g1)
-            cross["cumulant_routes"] = max(cross["cumulant_routes"], abs(
+            cross["cumulant_routes"] = _worst(cross["cumulant_routes"], abs(
                 gaussian.cumulant(n1) - gaussian.cumulant_ordinary(g1)))
             back = gaussian.from_natural(n1)
-            cross["round_trip"] = max(
+            cross["round_trip"] = _worst(
                 cross["round_trip"],
                 float(np.abs(back.mu - g1.mu).max()),
                 float(np.abs(back.sigma - g1.sigma).max()))
@@ -510,8 +517,8 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
             for fn in (gaussian.kl_gaussian, gaussian.jeffreys_gaussian,
                        gaussian.bhattacharyya_gaussian, gaussian.gjsd_gaussian,
                        gaussian.gjsd_extended_gaussian):
-                worst_affine = max(worst_affine,
-                                   abs(fn(g1, g2) - fn(t1, t2)))
+                worst_affine = _worst(worst_affine,
+                                      abs(fn(g1, g2) - fn(t1, t2)))
     checks.append(_check_residual(
         "divergences invariant under joint affine maps", worst_affine, 1e-9))
 
@@ -520,10 +527,10 @@ def gaussian_oracle(cases: int = 20, seed: int = DEFAULT_SEED) -> list[Check]:
     g2 = random_gaussian(rng, 2)
     near1 = gaussian.geometric_mixture_params(g1, g2, 1.0 - 1e-9)
     near0 = gaussian.geometric_mixture_params(g1, g2, 1e-9)
-    worst_interp = max(float(np.abs(near1.mu - g1.mu).max()),
-                       float(np.abs(near1.sigma - g1.sigma).max()),
-                       float(np.abs(near0.mu - g2.mu).max()),
-                       float(np.abs(near0.sigma - g2.sigma).max()))
+    worst_interp = _worst(float(np.abs(near1.mu - g1.mu).max()),
+                          float(np.abs(near1.sigma - g1.sigma).max()),
+                          float(np.abs(near0.mu - g2.mu).max()),
+                          float(np.abs(near0.sigma - g2.sigma).max()))
     checks.append(_check_residual(
         "geometric mixture interpolates to its endpoints", worst_interp, 1e-6))
 
@@ -603,13 +610,8 @@ def mc_convergence(seed: int = DEFAULT_SEED) -> list[Check]:
     return checks
 
 
-SUITES = {
-    "counterexamples": counterexamples,
-    "identities": identities,
-    "bounds": bounds,
-    "gaussian_oracle": gaussian_oracle,
-    "mc_convergence": mc_convergence,
-}
+# each suite is the function of its name
+SUITES = {name: globals()[name] for name in SUITE_NAMES}
 
 
 def run_suite(name: str) -> list[Check]:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -32,6 +33,7 @@ from geojsd import (
     natural_flat,
 )
 from geojsd.cli import _ROUTES, main
+from test_cold_import import geojsd_modules_loaded
 
 
 @pytest.fixture
@@ -526,6 +528,19 @@ class TestExitCodes:
             main(["compute", "--div", "wasserstein", "--p1", p1, "--p2", p2])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestList:
+    def test_lists_each_divergence_without_loading_a_route_module(self):
+        out, loaded = geojsd_modules_loaded("-m", "geojsd", "list")
+        # columns are at least two spaces apart
+        header, *rows = (re.split(r"\s{2,}", line) for line in out.splitlines())
+        assert header == ["div", "discrete inputs", "gaussian inputs"]
+        assert rows == [[div, "any total mass" if unnormalized else "normalized",
+                         "no" if gaussian_route is None else "yes"]
+                        for div, (unnormalized, _, gaussian_route) in _ROUTES.items()]
+        assert not {"geojsd.estimate", "geojsd.expfam", "geojsd.gaussian",
+                    "geojsd.verification"} & set(loaded)
 
 
 class TestVerify:

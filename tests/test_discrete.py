@@ -81,6 +81,11 @@ class TestDiscreteDensity:
             with pytest.raises(TypeError):
                 build(weights)
 
+    def test_ragged_weights_are_invalid(self):
+        # numpy's own ValueError for an inhomogeneous nesting is not raised
+        with pytest.raises(InvalidDensity, match="1-D vector"):
+            DiscreteDensity([[1.0], [1.0, 2.0]])
+
     def test_rejects_all_zero(self):
         with pytest.raises(InvalidDensity):
             DiscreteDensity.positive([0.0, 0.0])

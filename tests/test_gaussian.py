@@ -78,6 +78,12 @@ class TestParams:
         with pytest.raises(InvalidDensity, match=message):
             GaussianParams(np.array(mu), np.array(sigma))
 
+    @pytest.mark.parametrize("mu, sigma", [([0.0, [1.0]], np.eye(2)),
+                                           ([0.0], [[1.0], [1.0, 2.0]])])
+    def test_ragged_input_is_invalid(self, mu, sigma):
+        with pytest.raises(InvalidDensity, match="rectangular arrays of numbers"):
+            GaussianParams(mu, sigma)
+
     def test_natural_requires_pd(self):
         with pytest.raises(NotPositiveDefinite):
             GaussianNatural(np.zeros(1), np.array([[-0.5]]))

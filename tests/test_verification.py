@@ -1,13 +1,17 @@
+import functools
 import math
 
 import pytest
 
 import oracles
+from geojsd import discrete
+from geojsd.cli import main
 from geojsd.verification import (
     SUITES,
     adaptive_simpson,
     counterexamples,
     gaussian_quadrature_oracles,
+    identities,
     run_suite,
 )
 
@@ -59,3 +63,14 @@ class TestSuites:
     def test_suite_names(self):
         assert set(SUITES) == {"counterexamples", "identities", "bounds",
                                "gaussian_oracle", "mc_convergence"}
+
+    def test_nan_residual_fails_its_check(self, monkeypatch, capsys):
+        # both sides of an identity are NaN: max(0.0, nan) is 0.0, which
+        # would pass the check
+        monkeypatch.setattr(discrete, "js_m", lambda *args, **kwargs: math.nan)
+        failed = [c for c in identities(pairs=2) if not c.passed]
+        assert "M-JSD cross-entropy decomposition" in {c.name for c in failed}
+        assert all("nan" in c.detail for c in failed)
+        monkeypatch.setitem(SUITES, "identities", functools.partial(identities, pairs=2))
+        assert main(["verify", "identities"]) == 1
+        assert "FAIL  M-JSD cross-entropy decomposition" in capsys.readouterr().out
