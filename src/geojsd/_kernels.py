@@ -1,4 +1,4 @@
-"""numpy kernels of the library's sums, means, solves and integrals.
+"""numpy kernels of the library's sums, means, Gaussian rows and integrals.
 
 ``sum_x_log_ratio`` and ``logsumexp`` follow the branches and limit
 conventions of ``scipy.special``'s ``rel_entr``, ``kl_div`` and
@@ -19,13 +19,11 @@ per-entry form, and the log-add kinds are within about 2 ulp of
 ``np.logaddexp``'s, whose scalar loop costs many times more.  Two row
 kernels, ``gaussian_rows`` and ``gaussian_log_rows``, draw and evaluate a
 d-variate Gaussian on (n, d) arrays a row block at a time, with the bits of
-the whole-array matmul forms.  The two
-solves take the lower Cholesky factor ``L`` that :mod:`geojsd.gaussian`
-keeps.  ``gauss_kronrod`` is QUADPACK's globally adaptive Gauss-Kronrod
-10/21 rule, the rule behind ``scipy.integrate.quad``, with each refinement
-round evaluated in one call on a 1-D array of nodes.  Importing scipy costs
-a cold process more time than any of these calls, so the library does not
-import it.
+the whole-array matmul forms.  ``gauss_kronrod`` is QUADPACK's globally
+adaptive Gauss-Kronrod 10/21 rule, the rule behind ``scipy.integrate.quad``,
+with each refinement round evaluated in one call on a 1-D array of nodes.
+Importing scipy costs a cold process more time than any of these calls, so
+the library does not import it.
 """
 
 from __future__ import annotations
@@ -439,16 +437,6 @@ def logsumexp(a, axis: int | None = None):
             out = np.where(finite, out,
                            np.log(np.exp(a).sum(axis=axis, keepdims=True)))
     return np.squeeze(out, axis=axis)[()]
-
-
-def solve_lower(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``L^-1 b`` for the lower Cholesky factor ``L``."""
-    return np.linalg.solve(chol, b)
-
-
-def cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``(L L')^-1 b`` from the lower Cholesky factor ``L``."""
-    return np.linalg.solve(chol.T, solve_lower(chol, b))
 
 
 # QUADPACK's QK21 rule (dqk21.f): the 21-point Kronrod extension of the

@@ -387,7 +387,10 @@ def cmd_verify(args) -> int:
     from . import verification
     checks = verification.run_suite(args.suite)
     if args.json:
-        print(json.dumps([check.__dict__ for check in checks], indent=2))
+        # a NaN or infinite residual is written as null: strict JSON
+        report = [{key: None if isinstance(v, float) and not math.isfinite(v) else v
+                   for key, v in check.__dict__.items()} for check in checks]
+        print(json.dumps(report, indent=2, allow_nan=False))
     else:
         width = max(len(check.name) for check in checks)
         for check in checks:

@@ -82,7 +82,7 @@ class DiscreteDensity:
     pass as-is, vectors within 1e-9 are rescaled and flagged through
     ``renormalized`` (hand-written inputs rarely sum exactly to one), and
     anything farther off is rejected.  ``renormalized`` is set here, never
-    passed in.  Weights given as text raise ``TypeError``.
+    passed in.  Weights given as text or complex numbers raise ``TypeError``.
     """
 
     weights: np.ndarray
@@ -96,6 +96,8 @@ class DiscreteDensity:
             raise InvalidDensity("weights must be a nonempty 1-D vector") from None
         if w.dtype.kind in "USO" and any(isinstance(v, (str, bytes)) for v in w.flat):
             raise TypeError("weights must be numbers, got text")
+        if w.dtype.kind == "c":
+            raise TypeError("weights must be real numbers, got complex")
         w = w.astype(float, copy=False)
         if w.ndim != 1 or w.size == 0:
             raise InvalidDensity("weights must be a nonempty 1-D vector")

@@ -41,8 +41,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from . import means
-from ._kernels import (gauss_kronrod, gaussian_log_rows, gaussian_rows, logsumexp,
-                       solve_lower)
+from ._kernels import gauss_kronrod, gaussian_log_rows, gaussian_rows, logsumexp
 from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import (DivergentIntegral, DomainViolation, ProposalSupportViolation,
                      TooManySamples)
@@ -86,10 +85,10 @@ def _sample_count(value: int, name: str) -> int:
 class EstimatorConfig:
     """Monte Carlo draws, seed and chunk length.
 
-    ``samples`` and ``chunk_size`` are read through ``operator.index``, so
-    a float such as ``2.5`` (or ``2.0``) raises ``TypeError``, and a numpy
-    integer is kept as a Python ``int``.  ``samples`` above 10^9 raises
-    :class:`TooManySamples`.
+    ``samples``, ``seed`` and ``chunk_size`` are read through
+    ``operator.index``, so a float such as ``2.5`` (or ``2.0``) raises
+    ``TypeError``, and a numpy integer is kept as a Python ``int``.
+    ``samples`` above 10^9 raises :class:`TooManySamples`.
     """
 
     samples: int
@@ -97,7 +96,7 @@ class EstimatorConfig:
     chunk_size: int = 1 << 16
 
     def __post_init__(self) -> None:
-        for name in ("samples", "chunk_size"):
+        for name in ("samples", "seed", "chunk_size"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
@@ -125,13 +124,13 @@ class SampledDensity:
 def gaussian_sampled(g: GaussianParams) -> SampledDensity:
     """A multivariate Gaussian as a samplable density (1-D draws stay flat).
 
-    At d > 1 the inverse Cholesky factor ``L^-1`` is computed once, here.
-    The sampler and ``log_density`` are the row kernels
+    At d > 1 the sampler and ``log_density`` are the row kernels
     :func:`geojsd._kernels.gaussian_rows` and
     :func:`geojsd._kernels.gaussian_log_rows`: a batch of points is drawn
-    (``standard_normal @ L' + mu``) or whitened (``(x - mu) @ L^-T``, then
-    the quadratic form as a row dot) one row block at a time, in scratch of
-    about 16k entries, with the bits of the whole-array expressions.
+    (``standard_normal @ L' + mu``) or whitened (``(x - mu) @ L^-T``, with
+    the ``L^-1`` that ``g`` keeps, then the quadratic form as a row dot) one
+    row block at a time, in scratch of about 16k entries, with the bits of
+    the whole-array expressions.
     """
     mu = g.mu
     d = g.dim
@@ -151,7 +150,7 @@ def gaussian_sampled(g: GaussianParams) -> SampledDensity:
 
         return SampledDensity(log_density, sampler)
 
-    inv_chol_t = solve_lower(chol, np.eye(d)).T
+    inv_chol_t = g._inv_chol.T
 
     def log_density(x: np.ndarray) -> np.ndarray:
         return gaussian_log_rows(x, mu, inv_chol_t, log_norm)
@@ -448,7 +447,8 @@ def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
 def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
                       support: tuple[float, float]) -> float:
     lo, hi = support
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    # the width is finite only if both ends are, and it may overflow if they are
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError("quadrature support must be a finite interval lo < hi")
 
     def log_integrand(x: np.ndarray) -> np.ndarray:

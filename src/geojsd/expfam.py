@@ -188,8 +188,11 @@ def gaussian_family(d: int) -> ExpFamily:
     Parameters are packed by :func:`geojsd.gaussian.pack_gaussian_theta`;
     the cumulant and its gradient (the packed mean parameters) are those of
     :mod:`geojsd.gaussian`, from one validated and factored
-    :class:`geojsd.gaussian.GaussianNatural` per call.
+    :class:`geojsd.gaussian.GaussianNatural` per call.  ``d`` must be at
+    least 1.
     """
+    if d < 1:
+        raise ValueError("gaussian family needs at least one dimension")
 
     def cumulant(theta: np.ndarray, gradient: bool = False):
         try:

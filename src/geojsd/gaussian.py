@@ -8,7 +8,8 @@ not); geometric mixtures of Gaussians stay Gaussian, which is exactly why
 the geometric JSD admits the formulas below.  For arithmetic mixtures use
 the Monte Carlo estimators in :mod:`geojsd.estimate`.
 
-Each constructor factors its matrix once and keeps the Cholesky factor.
+Each constructor factors its matrix once and keeps the Cholesky factor ``L``
+and its inverse ``L^-1``, so every later solve is a product.
 Pair divergences work in one pair basis: with ``Sigma1 = L1 L1'`` and the
 SVD ``L1^-1 L2 = U S V'``, the map ``z = U' L1^-1 (x - mu1)`` takes N1 to
 ``N(0, I)`` and N2 to ``N(delta, diag(lam))``, ``lam = S^2 > 0``.  Every
@@ -33,7 +34,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import cho_solve, solve_lower
 from .errors import InvalidAlpha, InvalidDensity, NotPositiveDefinite
 
 __all__ = [
@@ -60,8 +60,9 @@ _SYMMETRY_TOL = 1e-12
 
 
 def _validated(vec_name: str, vec, mat_name: str,
-               mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only copies of a vector and an SPD matrix, plus its lower Cholesky factor.
+               mat) -> tuple[np.ndarray, ...]:
+    """Read-only copies of a vector and an SPD matrix, its lower Cholesky
+    factor ``L`` and ``L^-1``.
 
     A wrong shape is an input error (:class:`InvalidDensity`); a matrix that
     is not symmetric or not positive-definite is a mathematical one
@@ -75,6 +76,8 @@ def _validated(vec_name: str, vec, mat_name: str,
                              "of numbers") from None
     if vec.ndim != 1:
         raise InvalidDensity(f"{vec_name} must be a vector")
+    if vec.size == 0:
+        raise InvalidDensity(f"{vec_name} must not be empty")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidDensity(f"{mat_name} must be a square matrix")
     if mat.shape != (vec.size, vec.size):
@@ -89,9 +92,10 @@ def _validated(vec_name: str, vec, mat_name: str,
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"{mat_name} is not positive-definite") from exc
-    vec.setflags(write=False)
-    mat.setflags(write=False)
-    return vec, mat, chol
+    inv_chol = np.linalg.solve(chol, np.eye(vec.size))
+    for a in (vec, mat, chol, inv_chol):
+        a.setflags(write=False)
+    return vec, mat, chol, inv_chol
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,12 +105,12 @@ class GaussianParams:
     mu: np.ndarray
     sigma: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)  # Cholesky factor of sigma
+    _inv_chol: np.ndarray = field(init=False, repr=False)  # its inverse
 
     def __post_init__(self) -> None:
-        mu, sigma, chol = _validated("mu", self.mu, "sigma", self.sigma)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "_chol", chol)
+        for name, value in zip(("mu", "sigma", "_chol", "_inv_chol"),
+                               _validated("mu", self.mu, "sigma", self.sigma)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -128,13 +132,13 @@ class GaussianNatural:
     theta_v: np.ndarray
     theta_m: np.ndarray
     _chol: np.ndarray = field(init=False, repr=False)  # Cholesky factor of theta_M
+    _inv_chol: np.ndarray = field(init=False, repr=False)  # its inverse
 
     def __post_init__(self) -> None:
-        theta_v, theta_m, chol = _validated("theta_v", self.theta_v,
-                                            "theta_M", self.theta_m)
-        object.__setattr__(self, "theta_v", theta_v)
-        object.__setattr__(self, "theta_m", theta_m)
-        object.__setattr__(self, "_chol", chol)
+        for name, value in zip(("theta_v", "theta_m", "_chol", "_inv_chol"),
+                               _validated("theta_v", self.theta_v,
+                                          "theta_M", self.theta_m)):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
@@ -142,10 +146,10 @@ class GaussianNatural:
 
 
 def _natural_arrays(g: GaussianParams) -> tuple[np.ndarray, np.ndarray]:
-    """(Sigma^-1 mu, Sigma^-1 / 2) from the Cholesky factor ``g`` keeps."""
-    theta_v = cho_solve(g._chol, g.mu)
-    precision = cho_solve(g._chol, np.eye(g.dim))
-    return theta_v, 0.25 * (precision + precision.T)
+    """(Sigma^-1 mu, Sigma^-1 / 2) from the inverse factor ``g`` keeps."""
+    inv = g._inv_chol
+    precision = inv.T @ inv
+    return inv.T @ (inv @ g.mu), 0.25 * (precision + precision.T)
 
 
 def to_natural(g: GaussianParams) -> GaussianNatural:
@@ -155,7 +159,7 @@ def to_natural(g: GaussianParams) -> GaussianNatural:
 
 def _moments(n: GaussianNatural) -> tuple[np.ndarray, np.ndarray]:
     """(mu, Sigma) of ``n``: Sigma = theta_M^-1 / 2, mu = Sigma theta_v."""
-    sigma = 0.5 * cho_solve(n._chol, np.eye(n.dim))
+    sigma = 0.5 * (n._inv_chol.T @ n._inv_chol)
     return sigma @ n.theta_v, sigma
 
 
@@ -207,7 +211,7 @@ def natural_flat(g: GaussianParams) -> np.ndarray:
 def cumulant(n: GaussianNatural) -> float:
     """Cumulant F(theta) = (d log pi - log|theta_M| + theta_v' theta_M^-1 theta_v / 2) / 2."""
     logdet = 2.0 * float(np.log(np.diag(n._chol)).sum())
-    half_solve = solve_lower(n._chol, n.theta_v)
+    half_solve = n._inv_chol @ n.theta_v
     quad = float(half_solve @ half_solve)  # theta_v' theta_M^-1 theta_v
     return 0.5 * (n.dim * math.log(math.pi) - logdet + 0.5 * quad)
 
@@ -224,7 +228,7 @@ def _packed_gradient(n: GaussianNatural) -> np.ndarray:
 
 def cumulant_ordinary(g: GaussianParams) -> float:
     """Cumulant in moment parameters: (mu' Sigma^-1 mu + log|Sigma| + d log 2pi) / 2."""
-    half = solve_lower(g._chol, g.mu)
+    half = g._inv_chol @ g.mu
     logdet = 2.0 * float(np.log(np.diag(g._chol)).sum())
     return 0.5 * (float(half @ half) + logdet + g.dim * math.log(2.0 * math.pi))
 
@@ -241,9 +245,9 @@ def _pair(g1: GaussianParams,
     if np.array_equal(g1.sigma, g2.sigma):
         rot, lam = np.eye(g1.dim), np.ones(g1.dim)
     else:
-        rot, s, _ = np.linalg.svd(solve_lower(g1._chol, g2._chol))
+        rot, s, _ = np.linalg.svd(g1._inv_chol @ g2._chol)
         lam = s * s
-    delta = rot.T @ solve_lower(g1._chol, g2.mu - g1.mu)
+    delta = rot.T @ (g1._inv_chol @ (g2.mu - g1.mu))
     return lam, delta, rot
 
 

@@ -62,13 +62,19 @@ IDENTITY_MEANS = (
 
 @dataclass
 class Check:
+    """One runtime check; ``value`` and ``tol`` are its residual and the
+    bound it must stay below, or ``None`` for a check without one."""
+
     name: str
     passed: bool
     detail: str = ""
+    value: float | None = None
+    tol: float | None = None
 
 
 def _check_residual(name: str, residual: float, tol: float) -> Check:
-    return Check(name, bool(residual < tol), f"max residual {residual:.3e} (tol {tol:g})")
+    return Check(name, bool(residual < tol),
+                 f"max residual {residual:.3e} (tol {tol:g})", float(residual), float(tol))
 
 
 def _worst(*residuals: float) -> float:

@@ -307,6 +307,22 @@ class TestExitCodes:
         assert code == 3
         assert "disjoint" in err
 
+    def test_quadrature_support_wider_than_a_float_is_usage_error(self, capsys,
+                                                                  tmp_path):
+        # -1e308 - 13 to 1e308 + 13 is finite at each end; its width is not
+        g1, g2 = tmp_path / "g1.json", tmp_path / "g2.json"
+        g1.write_text(json.dumps({"mu": [-1e308], "sigma": [[1.0]]}))
+        g2.write_text(json.dumps({"mu": [1e308], "sigma": [[1.0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run_cli(capsys, "compute", "--div", "js_m_gamma",
+                                     "--mean", "power:0.5", "--gaussian",
+                                     "--p1", str(g1), "--p2", str(g2))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: quadrature support must be a finite interval lo < hi"]
+
     @pytest.mark.parametrize("div", ["gamma", "js_m_gamma"])
     def test_gamma_support_size_mismatch_is_usage_error(self, capsys, tmp_path,
                                                         div):
@@ -563,6 +579,24 @@ class TestVerify:
         report = json.loads(out)
         assert report
         assert all(entry["passed"] is True for entry in report)
+        # each residual check carries its number and bound
+        residual = [entry for entry in report if entry["tol"] is not None]
+        assert residual
+        for entry in residual:
+            assert (entry["value"] is not None
+                    and entry["value"] < entry["tol"]) == entry["passed"]
+
+    def test_json_report_writes_a_nan_residual_as_null(self, capsys, monkeypatch):
+        from geojsd import verification
+        checks = [verification._check_residual("nan", math.nan, 1e-12),
+                  verification._check_residual("small", 1e-15, 1e-12),
+                  verification.Check("plain", True)]
+        monkeypatch.setattr(verification, "run_suite", lambda name: checks)
+        code, out, _ = run_cli(capsys, "verify", "all", "--json")
+        assert code == 1
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert [(e["passed"], e["value"], e["tol"]) for e in report] == [
+            (False, None, 1e-12), (True, 1e-15, 1e-12), (True, None, None)]
 
 
 class TestSweep:

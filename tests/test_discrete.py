@@ -81,6 +81,13 @@ class TestDiscreteDensity:
             with pytest.raises(TypeError):
                 build(weights)
 
+    @pytest.mark.parametrize("weights", [[1j, 1.0], np.array([0.5 + 0j, 0.5])])
+    def test_complex_weights_are_a_type_error(self, weights):
+        # not silently cast to their real part with a ComplexWarning
+        for build in (DiscreteDensity, DiscreteDensity.probability):
+            with pytest.raises(TypeError, match="complex"):
+                build(weights)
+
     def test_ragged_weights_are_invalid(self):
         # numpy's own ValueError for an inhomogeneous nesting is not raised
         with pytest.raises(InvalidDensity, match="1-D vector"):

@@ -102,8 +102,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("fields", [
         {"samples": 2.5}, {"samples": 2.0}, {"samples": "3"},
-        {"samples": 10, "chunk_size": 2.5}, {"samples": 10, "chunk_size": 1e300}],
-        ids=["samples-2.5", "samples-2.0", "samples-str", "chunk-2.5", "chunk-1e300"])
+        {"samples": 10, "chunk_size": 2.5}, {"samples": 10, "chunk_size": 1e300},
+        {"samples": 10, "seed": 1.5}, {"samples": 10, "seed": 2.0}],
+        ids=["samples-2.5", "samples-2.0", "samples-str", "chunk-2.5", "chunk-1e300",
+             "seed-1.5", "seed-2.0"])
     def test_counts_must_be_integers(self, fields):
         # read through operator.index: no float is a count, whole or not
         with pytest.raises(TypeError):
@@ -122,6 +124,8 @@ class TestConfig:
         assert (cfg.samples, cfg.chunk_size) == (12, 5)
         assert type(cfg.samples) is int and type(cfg.chunk_size) is int
         assert dataclasses.replace(cfg, samples=np.int16(3)).samples == 3
+        seed = EstimatorConfig(samples=1, seed=np.uint64(2 ** 64 - 1)).seed
+        assert type(seed) is int and seed == 2 ** 64 - 1
 
 
 class TestEstimateZ:
@@ -954,7 +958,8 @@ class TestQuadratureRoute:
 
     def test_rejects_unbounded_or_empty_support(self):
         d = gaussian_sampled(N01)
-        for support in ((-math.inf, 1.0), (0.0, math.nan), (1.0, 1.0), (2.0, -2.0)):
+        for support in ((-math.inf, 1.0), (0.0, math.nan), (1.0, 1.0), (2.0, -2.0),
+                        (-1e308, 1e308)):
             with pytest.raises(ValueError, match="finite interval"):
                 gamma_divergence(d, d, 0.5, "quadrature", support=support)
 

@@ -108,6 +108,12 @@ class TestGaussianDomain:
         with pytest.raises(DivergentIntegral):
             estimate.js_m_gamma(e1, e2, MeanSpec.geometric(), 1.0, "closed_form")
 
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_family_needs_a_dimension(self, d):
+        # as categorical_family refuses fewer than two atoms
+        with pytest.raises(ValueError, match="at least one dimension"):
+            gaussian_family(d)
+
     def test_family_cumulant_is_gaussian_cumulant(self, rng):
         g = random_gaussian(rng, 2)
         n = to_natural(g)
@@ -281,26 +287,38 @@ class TestGJSDExpFam:
         # the midpoint without; bregman reads theta2 with its gradient and
         # theta1 without; a gamma-divergence takes one cumulant per moment
         # integral, three integrals alone and five in js_m_gamma.
-        # natural_flat packs from the moment factor the params already keep
+        # Each factorization is followed by the one solve for L^-1, and
+        # nothing else solves.  natural_flat, the closed forms and the
+        # ordinary cumulant use the factors the params already keep.
         fam = gaussian_family(3)
-        g1 = random_gaussian(rng, 3)
-        t1 = natural_flat(g1)
-        t2 = natural_flat(random_gaussian(rng, 3))
+        g1, g2 = random_gaussian(rng, 3), random_gaussian(rng, 3)
+        t1, t2 = natural_flat(g1), natural_flat(g2)
         e1, e2 = ExpFamilyDensity(fam, t1), ExpFamilyDensity(fam, t2)
-        factor = np.linalg.cholesky
         calls = []
 
-        def counting(mat):
-            calls.append(mat.shape)
-            return factor(mat)
+        def counting(kind, wrapped):
+            def call(*args):
+                calls.append(kind)
+                return wrapped(*args)
+            return call
 
-        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        for kind in ("cholesky", "solve"):
+            monkeypatch.setattr(np.linalg, kind,
+                                counting(kind, getattr(np.linalg, kind)))
         table = {
             "gjsd_ef": (lambda: gjsd_ef(fam, t1, t2), 3),
             "gjsd_extended_ef": (lambda: gjsd_extended_ef(fam, t1, t2), 3),
             "skew_jensen": (lambda: skew_jensen(fam, t1, t2), 3),
             "bregman": (lambda: bregman(fam, t1, t2), 2),
             "natural_flat": (lambda: natural_flat(g1), 0),
+            "cumulant_ordinary": (lambda: gaussian.cumulant_ordinary(g1), 0),
+            "kl_gaussian": (lambda: gaussian.kl_gaussian(g1, g2), 0),
+            "jeffreys_gaussian": (lambda: gaussian.jeffreys_gaussian(g1, g2), 0),
+            "bhattacharyya_gaussian": (
+                lambda: gaussian.bhattacharyya_gaussian(g1, g2), 0),
+            "gjsd_gaussian": (lambda: gaussian.gjsd_gaussian(g1, g2), 0),
+            "gjsd_extended_gaussian": (
+                lambda: gaussian.gjsd_extended_gaussian(g1, g2), 0),
             "gamma_divergence": (lambda: estimate.gamma_divergence(
                 e1, e2, 0.5, "closed_form"), 3),
             "js_m_gamma": (lambda: estimate.js_m_gamma(
@@ -309,7 +327,7 @@ class TestGJSDExpFam:
         for name, (call, want) in table.items():
             calls.clear()
             call()
-            assert len(calls) == want, name
+            assert calls == ["cholesky", "solve"] * want, name
 
 
 class TestIntractableFamily:

@@ -94,6 +94,30 @@ class TestParams:
         with pytest.raises(InvalidDensity, match="finite"):
             GaussianParams(np.array(mu), np.array(sigma))
 
+    @pytest.mark.parametrize("cls", [GaussianParams, GaussianNatural])
+    def test_rejects_empty_vector(self, cls):
+        # not numpy's ValueError from a reduction over zero entries
+        with pytest.raises(InvalidDensity, match="must not be empty"):
+            cls(np.zeros(0), np.zeros((0, 0)))
+
+
+class TestStoredFactors:
+    """Each constructor keeps L and L^-1 of its matrix, both read-only."""
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_inverse_factor(self, rng, d):
+        a = rng.normal(size=(d, d))
+        mat = a @ a.T + d * np.eye(d)
+        for density in (GaussianParams(np.zeros(d), mat),
+                        GaussianNatural(np.zeros(d), mat)):
+            chol, inv = density._chol, density._inv_chol
+            np.testing.assert_allclose(chol @ chol.T, mat, rtol=1e-12)
+            np.testing.assert_allclose(chol @ inv, np.eye(d), rtol=0, atol=1e-12)
+            for arr in (chol, inv):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1.0
+
 
 class TestPairInputs:
     @pytest.mark.parametrize("fn", [kl_gaussian, jeffreys_gaussian,

@@ -551,19 +551,6 @@ class TestLogsumexp:
         assert _kernels.logsumexp(np.array([0.0, -40.0])) > 0.0
 
 
-class TestCholeskySolves:
-    def test_against_direct_solves(self, rng):
-        for d in (1, 3, 8):
-            a = rng.normal(size=(d, d))
-            sigma = a @ a.T + d * np.eye(d)
-            chol = np.linalg.cholesky(sigma)
-            b = rng.normal(size=(d, 2))
-            np.testing.assert_allclose(chol @ _kernels.solve_lower(chol, b), b,
-                                       rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(sigma @ _kernels.cho_solve(chol, b), b,
-                                       rtol=1e-12, atol=1e-12)
-
-
 class TestGaussKronrod:
     """QUADPACK's QK21 rule and the adaptive scheme built on it."""
 
