@@ -19,9 +19,11 @@ cancellation.
 
 Proposal contract: every Monte Carlo estimator, the gamma route included,
 runs one chunk body, which raises :class:`ProposalSupportViolation` where
-the proposal (``proposal=``, or else the first density) has a log-density
-that is not finite at one of its own draws.  The chunk body evaluates each
-distinct density object once; a mixture (:func:`arithmetic_mixture_proposal`,
+the proposal has a log-density that is not finite at one of its own draws.
+The proposal is ``proposal=``, or else the first density; the extended
+M-JSD takes no ``proposal=`` and always draws from the balanced mixture
+:func:`arithmetic_mixture_proposal` of its two arguments.  The chunk body
+evaluates each distinct density object once; a mixture (:func:`arithmetic_mixture_proposal`,
 or the M-mixture of :func:`js_m_gamma`) takes its log-density from the
 values of its components, so a component that is also an argument is not
 called again.
@@ -35,13 +37,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
 from . import means
-from ._kernels import gauss_kronrod, gaussian_log_rows, gaussian_rows, logsumexp
+from ._kernels import (gauss_kronrod, gaussian_log_rows, gaussian_rows, logsumexp,
+                       sum_x_log_ratio)
 from .discrete import DiscreteDensity, _aligned, m_mixture
 from .errors import (DivergentIntegral, DomainViolation, ProposalSupportViolation,
                      TooManySamples)
@@ -115,6 +118,13 @@ class SampledDensity:
     unnormalized *except* when the density serves as an importance-sampling
     proposal, where the exact (normalized) log-density is required.
     ``sampler(rng, n)`` draws n points.
+
+    The ``log_density`` that :func:`gaussian_sampled` or
+    :func:`categorical_sampled` makes keeps the Gaussian or finite density
+    it computes as its attribute ``_source``, whose KL divergences have
+    closed forms.  The attribute is on the callable, so a wrapper made with
+    ``functools.wraps`` (a tracer, say) keeps it, and with it the bits of
+    :func:`estimate_js_m_extended`.
     """
 
     log_density: Callable[[np.ndarray], np.ndarray]
@@ -148,6 +158,7 @@ def gaussian_sampled(g: GaussianParams) -> SampledDensity:
         def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
             return m0 + sd * rng.standard_normal(n)
 
+        log_density._source = g
         return SampledDensity(log_density, sampler)
 
     inv_chol_t = g._inv_chol.T
@@ -158,6 +169,7 @@ def gaussian_sampled(g: GaussianParams) -> SampledDensity:
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return gaussian_rows(rng, n, chol, mu)
 
+    log_density._source = g
     return SampledDensity(log_density, sampler)
 
 
@@ -173,6 +185,7 @@ def categorical_sampled(p: DiscreteDensity) -> SampledDensity:
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.choice(w.size, size=n, p=w)
 
+    log_density._source = p
     return SampledDensity(log_density, sampler)
 
 
@@ -380,24 +393,91 @@ def estimate_kl_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
                             cfg.samples)
 
 
+def _closed_form_kls(p1: SampledDensity,
+                     p2: SampledDensity) -> tuple[float, float] | None:
+    """``(KL(p1 : p2), KL(p2 : p1))`` in closed form, or ``None``.
+
+    Both are known when the log-densities of ``p1`` and ``p2`` carry two
+    Gaussians of one dimension (:func:`kl_gaussian`) or two finite densities
+    of one size (the sums over their normalized weights, which
+    :func:`categorical_sampled` draws from); ``None`` also when either
+    divergence is infinite.
+    """
+    a, b = (getattr(q.log_density, "_source", None) for q in (p1, p2))
+    if a is None or type(a) is not type(b):
+        return None
+    if isinstance(a, DiscreteDensity):
+        if a.size != b.size:
+            return None
+        w1, w2 = a.weights / a.total_mass, b.weights / b.total_mass
+        kls = sum_x_log_ratio(w1, w2), sum_x_log_ratio(w2, w1)
+    else:
+        if a.dim != b.dim:
+            return None
+        from .gaussian import kl_gaussian   # loaded: a and b are Gaussians
+        kls = kl_gaussian(a, b), kl_gaussian(b, a)
+    return kls if all(math.isfinite(k) for k in kls) else None
+
+
 def estimate_js_m_extended(p1: SampledDensity, p2: SampledDensity, m: MeanSpec,
                            cfg: EstimatorConfig,
                            workers: int = 1) -> tuple[float, float]:
     """Monte Carlo estimate of the extended M-JSD.
 
-    Averages the two extended-KL estimates, each with its own argument as
-    the proposal (independent streams derived from the seed); standard
-    errors combine in quadrature.
+    ``JS+_M = (KL+(p1, M~) + KL+(p2, M~)) / 2``, with ``M~ = M_alpha(p1, p2)``
+    unnormalized, from one stream of ``cfg.samples`` draws in all, from the
+    balanced mixture ``r = (p1 + p2)/2`` (:func:`arithmetic_mixture_proposal`;
+    chunk k draws as in every estimator here).  Both arguments must be
+    normalized.  With ``w_i = p_i/r``, each draw adds::
+
+        (w1 log(p1/M~) + w2 log(p2/M~)) / 2 + (M~ - A)/r
+
+    with ``A = alpha p1 + (1-alpha) p2``.  Two parts are exact, not sampled:
+
+    * the mass terms ``-(w1 + w2)/2 = -1`` of the two extended KLs, taken as
+      ``-A/r``, whose mean is 1 (at alpha = 1/2, ``A`` is ``r``);
+    * with ``G = p1^alpha p2^(1-alpha)``, ``log(p1/G) = (1-alpha) d`` and
+      ``log(p2/G) = -alpha d`` for ``d = log(p1/p2)``, and the means of
+      ``w1 d`` and ``w2 d`` are ``KL(p1 : p2)`` and ``-KL(p2 : p1)``.  Where
+      both are finite in closed form (two Gaussians from
+      :func:`gaussian_sampled`, or two finite densities from
+      :func:`categorical_sampled`), the ``d`` terms give way to
+      ``((1-alpha) KL(p1 : p2) + alpha KL(p2 : p1)) / 2``, added to the mean,
+      and the log part of a draw is ``log(G/M~)`` (as ``(w1 + w2)/2 = 1``);
+      for the geometric mean that is 0, so only ``M~/r`` is sampled.  Other
+      inputs keep the ``d`` terms, and the estimate stays unbiased.
+
+    A draw where ``p_i`` is 0 adds nothing for its log term
+    (``0 log 0 = 0``).  The standard error is that of the per-draw terms.
     """
-    if p1.sampler is None or p2.sampler is None:
-        raise ValueError("both densities must be samplable")
-    # the root of the seed's SeedSequence tree, whose chunk streams are its
-    # spawned children, seeds the second estimate
-    seed2 = np.random.SeedSequence(cfg.seed).generate_state(1, np.uint64)[0]
-    cfg2 = replace(cfg, seed=int(seed2))
-    first, se1 = estimate_kl_extended(p1, p2, m, cfg, workers=workers)
-    second, se2 = estimate_kl_extended(p2, p1, m.swapped(), cfg2, workers=workers)
-    return 0.5 * (first + second), 0.5 * math.hypot(se1, se2)
+    r = arithmetic_mixture_proposal(p1, p2)
+    kls = _closed_form_kls(p1, p2)
+    alpha = m.alpha
+    geometric = MeanSpec.geometric(alpha)
+
+    def term(l1: np.ndarray, l2: np.ndarray, log_r: np.ndarray) -> tuple:
+        log_mix = np.asarray(means.log_evaluate(m, l1, l2))
+        # (M~ - A)/r, with A/r - 1 = (2 alpha - 1)(w1 - 1)
+        g = np.exp(log_mix - log_r)
+        g -= 1.0
+        if alpha != 0.5:
+            g -= (2.0 * alpha - 1.0) * (np.exp(l1 - log_r) - 1.0)
+        if kls is not None:
+            if m != geometric:
+                g += means.log_evaluate(geometric, l1, l2) - log_mix
+            return _moments(g)
+        for own in (l1, l2):
+            # 0 log(0/M~) = 0: where p_i is 0 its log term is left out
+            log_ratio = np.subtract(own, log_mix, out=np.zeros_like(g),
+                                    where=own > -np.inf)
+            g += 0.5 * np.exp(own - log_r) * log_ratio
+        return _moments(g)
+
+    mean, stderr = _mean_and_stderr(_map_chunks(cfg, p1, p2, r, term, workers),
+                                    cfg.samples)
+    if kls is not None:
+        mean += 0.5 * ((1.0 - alpha) * kls[0] + alpha * kls[1])
+    return mean, stderr
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +526,10 @@ def _log_i_expfam(e1: ExpFamilyDensity, e2: ExpFamilyDensity,
 
 def _log_i_quadrature(ld1: Callable, ld2: Callable, gamma: float,
                       support: tuple[float, float]) -> float:
-    lo, hi = support
+    try:
+        lo, hi = map(float, support)
+    except OverflowError:   # an integer end beyond the float range
+        lo = hi = math.nan
     # the width is finite only if both ends are, and it may overflow if they are
     if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError("quadrature support must be a finite interval lo < hi")
@@ -580,9 +663,10 @@ def js_m_gamma(p1, p2, m: MeanSpec, gamma: float, integrator: str = "auto", *,
     own first argument (``p1``, then ``p2``) when it is ``None``.  Both
     halves run with the same ``cfg``, so they draw the same chunk streams
     (common random numbers): chunk k of each half is drawn from the same
-    generator state, by its own sampler.  :func:`estimate_js_m_extended`,
-    by contrast, seeds its second half apart.  Outside the Monte Carlo
-    route the moment ``I(M~, M~)`` that both halves share is computed once.
+    generator state, by its own sampler.  :func:`estimate_js_m_extended`
+    goes further: both its halves take the same draws, from one mixture
+    proposal.  Outside the Monte Carlo route the moment ``I(M~, M~)`` that
+    both halves share is computed once.
     """
     route, log_i = _gamma_route(p1, p2, gamma, integrator, cfg, support)
     if route == "exact":

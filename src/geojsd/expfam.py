@@ -28,6 +28,7 @@ endpoints do not belong to the arc.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -188,9 +189,10 @@ def gaussian_family(d: int) -> ExpFamily:
     Parameters are packed by :func:`geojsd.gaussian.pack_gaussian_theta`;
     the cumulant and its gradient (the packed mean parameters) are those of
     :mod:`geojsd.gaussian`, from one validated and factored
-    :class:`geojsd.gaussian.GaussianNatural` per call.  ``d`` must be at
-    least 1.
+    :class:`geojsd.gaussian.GaussianNatural` per call.  ``d`` must be an
+    integer (read through ``operator.index``) of at least 1.
     """
+    d = operator.index(d)
     if d < 1:
         raise ValueError("gaussian family needs at least one dimension")
 
@@ -210,7 +212,11 @@ def gaussian_family(d: int) -> ExpFamily:
 # ---------------------------------------------------------------------------
 
 def categorical_family(k: int) -> ExpFamily:
-    """Categorical distributions on k atoms, theta_i = log(p_i / p_k)."""
+    """Categorical distributions on k atoms, theta_i = log(p_i / p_k).
+
+    ``k`` must be an integer (read through ``operator.index``) of at least 2.
+    """
+    k = operator.index(k)
     if k < 2:
         raise ValueError("categorical family needs at least two atoms")
 

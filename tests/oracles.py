@@ -187,6 +187,20 @@ def gaussian_gjsd_extended_quad(m1, s1, m2, s2):
     return float(mp.quad(integrand, interval))
 
 
+def gaussian_js_m_extended_quad(m1, s1, m2, s2, power, alpha=0.5):
+    """Extended M-JSD of N(m1, s1^2) and N(m2, s2^2) for the weighted power
+    mean ``M = (alpha p1^power + (1-alpha) p2^power)^(1/power)``."""
+    p1, p2 = _gauss_pdf(m1, s1), _gauss_pdf(m2, s2)
+    power, alpha = mp.mpf(repr(float(power))), mp.mpf(repr(float(alpha)))
+
+    def integrand(x):
+        a, b = p1(x), p2(x)
+        m = (alpha * a ** power + (1 - alpha) * b ** power) ** (1 / power)
+        return (a * mp.log(a / m) + b * mp.log(b / m)) / 2 + m - (a + b) / 2
+
+    return float(mp.quad(integrand, _gauss_interval(m1, s1, m2, s2)))
+
+
 def gaussian_tv_quad(m1, s1, m2, s2):
     p1, p2 = _gauss_pdf(m1, s1), _gauss_pdf(m2, s2)
     lo, hi = _gauss_interval(m1, s1, m2, s2)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 
@@ -267,7 +268,8 @@ class TestEstimateJSMExtended:
         assert abs(estimate - closed) <= 4.0 * stderr
 
     def test_skew_mean_uses_swapped_weights(self):
-        # alpha != 1/2 exercises the argument swap in the second KL term
+        # alpha != 1/2 weighs the two KL constants apart, and the mass
+        # control A = alpha p1 + (1-alpha) p2 is no longer the proposal
         d1, d2 = gaussian_sampled(N01), gaussian_sampled(N11)
         mean = MeanSpec.geometric(alpha=0.3)
         cfg = EstimatorConfig(samples=500_000, seed=6)
@@ -294,6 +296,94 @@ class TestEstimateJSMExtended:
         d2 = gaussian_sampled(N11)
         with pytest.raises(ValueError):
             estimate_js_m_extended(d1, d2, GEO, EstimatorConfig(samples=10))
+
+    @pytest.mark.parametrize("d", [1, 8])
+    def test_log_ratio_terms_have_the_kl_means(self, d):
+        # under r = (p1 + p2)/2, w1 (l1 - l2) has mean KL(p1 : p2) and
+        # w2 (l1 - l2) has mean -KL(p2 : p1): the means the estimator adds
+        g1, g2 = (N01, N12) if d == 1 else (random_gaussian(np.random.default_rng(8), 8),
+                                            random_gaussian(np.random.default_rng(9), 8))
+        s1, s2 = gaussian_sampled(g1), gaussian_sampled(g2)
+        x = arithmetic_mixture_proposal(s1, s2).sampler(np.random.default_rng(5), 1 << 18)
+        l1, l2 = s1.log_density(x), s2.log_density(x)
+        log_r = np.logaddexp(l1, l2) - math.log(2.0)
+        for w, expected in ((np.exp(l1 - log_r), kl_gaussian(g1, g2)),
+                            (np.exp(l2 - log_r), -kl_gaussian(g2, g1))):
+            terms = w * (l1 - l2)
+            stderr = float(terms.std(ddof=1)) / math.sqrt(terms.size)
+            assert abs(float(terms.mean()) - expected) <= 4.0 * stderr
+
+    @pytest.mark.parametrize("case", ["geometric d1", "geometric d8", "power d1"])
+    def test_standard_error_covers_the_exact_value(self, case):
+        # 200 seeds at 2^12 draws: the reported standard error is honest
+        if case == "geometric d8":
+            g1, g2 = (random_gaussian(np.random.default_rng(s), 8) for s in (8, 9))
+        else:
+            g1, g2 = N01, GaussianParams.univariate(1.5, 0.5)
+        if case == "power d1":
+            mean = MeanSpec.power(-0.5)
+            exact = oracles.gaussian_js_m_extended_quad(
+                0.0, 1.0, 1.5, math.sqrt(0.5), -0.5)
+        else:
+            mean, exact = GEO, gjsd_extended_gaussian(g1, g2)
+        s1, s2 = gaussian_sampled(g1), gaussian_sampled(g2)
+        misses = 0
+        for seed in range(200):
+            value, stderr = estimate_js_m_extended(
+                s1, s2, mean, EstimatorConfig(samples=1 << 12, seed=seed))
+            misses += abs(value - exact) > 3.0 * stderr
+        assert misses <= 2
+
+    def test_hand_made_densities_keep_the_log_ratio_terms(self):
+        # no closed-form KL: the d terms are sampled, not replaced by their
+        # means, and the estimate stays in band with a wider error
+        far = GaussianParams.univariate(3.0, 0.25)
+        known = gaussian_sampled(N01), gaussian_sampled(far)
+        hand_made = tuple(SampledDensity(lambda x, s=s: s.log_density(x), s.sampler)
+                          for s in known)
+        cfg = EstimatorConfig(samples=200_000, seed=17)
+        closed = gjsd_extended_gaussian(N01, far)
+        (v_known, se_known), (v_hand, se_hand) = (
+            estimate_js_m_extended(*pair, GEO, cfg) for pair in (known, hand_made))
+        assert abs(v_hand - closed) <= 4.0 * se_hand
+        assert abs(v_known - closed) <= 4.0 * se_known
+        assert se_known < 0.25 * se_hand
+
+    def test_wrapped_callables_keep_the_closed_form_terms(self):
+        # a functools.wraps wrapper (as a tracer makes) of both callables
+        # keeps the Gaussian on the log-density, so the bits do not move
+        known = gaussian_sampled(N01), gaussian_sampled(N12)
+
+        def wrap(fn):
+            @functools.wraps(fn)
+            def wrapper(*args):
+                return fn(*args)
+            return wrapper
+
+        wrapped = tuple(SampledDensity(wrap(s.log_density), wrap(s.sampler))
+                        for s in known)
+        cfg = EstimatorConfig(samples=10_000, seed=4)
+        for mean in (GEO, MeanSpec.power(-0.5)):
+            assert (hexes(estimate_js_m_extended(*wrapped, mean, cfg))
+                    == hexes(estimate_js_m_extended(*known, mean, cfg)))
+
+    @pytest.mark.parametrize("mean", [GEO, ARITH, MeanSpec.maximum(),
+                                      MeanSpec.power(-0.5)])
+    def test_categorical_with_zero_weights(self, mean):
+        # a zero both share (finite KLs: the d terms give way to their
+        # means) and a zero of p1 alone (KL(p2 : p1) infinite: 0 log 0 = 0,
+        # and +inf where the mixture is 0 and p2 is not)
+        cfg = EstimatorConfig(samples=100_000, seed=23)
+        for w1, w2 in (([0.5, 0.5, 0.0], [0.3, 0.7, 0.0]),
+                       ([0.5, 0.5, 0.0], [0.2, 0.3, 0.5])):
+            p1, p2 = DiscreteDensity.probability(w1), DiscreteDensity.probability(w2)
+            exact = js_m_extended(p1, p2, mean)
+            estimate, stderr = estimate_js_m_extended(
+                categorical_sampled(p1), categorical_sampled(p2), mean, cfg)
+            if math.isinf(exact):
+                assert estimate == math.inf
+            else:
+                assert abs(estimate - exact) <= 4.0 * stderr
 
 
 class TestDeterminism:
@@ -340,7 +430,7 @@ class TestDeterminism:
         # of seed 1
         base = gaussian_sampled(N01)
 
-        def draws(seed, estimator=estimate_z):
+        def draws(seed):
             seen = []
 
             def sampler(rng, n):
@@ -348,8 +438,8 @@ class TestDeterminism:
                 return seen[-1]
 
             d = SampledDensity(base.log_density, sampler)
-            estimator(d, d, GEO, EstimatorConfig(samples=64, seed=seed,
-                                                 chunk_size=16))
+            estimate_z(d, d, GEO, EstimatorConfig(samples=64, seed=seed,
+                                                  chunk_size=16))
             return seen
 
         seed0, seed1 = draws(0), draws(1)
@@ -360,10 +450,22 @@ class TestDeterminism:
                 chunk, base.sampler(np.random.default_rng(child), 16))
         chunks = [c.tobytes() for c in seed0 + seed1]
         assert len(set(chunks)) == len(chunks)
-        # the extended M-JSD's second estimate runs on streams of its own
-        both = [c.tobytes() for c in draws(0, estimate_js_m_extended)]
-        assert both[:4] == chunks[:4]
-        assert len(set(both)) == 8
+        # the extended M-JSD draws one stream, samples draws in all: chunk k
+        # of the balanced mixture from the same k-th child
+        points = []
+
+        def log_density(x):
+            points.append(x)
+            return base.log_density(x)
+
+        d = SampledDensity(log_density, base.sampler)
+        estimate_js_m_extended(d, d, GEO, EstimatorConfig(samples=64, seed=0,
+                                                          chunk_size=16))
+        assert [x.size for x in points] == [16] * 4
+        mixture = arithmetic_mixture_proposal(base, base)
+        for x, child in zip(points, children):
+            np.testing.assert_array_equal(
+                x, mixture.sampler(np.random.default_rng(child), 16))
 
 
 def lu_log_density(g: GaussianParams, x: np.ndarray) -> np.ndarray:
@@ -960,6 +1062,13 @@ class TestQuadratureRoute:
         d = gaussian_sampled(N01)
         for support in ((-math.inf, 1.0), (0.0, math.nan), (1.0, 1.0), (2.0, -2.0),
                         (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite interval"):
+                gamma_divergence(d, d, 0.5, "quadrature", support=support)
+
+    def test_rejects_integer_ends_beyond_the_float_range(self):
+        # converting such an end to float overflows: still a ValueError
+        d = gaussian_sampled(N01)
+        for support in ((0, 10 ** 400), (-10 ** 400, 0), (10 ** 400, 10 ** 400 + 1)):
             with pytest.raises(ValueError, match="finite interval"):
                 gamma_divergence(d, d, 0.5, "quadrature", support=support)
 

@@ -114,6 +114,12 @@ class TestGaussianDomain:
         with pytest.raises(ValueError, match="at least one dimension"):
             gaussian_family(d)
 
+    def test_family_dimension_is_an_integer(self):
+        # read through operator.index, as EstimatorConfig reads its counts
+        with pytest.raises(TypeError):
+            gaussian_family(2.0)
+        assert gaussian_family(np.int64(2)).dim == 5
+
     def test_family_cumulant_is_gaussian_cumulant(self, rng):
         g = random_gaussian(rng, 2)
         n = to_natural(g)
@@ -355,6 +361,11 @@ class TestCategoricalTheta:
                         [1.0], [[0.5, 0.5], [0.5, 0.5]]):
             with pytest.raises(DomainViolation):
                 categorical_theta(np.array(weights))
+
+    def test_family_size_is_an_integer(self):
+        with pytest.raises(TypeError):
+            categorical_family(3.0)
+        assert categorical_family(np.int64(3)).dim == 2
 
     def test_round_trip_probabilities(self, rng):
         w = rng.uniform(0.05, 1.0, 6)
